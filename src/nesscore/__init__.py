@@ -44,10 +44,8 @@ from .apu import (
 )
 from .midi import midi_to_score, score_to_midi
 from .synth import (
-    OscillatorBank,
     PcmBuffer,
     mix,
-    render_score,
     render_writes,
     score_to_writes,
     write_wav,

@@ -94,6 +94,10 @@ class PulseChannelState:
     def output_volume(self) -> int:
         return self.volume if self.constant_volume else self.envelope.decay_level
 
+    def sounding(self) -> bool:
+        return (self.enabled and self.length_counter > 0 and self.output_volume() > 0
+                and not self.sweep_muted())
+
     def sweep_target(self) -> int:
         change = self.timer_period >> self.sweep.shift
         if not self.sweep.negate:
@@ -129,6 +133,11 @@ class TriangleChannelState:
     length_counter: int = 0
     enabled: bool = False
 
+    def sounding(self) -> bool:
+        # a gated sequencer also freezes the waveform phase
+        return (self.enabled and self.length_counter > 0 and self.linear_counter > 0
+                and self.timer_period >= 2)
+
     def clock_linear(self) -> None:
         if self.linear_reload:
             self.linear_counter = self.linear_reload_value
@@ -156,6 +165,10 @@ class NoiseChannelState:
     def output_volume(self) -> int:
         return self.volume if self.constant_volume else self.envelope.decay_level
 
+    def sounding(self) -> bool:
+        # the LFSR only advances while this holds
+        return self.enabled and self.length_counter > 0 and self.output_volume() > 0
+
     def clock_length(self) -> None:
         if not self.length_halt and self.length_counter > 0:
             self.length_counter -= 1
@@ -171,7 +184,6 @@ class ApuState:
     tr: TriangleChannelState = field(default_factory=TriangleChannelState)
     no: NoiseChannelState = field(default_factory=NoiseChannelState)
     frame_mode: int = 4             # 4-step or 5-step sequencer
-    sample_clock: int = 0
 
     @classmethod
     def reset(cls) -> "ApuState":
@@ -333,13 +345,8 @@ def midi_to_timer(note: int, kind: str) -> int:
 # snapshots
 
 def _pulse_fields(ch: PulseChannelState) -> tuple[int, int, int]:
-    vol = ch.output_volume()
-    if not (ch.enabled and ch.length_counter > 0 and vol > 0 and not ch.sweep_muted()):
-        return 0, 0, 0
-    note = pitch_to_midi(ch.timer_period, "pulse")
-    if note is None:
-        return 0, 0, 0
-    return note, vol, ch.duty
+    note = pitch_to_midi(ch.timer_period, "pulse") if ch.sounding() else None
+    return (0, 0, 0) if note is None else (note, ch.output_volume(), ch.duty)
 
 
 def snapshot(state: ApuState) -> ExpressiveFrame:
@@ -352,17 +359,13 @@ def snapshot(state: ApuState) -> ExpressiveFrame:
     p2 = _pulse_fields(state.p2)
 
     tr = state.tr
-    tr_note = 0
-    if tr.enabled and tr.length_counter > 0 and tr.linear_counter > 0 \
-            and tr.timer_period >= 2:
-        tr_note = pitch_to_midi(tr.timer_period, "triangle") or 0
+    tr_note = (pitch_to_midi(tr.timer_period, "triangle") or 0) if tr.sounding() else 0
 
     no = state.no
     no_fields = (0, 0, 0)
-    vol = no.output_volume()
-    if no.enabled and no.length_counter > 0 and vol > 0:
+    if no.sounding():
         # smaller period index = faster shift clock = brighter noise
-        no_fields = (NOISE_NOTE_MAX - no.period_index, vol, no.mode)
+        no_fields = (NOISE_NOTE_MAX - no.period_index, no.output_volume(), no.mode)
 
     return ExpressiveFrame(*p1, *p2, tr_note, *no_fields)
 
@@ -420,7 +423,6 @@ def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, ApuState
             if _tick_sample(tick_base, tick_index) == cur:
                 _fire_tick(state, tick_index)
             tick_index += 1
-        state.sample_clock = cur
         next_write = writes[wi].sample_offset if wi < n else total
         next_tick = _tick_sample(tick_base, tick_index)
         end = min(next_write, next_tick, total)

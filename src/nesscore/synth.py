@@ -1,19 +1,22 @@
 """Waveform synthesis: timed register writes -> 44.1 kHz PCM.
 
-The renderer drives the same register state machine used for score
-extraction, adds per-channel oscillators (duty sequencer, triangle
-staircase, noise LFSR) clocked at the CPU rate, and folds the channel
-levels through the console's nonlinear mixer.  Waveforms are naive
-(no band-limiting), which is exactly how the hardware aliases.
+The renderer replays the writes through ``apu.iter_segments``, the register
+state machine extraction uses, in two stages.  A Python pass carries each
+oscillator (duty sequencer, triangle staircase, noise LFSR) across segments
+in whole CPU cycles and records one parameter row per segment; once rows
+cover ``_BLOCK`` samples, ``_render_block`` turns them into PCM with integer
+numpy ops, table lookups and the console's nonlinear mixer.  Waveforms are
+naive (no band-limiting), which is exactly how the hardware aliases.
 
 ``score_to_writes`` is the inverse path: it schedules the minimal register
 writes that make an expressive score come out of ``extract_timeline``
 unchanged.
 """
 
+import functools
 import io
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +43,13 @@ NOISE_PERIODS = (
     4, 8, 16, 32, 64, 96, 128, 160, 202, 254, 380, 508, 762, 1016, 2034, 4068,
 )
 
-_DUTY_NP = np.array(DUTY_SEQUENCES, dtype=np.int64)
-_TRI_NP = np.array(TRIANGLE_SEQUENCE, dtype=np.int64)
+_BLOCK = 1 << 13   # samples per whole-block numpy pass; bounds the temporaries
+
+# Pulse output level at (duty * 16 + volume) * 8 + step: one gather per sample.
+_PULSE_WAVE = np.array([level * volume for duty in DUTY_SEQUENCES
+                        for volume in range(16) for level in duty])
+# Triangle level times 16 at gate * 32 + step; the gated row is silent.
+_TRI_WAVE = 16 * np.array((0,) * 32 + TRIANGLE_SEQUENCE)
 
 
 def lfsr_step(register: int, mode: int) -> int:
@@ -51,16 +59,6 @@ def lfsr_step(register: int, mode: int) -> int:
     return (register >> 1) | (feedback << 14)
 
 
-def _pulse_level(total: int) -> float:
-    return 0.0 if total == 0 else 95.88 / (8128.0 / total + 100.0)
-
-
-def _tnd_level(t: int, n: int) -> float:
-    if t == 0 and n == 0:
-        return 0.0
-    return 159.79 / (1.0 / (t / 8227.0 + n / 12241.0) + 100.0)
-
-
 def mix(p1: int, p2: int, t: int, n: int) -> float:
     """Nonlinear four-channel mix, centered so silence is exactly 0.
 
@@ -68,12 +66,46 @@ def mix(p1: int, p2: int, t: int, n: int) -> float:
     doubled sum can slightly exceed 1 at pathological all-max levels, so the
     result is clamped into [-1, 1].
     """
-    amplitude = 2.0 * (_pulse_level(p1 + p2) + _tnd_level(t, n))
-    return min(1.0, max(-1.0, amplitude))
+    pulse = 95.88 / (8128.0 / (p1 + p2) + 100.0) if p1 + p2 else 0.0
+    tnd = 159.79 / (1.0 / (t / 8227.0 + n / 12241.0) + 100.0) if t or n else 0.0
+    return min(1.0, max(-1.0, 2.0 * (pulse + tnd)))
 
 
-_PULSE_MIX = np.array([_pulse_level(s) for s in range(31)])
-_TND_MIX = np.array([[_tnd_level(t, n) for n in range(16)] for t in range(16)])
+# ``mix`` of each group alone, which never reaches the clamp: by p1 + p2, by t * 16 + n.
+_PULSE_MIX = np.array([mix(s, 0, 0, 0) for s in range(31)])
+_TND_MIX = np.array([mix(0, 0, t, n) for t in range(16) for n in range(16)])
+
+
+@functools.cache
+def _lfsr_cycle_tables():
+    """Cycles of ``lfsr_step`` in both modes, built once, on first render.
+
+    Each cycle sits in consecutive slots: k steps after state s of mode m comes
+    ``states[base + (pos + k) % length]``, with base, pos and length at [m, s].
+    Mode 0 has a 32767-cycle, mode 1 has 352 of 93 and one of 31; 0 is fixed in both.
+    """
+    n = 1 << 15
+    s = np.arange(n)
+    base, pos, length = np.empty((3, 2, n), np.int32)
+    states = np.empty(2 * n, np.int16)
+    for mode in (0, 1):
+        # pointer doubling on keys label << 16 | dist: after round k, label is
+        # the smallest state within 2**k steps of s, and dist the steps to it
+        key, jump = s << 16, lfsr_step(s, mode)
+        for k in range(15):
+            ahead = key[jump] + (1 << k)
+            if not (ahead < key).any():
+                break   # no window found a smaller state: the labels are final
+            key = np.minimum(key, ahead)
+            jump = jump[jump]
+        label, dist = key >> 16, key & 0xFFFF
+        counts = np.bincount(label, minlength=n)
+        length[mode] = counts[label]
+        pos[mode] = (length[mode] - dist) % length[mode]
+        base[mode] = (np.cumsum(counts) - counts + mode * n)[label]
+        states[base[mode] + pos[mode]] = s
+    return (base, pos.astype(np.int16), length.astype(np.int16), states,
+            (states & 1).astype(np.int8))
 
 
 @dataclass
@@ -84,104 +116,74 @@ class PcmBuffer:
     sample_rate: int = SAMPLE_RATE
 
 
-@dataclass
-class OscillatorBank:
-    """Waveform-phase state for the four voices.
+def _cycles(sample):
+    """CPU cycles elapsed before a sample index (int or array)."""
+    return sample * apu.CPU_HZ // SAMPLE_RATE
 
-    Channel timers run at the CPU rate (~40.58 cycles per audio sample);
-    each channel keeps its sequence position plus the cycles already spent
-    inside the current step so phase is exact across segment boundaries.
+
+def _render_block(out: np.ndarray, first: int, rows: list, bits: np.ndarray) -> None:
+    """Fill ``out`` from sample ``first`` on with the segments in ``rows``.
+
+    A row holds the segment's end, then per voice a period, an offset and table
+    parameters: ``cycles`` after ``first``, it is at step (offset + cycles) // period.
     """
-
-    pulse_phase: list[int] = field(default_factory=lambda: [0, 0])
-    pulse_spent: list[int] = field(default_factory=lambda: [0, 0])
-    tri_phase: int = 0
-    tri_spent: int = 0
-    lfsr: int = 1
-    lfsr_spent: int = 0
-
-
-def _cycle_offsets(start: int, end: int) -> np.ndarray:
-    """Elapsed CPU cycles at each sample boundary of [start, end]."""
-    idx = np.arange(start, end + 1, dtype=np.int64)
-    cycles = (idx * apu.CPU_HZ) // SAMPLE_RATE
-    return cycles - cycles[0]
+    table = np.array(rows, dtype=np.int32)
+    last = int(table[-1, 0])
+    seg = np.repeat(table[:, 1:].T, np.diff(table[:, 0], prepend=first), axis=1)
+    cycles = (_cycles(np.arange(first, last)) - _cycles(first)).astype(np.int32)
+    p1, p2, tr, no = [(seg[k + 1] + cycles) // seg[k] for k in (0, 3, 6, 9)]
+    pulses = _PULSE_WAVE.take(seg[2] + (p1 & 7)) + _PULSE_WAVE.take(seg[5] + (p2 & 7))
+    noise = (bits.take(seg[11] + no % seg[12]) ^ 1) * seg[13]
+    tnd = _TRI_WAVE.take(seg[8] + (tr & 31)) + noise
+    np.add(_PULSE_MIX.take(pulses), _TND_MIX.take(tnd), out=out[first:last])
 
 
-def _render_pulse(ch, bank: OscillatorBank, i: int, elapsed: np.ndarray) -> np.ndarray:
-    vol = ch.output_volume()
-    sounding = ch.enabled and ch.length_counter > 0 and vol > 0 and not ch.sweep_muted()
-    period = 2 * (ch.timer_period + 1)  # 8-step sequencer moves every 2(t+1) cycles
-    n = len(elapsed) - 1
-    if sounding:
-        steps = (bank.pulse_spent[i] + elapsed[:n]) // period
-        idx = (bank.pulse_phase[i] + steps) & 7
-        out = _DUTY_NP[ch.duty][idx] * vol
-    else:
-        out = np.zeros(n, dtype=np.int64)
-    advanced = bank.pulse_spent[i] + int(elapsed[n])
-    bank.pulse_phase[i] = (bank.pulse_phase[i] + advanced // period) & 7
-    bank.pulse_spent[i] = advanced % period
-    return out
-
-
-def _render_triangle(ch, bank: OscillatorBank, elapsed: np.ndarray) -> np.ndarray:
-    n = len(elapsed) - 1
-    sounding = (ch.enabled and ch.length_counter > 0 and ch.linear_counter > 0
-                and ch.timer_period >= 2)
-    if not sounding:
-        # sequencer is gated: phase freezes, channel contributes silence
-        return np.zeros(n, dtype=np.int64)
-    period = ch.timer_period + 1
-    steps = (bank.tri_spent + elapsed[:n]) // period
-    idx = (bank.tri_phase + steps) % 32
-    out = _TRI_NP[idx]
-    advanced = bank.tri_spent + int(elapsed[n])
-    bank.tri_phase = (bank.tri_phase + advanced // period) % 32
-    bank.tri_spent = advanced % period
-    return out
-
-
-def _render_noise(ch, bank: OscillatorBank, elapsed: np.ndarray) -> np.ndarray:
-    n = len(elapsed) - 1
-    vol = ch.output_volume()
-    if not (ch.enabled and ch.length_counter > 0 and vol > 0):
-        # LFSR only advances while audible
-        return np.zeros(n, dtype=np.int64)
-    period = NOISE_PERIODS[ch.period_index]
-    steps = (bank.lfsr_spent + elapsed[:n]) // period
-    total_steps = int((bank.lfsr_spent + elapsed[n]) // period)
-    bits = np.empty(total_steps + 1, dtype=np.int64)
-    reg = bank.lfsr
-    mode = ch.mode
-    bits[0] = reg & 1
-    for j in range(1, total_steps + 1):
-        reg = lfsr_step(reg, mode)
-        bits[j] = reg & 1
-    out = np.where(bits[steps] == 0, vol, 0)
-    bank.lfsr = reg
-    bank.lfsr_spent = int((bank.lfsr_spent + elapsed[n]) % period)
-    return out
+def _advance(osc: list[int], period: int, wrap: int, c0: int, c1: int) -> int:
+    """Row offset of oscillator [step, spent] over cycles [c0, c1); moves it to c1."""
+    offset = osc[0] * period + osc[1] - c0
+    step, osc[1] = divmod(offset + c1, period)
+    osc[0] = step % wrap
+    return offset
 
 
 def render_writes(stream: TimedWriteStream) -> PcmBuffer:
     """Render a timed write stream to PCM, one sample per stream sample."""
-    total = int(stream.total_samples)
-    out = np.zeros(total)
-    bank = OscillatorBank()
-    for start, end, state, writes in apu.iter_segments(stream):
-        for reg, _val in writes:
-            if reg == 0x4003:
-                bank.pulse_phase[0], bank.pulse_spent[0] = 0, 0
-            elif reg == 0x4007:
-                bank.pulse_phase[1], bank.pulse_spent[1] = 0, 0
-        elapsed = _cycle_offsets(start, end)
-        p1 = _render_pulse(state.p1, bank, 0, elapsed)
-        p2 = _render_pulse(state.p2, bank, 1, elapsed)
-        tr = _render_triangle(state.tr, bank, elapsed)
-        no = _render_noise(state.no, bank, elapsed)
-        amp = 2.0 * (_PULSE_MIX[p1 + p2] + _TND_MIX[tr, no])
-        out[start:end] = amp
+    out = np.empty(int(stream.total_samples))
+    # [sequence step, cycles spent in it]; noise steps through the cycle of lfsr
+    pulse, tri, noise, lfsr = [[0, 0], [0, 0]], [0, 0], [0, 0], 1
+    rows, first, c1 = [], 0, 0
+    cycle_base, cycle_pos, cycle_len, cycle_state, cycle_bit = _lfsr_cycle_tables()
+    for _start, end, state, writes in apu.iter_segments(stream):
+        # cycles counted from the block's first sample keep the rows small
+        c0, c1 = c1, _cycles(end) - _cycles(first)
+        for reg, _value in writes:
+            if reg in (0x4003, 0x4007):
+                pulse[reg == 0x4007] = [0, 0]
+        row = [end]
+        for osc, ch in zip(pulse, (state.p1, state.p2)):
+            period = 2 * (ch.timer_period + 1)  # duty steps take 2(t+1) cycles
+            wave = (ch.duty * 16 + ch.output_volume()) * 8 if ch.sounding() else 0
+            row += (period, _advance(osc, period, 8, c0, c1), wave)
+        ch = state.tr
+        if ch.sounding():
+            period = ch.timer_period + 1
+            row += (period, _advance(tri, period, 32, c0, c1), 32)
+        else:
+            row += (1, 0, 0)    # gated: phase frozen, silent row
+        ch = state.no
+        if ch.sounding():
+            period = NOISE_PERIODS[ch.period_index]
+            base, length = cycle_base.item(ch.mode, lfsr), cycle_len.item(ch.mode, lfsr)
+            noise[0] = cycle_pos.item(ch.mode, lfsr)
+            row += (period, _advance(noise, period, length, c0, c1), base, length,
+                    ch.output_volume())
+            lfsr = cycle_state.item(base + noise[0])
+        else:
+            row += (1, 0, 0, 1, 0)  # the LFSR only advances while audible
+        rows.append(row)
+        if end - first >= _BLOCK or end == len(out):
+            _render_block(out, first, rows, cycle_bit)
+            first, c1, rows = end, 0, []
     np.clip(out, -1.0, 1.0, out=out)
     return PcmBuffer(samples=out)
 
@@ -273,10 +275,6 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
     if not frames:
         emit(0, 0x4015, 0x00)
     return TimedWriteStream(writes=writes, total_samples=total)
-
-
-def render_score(score: ExpressiveScore) -> PcmBuffer:
-    return render_writes(score_to_writes(score))
 
 
 # ---------------------------------------------------------------------------

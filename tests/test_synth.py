@@ -1,6 +1,8 @@
 """Oscillators, mixer, write scheduling, rendering and WAV emission."""
 
+import hashlib
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -121,6 +123,50 @@ class TestLfsr:
         assert lfsr_step(0b000000001000000, 1) == 0b100000000100000
 
 
+BASE, POS, LEN, STATE, BIT = synth._lfsr_cycle_tables()
+
+
+def _gather(state, mode, k):
+    """State k LFSR steps after ``state``, read from the cycle tables."""
+    base, pos = int(BASE[mode, state]), int(POS[mode, state])
+    return int(STATE[base + (pos + k) % int(LEN[mode, state])])
+
+
+class TestLfsrTables:
+    @pytest.mark.parametrize("mode", (0, 1))
+    def test_every_state_steps_like_lfsr_step(self, mode):
+        states = np.arange(1 << 15)
+        slot = BASE[mode] + POS[mode]
+        nxt = BASE[mode] + (POS[mode] + 1) % LEN[mode]
+        assert np.array_equal(STATE[slot], states)
+        assert np.array_equal(BIT[slot], states & 1)
+        expected = [lfsr_step(s, mode) for s in range(1 << 15)]
+        assert STATE[nxt].tolist() == expected
+
+    def test_gathered_steps_match_repeated_steps(self, rng):
+        pairs = [(rng.randrange(1 << 15), rng.randint(0, 3000), rng.randint(0, 1))
+                 for _ in range(60)]
+        pairs += [(1, 32767, 0), (1, 40000, 0), (0, 5, 0), (0, 5, 1)]
+        for state, k, mode in pairs:
+            expected = state
+            for _ in range(k):
+                expected = lfsr_step(expected, mode)
+            assert _gather(state, mode, k) == expected, (state, k, mode)
+
+    def test_cycle_structure(self):
+        def cycle_lengths(mode):
+            cycles = dict(zip(BASE[mode].tolist(), LEN[mode].tolist()))
+            return sorted(Counter(cycles.values()).items())
+
+        assert cycle_lengths(0) == [(1, 1), (32767, 1)]
+        assert cycle_lengths(1) == [(1, 1), (31, 1), (93, 352)]
+
+    def test_tables_are_compact(self):
+        tables = synth._lfsr_cycle_tables()
+        assert all(isinstance(t, np.ndarray) for t in tables)
+        assert sum(t.nbytes for t in tables) < 1 << 20
+
+
 class TestRender:
     def test_silence_renders_exact_zeros(self):
         buf = render_writes(TimedWriteStream(total_samples=4410))
@@ -228,3 +274,82 @@ class TestNoisePeriods:
         assert len(NOISE_PERIODS) == 16
         assert NOISE_PERIODS[0] == 4 and NOISE_PERIODS[15] == 4068
         assert list(NOISE_PERIODS) == sorted(NOISE_PERIODS)
+
+
+def _stream(total, *writes):
+    return TimedWriteStream([TimedWrite(*w) for w in writes], total_samples=total)
+
+
+# Hand-built streams whose rendered PCM is pinned bit for bit.  Each one
+# drives a renderer path that the score-level tests above cannot isolate.
+# The digests were recorded with the earlier renderer, which rendered each
+# segment on its own and stepped the noise LFSR one step at a time.
+PINNED_STREAMS = {
+    "noise_mode_switch": _stream(
+        5000, (0, 0x4015, 0x08), (0, 0x400C, 0x3F), (0, 0x400E, 0x02),
+        (0, 0x400F, 0x08), (1500, 0x400E, 0x82), (3000, 0x400E, 0x05)),
+    "noise_silent_gap": _stream(
+        6000, (0, 0x4015, 0x08), (0, 0x400C, 0x3F), (0, 0x400E, 0x00),
+        (0, 0x400F, 0x08), (1000, 0x400C, 0x30), (2500, 0x400C, 0x3A),
+        (3500, 0x4015, 0x00), (4000, 0x4015, 0x08), (4000, 0x400F, 0x08)),
+    "pulse_phase_resets": _stream(
+        4000, (0, 0x4015, 0x03), (0, 0x4001, 0x08), (0, 0x4005, 0x08),
+        (0, 0x4000, 0xBF), (0, 0x4002, 0xFD), (0, 0x4003, 0x08),
+        (0, 0x4004, 0x7A), (0, 0x4006, 0x40), (0, 0x4007, 0x09),
+        (777, 0x4003, 0x08), (1333, 0x4007, 0x09), (2001, 0x4002, 0x80),
+        (2500, 0x4003, 0x08), (2500, 0x4007, 0x09)),
+    "pulse_sweep_muted": _stream(
+        6000, (0, 0x4015, 0x03), (0, 0x4001, 0x08), (0, 0x4000, 0xBF),
+        (0, 0x4002, 0x05), (0, 0x4003, 0x08), (0, 0x4005, 0x00),
+        (0, 0x4004, 0x7C), (0, 0x4006, 0x00), (0, 0x4007, 0x0D),
+        (1000, 0x4002, 0x07), (2000, 0x4002, 0x08), (2500, 0x4005, 0x08),
+        (3500, 0x4001, 0x99), (3500, 0x4002, 0xF0), (3500, 0x4003, 0x09)),
+    "triangle_gate": _stream(
+        5000, (0, 0x4015, 0x04), (0, 0x4008, 0xFF), (0, 0x400A, 0x40),
+        (0, 0x400B, 0x08), (300, 0x4017, 0x80), (1200, 0x4008, 0x80),
+        (2600, 0x4008, 0xFF), (3600, 0x400A, 0x01), (3600, 0x400B, 0x08),
+        (4200, 0x400A, 0x40), (4200, 0x400B, 0x08)),
+    "envelope_decay": _stream(
+        14000, (0, 0x4015, 0x0B), (0, 0x4001, 0x08), (0, 0x4005, 0x08),
+        (0, 0x4000, 0x03), (0, 0x4002, 0x90), (0, 0x4003, 0x08),
+        (0, 0x4004, 0x62), (0, 0x4006, 0x20), (0, 0x4007, 0x0B),
+        (0, 0x400C, 0x04), (0, 0x400E, 0x08), (0, 0x400F, 0x08)),
+    "spans_blocks": _stream(
+        70000, (0, 0x4015, 0x0F), (0, 0x4001, 0x08), (0, 0x4005, 0x08),
+        (0, 0x4000, 0x79), (0, 0x4002, 0xAB), (0, 0x4003, 0x09),
+        (0, 0x4004, 0xA1), (0, 0x4006, 0x55), (0, 0x4007, 0x08),
+        (0, 0x4008, 0xFF), (0, 0x400A, 0x77), (0, 0x400B, 0x08),
+        (0, 0x400C, 0x37), (0, 0x400E, 0x84), (0, 0x400F, 0x08),
+        (32700, 0x4002, 0x31), (33000, 0x400E, 0x03), (65500, 0x4003, 0x09)),
+    "empty": _stream(0),
+}
+
+PINNED_DIGESTS = {
+    "empty": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "envelope_decay": "1a8afb2f5cce7a4860040e802cdf3722ece721ca679e228b2949495a613cd947",
+    "noise_mode_switch": "823c26e7cef08fca4f6d0f43d85ce67cfc4f3276303d14f1b03e3156dd802b44",
+    "noise_silent_gap": "8175fccb904cd0a8fbf5ab8869a204b2ecedc22f0e963e9cf4cf5c73c5c2d338",
+    "pulse_phase_resets": "3ad4fa69f9ae3c6ffbdac9e74fa0f7b070f2e93ae7f81cbdf9d131592bf773a8",
+    "pulse_sweep_muted": "5e621066ff60f097188d2fa6f674ce6227d0ef937b7d7932683befa7d83b511f",
+    "spans_blocks": "bb0e14949042b67b53efdd257553f92b466702b9cd41aa340d2becfceaa28352",
+    "triangle_gate": "f236abbff59590f7afe45a49d08d5b5c2f480719fbdf2b080317b559860d1fa2",
+}
+
+
+class TestPinnedPcm:
+    def test_a_stream_spans_several_blocks(self):
+        assert PINNED_STREAMS["spans_blocks"].total_samples > 2 * synth._BLOCK
+
+    @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+    def test_digest(self, name):
+        samples = render_writes(PINNED_STREAMS[name]).samples
+        assert samples.dtype == np.float64
+        assert len(samples) == PINNED_STREAMS[name].total_samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("block", (1, 700))
+    def test_digests_do_not_depend_on_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(synth, "_BLOCK", block)
+        for name, stream in PINNED_STREAMS.items():
+            samples = render_writes(stream).samples
+            assert hashlib.sha256(samples.tobytes()).hexdigest() == PINNED_DIGESTS[name], name
