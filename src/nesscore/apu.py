@@ -13,7 +13,7 @@ import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .score import (
     SAMPLE_RATE,
@@ -301,21 +301,57 @@ def clock_frame_sequencer(state: ApuState, tick_kind: str) -> ApuState:
 # ---------------------------------------------------------------------------
 # pitch mapping
 
+class _PitchTable(NamedTuple):
+    lo: int
+    hi: int
+    notes: list     # note of each 11-bit timer period, None outside [lo, hi]
+    timers: dict    # note -> the timer period midi_to_timer returns for it
+
+
+def _pitch_table(divisor: int, lo: int, hi: int) -> _PitchTable:
+    notes = []
+    for t in range(0x800):
+        freq = CPU_HZ / (divisor * (t + 1))
+        note = round(69 + 12 * math.log2(freq / 440.0))
+        notes.append(note if lo <= note <= hi else None)
+    timers = {}
+    for note in range(lo, hi + 1):
+        freq = 440.0 * 2.0 ** ((note - 69) / 12)
+        t0 = round(CPU_HZ / (divisor * freq) - 1)
+        for t in (t0, t0 - 1, t0 + 1, t0 - 2, t0 + 2):
+            if 0 <= t <= 0x7FF and notes[t] == note:
+                timers[note] = t
+                break
+    return _PitchTable(lo, hi, notes, timers)
+
+
+# Built at import, in about 2 ms.
+_PITCH_TABLES = {
+    "pulse": _pitch_table(16, PULSE_NOTE_MIN, PULSE_NOTE_MAX),
+    "triangle": _pitch_table(32, TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX),
+}
+_PULSE_NOTES = _PITCH_TABLES["pulse"].notes
+_TRIANGLE_NOTES = _PITCH_TABLES["triangle"].notes
+
+
+def _table_for(kind: str) -> _PitchTable:
+    try:
+        return _PITCH_TABLES[kind]
+    except KeyError:
+        raise ValueError(f"kind must be 'pulse' or 'triangle', got {kind!r}") from None
+
+
 def pitch_to_midi(timer_period: int, kind: str) -> int | None:
     """MIDI note sounded by an 11-bit timer period, or None if out of range.
 
     f = 1789773 / (16*(t+1)) for pulse, /(32*(t+1)) for triangle;
-    note = round(69 + 12*log2(f/440)).
+    note = round(69 + 12*log2(f/440)), read from a table built at import.
+    Raises ValueError for a period outside 11 bits.
     """
-    if kind == "pulse":
-        divisor, lo, hi = 16, PULSE_NOTE_MIN, PULSE_NOTE_MAX
-    elif kind == "triangle":
-        divisor, lo, hi = 32, TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX
-    else:
-        raise ValueError(f"kind must be 'pulse' or 'triangle', got {kind!r}")
-    freq = CPU_HZ / (divisor * (timer_period + 1))
-    note = round(69 + 12 * math.log2(freq / 440.0))
-    return note if lo <= note <= hi else None
+    notes = _table_for(kind).notes
+    if not 0 <= timer_period <= 0x7FF:
+        raise ValueError(f"timer period {timer_period} outside [0,2047]")
+    return notes[timer_period]
 
 
 def midi_to_timer(note: int, kind: str) -> int:
@@ -325,27 +361,19 @@ def midi_to_timer(note: int, kind: str) -> int:
     for pulse MIDI 32, whose ideal period exceeds 11 bits) has no timer value
     that round-trips.
     """
-    if kind == "pulse":
-        divisor, lo, hi = 16, PULSE_NOTE_MIN, PULSE_NOTE_MAX
-    elif kind == "triangle":
-        divisor, lo, hi = 32, TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX
-    else:
-        raise ValueError(f"kind must be 'pulse' or 'triangle', got {kind!r}")
-    if not lo <= note <= hi:
-        raise NoteOutOfRange(f"note {note} outside [{lo},{hi}] for {kind}")
-    freq = 440.0 * 2.0 ** ((note - 69) / 12)
-    t0 = round(CPU_HZ / (divisor * freq) - 1)
-    for t in (t0, t0 - 1, t0 + 1, t0 - 2, t0 + 2):
-        if 0 <= t <= 0x7FF and pitch_to_midi(t, kind) == note:
-            return t
-    raise NoteOutOfRange(f"note {note} not representable by an 11-bit {kind} timer")
+    table = _table_for(kind)
+    if not table.lo <= note <= table.hi:
+        raise NoteOutOfRange(f"note {note} outside [{table.lo},{table.hi}] for {kind}")
+    if note not in table.timers:
+        raise NoteOutOfRange(f"note {note} not representable by an 11-bit {kind} timer")
+    return table.timers[note]
 
 
 # ---------------------------------------------------------------------------
 # snapshots
 
 def _pulse_fields(ch: PulseChannelState) -> tuple[int, int, int]:
-    note = pitch_to_midi(ch.timer_period, "pulse") if ch.sounding() else None
+    note = _PULSE_NOTES[ch.timer_period] if ch.sounding() else None
     return (0, 0, 0) if note is None else (note, ch.output_volume(), ch.duty)
 
 
@@ -359,7 +387,7 @@ def snapshot(state: ApuState) -> ExpressiveFrame:
     p2 = _pulse_fields(state.p2)
 
     tr = state.tr
-    tr_note = (pitch_to_midi(tr.timer_period, "triangle") or 0) if tr.sounding() else 0
+    tr_note = (_TRIANGLE_NOTES[tr.timer_period] or 0) if tr.sounding() else 0
 
     no = state.no
     no_fields = (0, 0, 0)

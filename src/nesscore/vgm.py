@@ -12,6 +12,7 @@ transparently.
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -36,6 +37,10 @@ class VgmError(ValueError):
 
 class BadMagic(VgmError):
     """Input is not a VGM file."""
+
+
+class CorruptGzip(VgmError):
+    """A .vgz image whose gzip stream does not decompress."""
 
 
 class TruncatedFile(VgmError):
@@ -111,7 +116,10 @@ def _u32(data: bytes, offset: int) -> int:
 def parse_vgm(data: bytes) -> VgmDocument:
     """Parse a VGM (or gzipped .vgz) image into a command document."""
     if data[:2] == GZIP_MAGIC:
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:   # OSError: gzip.BadGzipFile
+            raise CorruptGzip(f"gzip stream does not decompress: {exc}") from None
     if len(data) < 4 or data[:4] != MAGIC:
         raise BadMagic("missing 'Vgm ' magic")
 

@@ -321,6 +321,13 @@ class TestPitchMaps:
         assert formula_midi(2047, 16) == 33
         assert pitch_to_midi(2047, "pulse") == 33
 
+    def test_timer_outside_11_bits_rejected(self):
+        for timer in (-1, 0x800):
+            with pytest.raises(ValueError):
+                pitch_to_midi(timer, "pulse")
+        with pytest.raises(ValueError):
+            pitch_to_midi(253, "noise")
+
     def test_out_of_range_high(self):
         assert pitch_to_midi(20, "pulse") is None   # ~5.3 kHz, MIDI 112
         assert pitch_to_midi(1, "triangle") is None

@@ -1,5 +1,6 @@
 """End-to-end subcommand coverage through main()."""
 
+import gzip
 import json
 import random
 
@@ -49,6 +50,14 @@ class TestVgm2Score:
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_truncated_vgz(self, song, tmp_path, capsys):
+        _score, vgm_path = song
+        vgz = tmp_path / "song.vgz"
+        vgz.write_bytes(gzip.compress(vgm_path.read_bytes())[:-12])
+        assert main(["vgm2score", str(vgz), str(tmp_path / "x.nesscore")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestRender:
     def test_score_input(self, tmp_path):
@@ -66,7 +75,6 @@ class TestRender:
         assert data[:4] == b"RIFF" and len(data) > 44
 
     def test_gzipped_vgm_input(self, song, tmp_path):
-        import gzip
         _, vgm_path = song
         vgz = tmp_path / "song.vgz"
         vgz.write_bytes(gzip.compress(vgm_path.read_bytes()))

@@ -20,12 +20,14 @@ from nesscore.score import (
     frame_count,
     frame_sample_index,
     read_score_text,
+    score_total_samples,
     split_corpus,
     to_blended,
     to_separated,
     validate,
     write_score_text,
 )
+from reference_reader import read_score_text_by_line
 
 A_FRAME = ExpressiveFrame(p1_note=69, p1_vel=12, p1_timbre=2, tr_note=57,
                           no_note=12, no_vel=9, no_timbre=1)
@@ -190,6 +192,132 @@ class TestTextFormat:
         rng = random.Random(n)
         score = random_score(rng, n, rate_hz=rate)
         assert read_score_text(write_score_text(score)) == score
+
+    @pytest.mark.parametrize("head", [b"NESSCORE 1 nan 1", b"NESSCORE 1 inf 1",
+                                      b"NESSCORE 1 1e-9 1", b"NESSCORE 1 5e-324 1"])
+    def test_unusable_rate_rejected(self, head):
+        # 1e-9 Hz asks for 4.4e13 samples; 5e-324 Hz for infinitely many
+        with pytest.raises(MalformedHeader):
+            read_score_text(head + b"\n0 0 0 0 0 0 0 0 0 0\n")
+
+    def test_sample_limit_is_32_bits(self):
+        line = b"\n0 0 0 0 0 0 0 0 0 0\n"
+        assert score_total_samples(1, 0.0000103) <= 0xFFFFFFFF
+        assert read_score_text(b"NESSCORE 1 0.0000103 1" + line).rate_hz == 0.0000103
+        assert score_total_samples(1, 0.0000102) > 0xFFFFFFFF
+        with pytest.raises(MalformedHeader):
+            read_score_text(b"NESSCORE 1 0.0000102 1" + line)
+
+    def test_header_not_utf8(self):
+        with pytest.raises(MalformedHeader):
+            read_score_text(b"NESSCORE 1 24\xff 0\n")
+
+    def test_non_ascii_body_byte_names_line(self):
+        data = b"NESSCORE 1 24 2\n0 0 0 0 0 0 0 0 0 0\n0 0 0 0 \xff 0 0 0 0 0\n"
+        with pytest.raises(BadFieldValue) as exc:
+            read_score_text(data)
+        assert exc.value.line_number == 3
+
+
+def outcome(reader, data: bytes):
+    """The score a reader returns, or the type and line of its domain error."""
+    try:
+        return reader(data)
+    except (MalformedHeader, BadFieldValue) as exc:
+        return type(exc), getattr(exc, "line_number", None)
+
+
+def plain_decimal(data: bytes) -> bool:
+    """ASCII, and every body field made of ASCII digits only."""
+    body = data.replace(b"\r\n", b"\n").partition(b"\n")[2]
+    return data.isascii() and not body.translate(None, b"0123456789 \n")
+
+
+def mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, where, byte in edits:
+        i = where % (len(out) + 1)
+        if kind == "insert":
+            out[i:i] = bytes((byte,))
+        elif i < len(out):
+            if kind == "replace":
+                out[i] = byte
+            else:
+                del out[i]
+    return bytes(out)
+
+
+EDIT = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                 st.integers(0, 10_000),
+                 st.one_of(st.sampled_from(b"0123456789 \n\r\t+-."), st.integers(0, 255)))
+
+
+class TestReaderAgainstReference:
+    """The vectorised reader against the line-by-line one in reference_reader."""
+
+    @given(st.integers(0, 2**32), st.integers(0, 60),
+           st.sampled_from([24.0, 12.0, 60.0, 29.97, 0.5, 44100.0]))
+    @settings(max_examples=60)
+    def test_round_trip(self, seed, n, rate):
+        score = random_score(random.Random(seed), n, rate_hz=rate)
+        data = write_score_text(score)
+        assert read_score_text(data) == score == read_score_text_by_line(data)
+        assert np.array_equal(score.to_array(),
+                              np.asarray(score.frames, dtype=np.int16).reshape(-1, 10))
+
+    @given(st.integers(0, 2**32), st.integers(0, 6), st.lists(EDIT, min_size=1, max_size=4))
+    @settings(derandomize=True, max_examples=400)
+    def test_byte_mutations(self, seed, n, edits):
+        data = mutate(write_score_text(random_score(random.Random(seed), n)), edits)
+        got = outcome(read_score_text, data)   # raises on any other error type
+        if plain_decimal(data):
+            assert got == outcome(read_score_text_by_line, data)
+
+    @pytest.mark.parametrize("field", [b"+5", b"5\t", b"\t5", b" 5", b"5 ",
+                                       "\u0665".encode(), "\uff15".encode()])
+    def test_narrowed_fields_rejected_with_line(self, field):
+        # int() accepts a sign, surrounding whitespace and non-ASCII digits;
+        # the body grammar is ASCII digits and single spaces only
+        data = b"NESSCORE 1 24 2\n0 0 0 0 0 0 0 0 0 0\n0 " + field + b" 0 0 0 0 0 0 0 0\n"
+        if field.strip() == field:
+            assert read_score_text_by_line(data).frames[1].p1_vel == 5
+        with pytest.raises(BadFieldValue) as exc:
+            read_score_text(data)
+        assert exc.value.line_number == 3
+
+    def test_crlf_line_ends_accepted(self):
+        score = ExpressiveScore(24.0, [A_FRAME, SILENCE])
+        data = write_score_text(score).replace(b"\n", b"\r\n")
+        assert read_score_text(data) == score == read_score_text_by_line(data)
+
+    def test_missing_final_line_end_accepted(self):
+        score = ExpressiveScore(24.0, [A_FRAME])
+        data = write_score_text(score)[:-1]
+        assert read_score_text(data) == score == read_score_text_by_line(data)
+
+    def test_leading_zeros_accepted(self):
+        data = b"NESSCORE 1 24 1\n069 012 2 0 0 0 0057 0 0 000\n"
+        expected = ExpressiveFrame(p1_note=69, p1_vel=12, p1_timbre=2, tr_note=57)
+        assert read_score_text(data).frames == [expected]
+        assert read_score_text_by_line(data).frames == [expected]
+
+    @pytest.mark.parametrize("line, message", [
+        (b"0 0 0 0 0 0 0 0 0", "expected 10 fields, found 9"),
+        (b"0 0 0 0 0 0 0 0 0 0 0", "expected 10 fields, found 11"),
+        (b"0 0 0 0 0 0 0 0 0 x", "no.timbre: 'x' is not an integer"),
+        (b"0 0 0 0  0 0 0 0 0", "p2.vel: '' is not an integer"),
+        (b"0 0 4 0 0 0 0 0 0 0", "p1.timbre: 4 outside [0,3]"),
+        (b"0 0 0 0 0 0 1000 0 0 0", "tr.note: 1000 outside [0,108]"),
+        (b"0 0 0 0 0 0 0 00017 0 0", "no.note: 17 outside [0,16]"),
+    ])
+    def test_error_names_first_bad_line(self, line, message):
+        # an earlier bad line wins over a later one of any kind
+        good, worse = b"0 0 0 0 0 0 0 0 0 0", b"0 0"
+        data = b"NESSCORE 1 24 4\n" + b"\n".join([good, line, good, worse]) + b"\n"
+        for reader in (read_score_text, read_score_text_by_line):
+            with pytest.raises(BadFieldValue) as exc:
+                reader(data)
+            assert exc.value.line_number == 3 and str(exc.value) == f"line 3: {message}"
 
 
 def entries(n_games, composers_per_game=1, shared=None):

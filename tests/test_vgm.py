@@ -11,6 +11,7 @@ from nesscore import vgm
 from nesscore.vgm import (
     ApuWrite,
     BadMagic,
+    CorruptGzip,
     DataBlock,
     DualChipUnsupported,
     EndOfData,
@@ -71,6 +72,18 @@ class TestParse:
     def test_gzip_transparent(self):
         plain = make_vgm(bytes((0x62, 0x66)))
         assert parse_vgm(gzip.compress(plain)).commands == parse_vgm(plain).commands
+
+    def test_corrupt_gzip_is_vgm_error(self):
+        vgz = gzip.compress(make_vgm(bytes((0xB4, 0x15, 0x0F, 0x62, 0x66))))
+        with pytest.raises(CorruptGzip):
+            parse_vgm(vgz[:-12])
+        for bit in range(8 * len(vgz)):    # every single-bit flip
+            damaged = bytearray(vgz)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            try:
+                parse_vgm(bytes(damaged))
+            except vgm.VgmError:
+                pass
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
