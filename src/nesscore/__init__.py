@@ -2,7 +2,7 @@
 
 The pipeline, end to end:
 
-    VGM bytes --parse/flatten--> TimedWriteStream --extract/downsample-->
+    VGM bytes --parse_vgm--> TimedWriteStream --extract/downsample-->
     ExpressiveScore --to_separated/to_blended--> modeling representations
 
 and back:

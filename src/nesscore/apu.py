@@ -25,9 +25,7 @@ from .score import (
     TRIANGLE_NOTE_MIN,
     TRIANGLE_NOTE_MAX,
 )
-from .vgm import TimedWriteStream
-
-CPU_HZ = 1789773
+from .vgm import NES_APU_CLOCK_HZ as CPU_HZ, TimedWriteStream
 
 # Length counter values indexed by the 5-bit load field of $4003/$400B/$400F.
 LENGTH_TABLE = (
@@ -41,6 +39,15 @@ _TICK_SAMPLES = 7457.5 * SAMPLE_RATE / CPU_HZ
 
 class RegisterOutOfRange(ValueError):
     """Write addressed outside $4000-$4017."""
+
+
+class BadWriteOffset(ValueError):
+    """A write offset that breaks the stream's order or lies past its end."""
+
+    def __init__(self, index: int, sample_offset: int, problem: str):
+        super().__init__(f"write {index} at sample {sample_offset} {problem}")
+        self.index = index
+        self.sample_offset = sample_offset
 
 
 class NoteOutOfRange(ValueError):
@@ -401,10 +408,6 @@ def snapshot(state: ApuState) -> ExpressiveFrame:
 # ---------------------------------------------------------------------------
 # stream replay
 
-def _tick_sample(base: int, index: int) -> int:
-    return base + int(index * _TICK_SAMPLES)
-
-
 def _fire_tick(state: ApuState, index: int) -> None:
     if state.frame_mode == 4:
         if index % 2 == 0:
@@ -426,36 +429,52 @@ def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, ApuState
     Within each span [start, end) the register state is constant; ``writes``
     lists the (register, value) pairs applied at ``start`` (the renderer
     watches them for phase resets).  A $4017 write restarts the sequencer
-    phase and, in 5-step mode, clocks quarter+half immediately.
+    phase and, in 5-step mode, clocks quarter+half immediately.  Tick k after
+    a restart at sample b lands on b + int(k * _TICK_SAMPLES); each tick
+    time is computed once, when the previous tick has passed.
 
-    The yielded state object is live: consume it before advancing.
+    Raises BadWriteOffset for a write whose offset is below that of an
+    earlier write, or beyond ``total_samples`` (a write exactly at the end
+    is legal and has no effect).  The yielded state object is live: consume
+    it before advancing.
     """
     state = ApuState.reset()
     writes = stream.writes
     total = int(stream.total_samples)
     wi, n = 0, len(writes)
+    next_write = writes[0].sample_offset if n else total
     tick_base, tick_index = 0, 1
+    next_tick = int(_TICK_SAMPLES)
     cur = 0
     while cur < total:
         applied: list[tuple[int, int]] = []
-        while wi < n and writes[wi].sample_offset <= cur:
-            w = writes[wi]
-            state.write(w.register, w.value)
-            applied.append((w.register, w.value))
-            if w.register == 0x4017:
+        while next_write <= cur:
+            if next_write < cur:
+                raise BadWriteOffset(wi, next_write, f"is before sample {cur}")
+            _offset, register, value = writes[wi]
+            state.write(register, value)
+            applied.append((register, value))
+            if register == 0x4017:
                 tick_base, tick_index = cur, 1
-                if w.value & 0x80:
+                next_tick = cur + int(_TICK_SAMPLES)
+                if value & 0x80:
                     state.half_tick()
             wi += 1
-        while _tick_sample(tick_base, tick_index) <= cur:
-            if _tick_sample(tick_base, tick_index) == cur:
-                _fire_tick(state, tick_index)
+            next_write = writes[wi].sample_offset if wi < n else total
+        # Segments end at every tick, so the next one is never behind cur.
+        if next_tick == cur:
+            _fire_tick(state, tick_index)
             tick_index += 1
-        next_write = writes[wi].sample_offset if wi < n else total
-        next_tick = _tick_sample(tick_base, tick_index)
+            next_tick = tick_base + int(tick_index * _TICK_SAMPLES)
         end = min(next_write, next_tick, total)
         yield cur, end, state, applied
         cur = end
+    for i in range(wi, n):      # writes at the very end are never applied
+        offset = writes[i].sample_offset
+        if offset < cur:
+            raise BadWriteOffset(i, offset, f"is before sample {cur}")
+        if offset > total:
+            raise BadWriteOffset(i, offset, f"is beyond the stream end at sample {total}")
 
 
 @dataclass

@@ -11,7 +11,7 @@ notes 1-16 are written as MIDI pitches 1-16.
 import struct
 from dataclasses import dataclass
 
-from .score import ExpressiveScore, ExpressiveFrame
+from .score import SAMPLE_RATE, ExpressiveScore, ExpressiveFrame
 
 PPQ = 22050
 TEMPO_USPQ = 500000           # 120 BPM; 1 tick = 1/44100 s
@@ -33,11 +33,11 @@ class UnmappableEvent(ValueError):
 
 
 def _frame_tick(k: int, rate_hz: float) -> int:
-    return round(k * 44100 / rate_hz)
+    return round(k * SAMPLE_RATE / rate_hz)
 
 
 def _tick_frame(tick: int, rate_hz: float) -> int:
-    return round(tick * rate_hz / 44100)
+    return round(tick * rate_hz / SAMPLE_RATE)
 
 
 def velocity_to_midi(vel: int) -> int:

@@ -162,8 +162,12 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
 
     Frame k takes the timeline state at sample floor(k*44100/rate_hz); no
     aggregation or filtering.  Trailing partial frames are kept (ceiling).
+    Raises ValueError for a rate ``check_rate`` rejects, so every score made
+    here can be written and read back.
     """
+    check_rate(rate_hz)                    # frame_count needs a usable rate
     n = frame_count(timeline.total_samples, rate_hz)
+    check_rate(rate_hz, n)
     frames = [timeline.frame_at(frame_sample_index(k, rate_hz)) for k in range(n)]
     return ExpressiveScore(rate_hz=float(rate_hz), frames=frames)
 
@@ -276,6 +280,22 @@ _FIELD_MAX = np.array([hi for _name, _lo, hi in _FIELD_BOUNDS], dtype=np.int16)
 _MAX_TOTAL_SAMPLES = 0xFFFFFFFF
 
 
+def check_rate(rate_hz: float, n_frames: int = 0, error: type = ValueError) -> None:
+    """Raise ``error`` unless rate_hz is positive and finite and n_frames
+    frames at it span at most 2^32 - 1 samples (the default 0 frames checks
+    the rate alone).
+    """
+    if not 0 < rate_hz < math.inf:
+        raise error(f"rate {rate_hz} Hz is not a positive finite number")
+    try:
+        total_samples = score_total_samples(n_frames, rate_hz)
+    except OverflowError:   # the quotient is infinite or the count too big for a float
+        total_samples = math.inf
+    if total_samples > _MAX_TOTAL_SAMPLES:
+        raise error(f"{n_frames} frames at {rate_hz} Hz span more than "
+                    f"{_MAX_TOTAL_SAMPLES} samples")
+
+
 def _format_rate(rate_hz: float) -> str:
     return str(int(rate_hz)) if float(rate_hz).is_integer() else repr(float(rate_hz))
 
@@ -310,15 +330,9 @@ def read_score_text(data: bytes) -> ExpressiveScore:
         n_frames = int(head[3])
     except ValueError as exc:
         raise MalformedHeader(f"bad header field: {exc}") from None
-    if not 0 < rate_hz < math.inf or n_frames < 0:
-        raise MalformedHeader(f"rate {rate_hz} / frame count {n_frames} out of range")
-    try:
-        total_samples = score_total_samples(n_frames, rate_hz)
-    except OverflowError:   # the quotient is infinite or the count too big for a float
-        total_samples = math.inf
-    if total_samples > _MAX_TOTAL_SAMPLES:
-        raise MalformedHeader(f"{n_frames} frames at {rate_hz} Hz span more than "
-                              f"{_MAX_TOTAL_SAMPLES} samples")
+    if n_frames < 0:
+        raise MalformedHeader(f"frame count {n_frames} out of range")
+    check_rate(rate_hz, n_frames, MalformedHeader)
     n_lines = body.count(b"\n")
     if body and not body.endswith(b"\n"):
         body += b"\n"

@@ -1,10 +1,14 @@
-"""VGM register-log parsing and emission (NES APU subset, v1.61).
+"""VGM register-log decoding and emission (NES APU subset, v1.61).
 
-A VGM file is a little-endian header followed by a command stream.  The
-commands we accept are the four wait encodings (0x61 nn nn, 0x62, 0x63,
-0x7n), the NES APU write (0xB4 aa dd), skipped data blocks (0x67) and the
-end-of-data marker (0x66).  Anything else raises rather than being silently
-skipped: the corpora this feeds are NES-only and corruption should be loud.
+A VGM file is a little-endian header followed by a command stream.
+``parse_vgm`` decodes the stream in one pass straight into a
+``TimedWriteStream``: every wait adds to a running 44.1 kHz sample offset,
+and every NES APU write (0xB4 aa dd) becomes a ``TimedWrite`` at the offset
+reached so far.  The commands accepted are the four wait encodings
+(0x61 nn nn, 0x62, 0x63, 0x7n), the APU write, skipped data blocks (0x67)
+and the end-of-data marker (0x66).  Anything else raises a ``VgmError`` that
+names the byte offset rather than being skipped: the corpora this feeds are
+NES-only and corruption should be loud.
 
 Gzip-compressed .vgz images are detected by magic and decompressed
 transparently.
@@ -14,13 +18,14 @@ import gzip
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import NamedTuple
+
+from .score import SAMPLE_RATE
 
 MAGIC = b"Vgm "
 GZIP_MAGIC = b"\x1f\x8b"
 
-SAMPLE_RATE = 44100
-NES_APU_CLOCK_HZ = 1789773
+NES_APU_CLOCK_HZ = 1789773      # the 2A03's CPU clock, NTSC
 VGM_VERSION = 0x161
 HEADER_SIZE = 0xC0
 
@@ -29,6 +34,11 @@ APU_REGISTER_LAST = 0x4017
 
 WAIT_NTSC_FRAME = 735   # 44100 / 60
 WAIT_PAL_FRAME = 882    # 44100 / 50
+
+# Samples waited by each one-byte opcode (0x62, 0x63, 0x70-0x7F); 0 for the rest.
+_WAIT_SAMPLES = [(op & 0x0F) + 1 if 0x70 <= op <= 0x7F else 0 for op in range(256)]
+_WAIT_SAMPLES[0x62] = WAIT_NTSC_FRAME
+_WAIT_SAMPLES[0x63] = WAIT_PAL_FRAME
 
 
 class VgmError(ValueError):
@@ -59,39 +69,6 @@ class OffsetOverflow(VgmError):
     """Sample offset exceeds what 32-bit wait fields can encode."""
 
 
-@dataclass(frozen=True)
-class Wait:
-    samples: int
-
-
-@dataclass(frozen=True)
-class ApuWrite:
-    register_offset: int  # 0x00-0x17, relative to $4000
-    value: int
-
-
-@dataclass(frozen=True)
-class DataBlock:
-    block_type: int
-    size: int
-
-
-@dataclass(frozen=True)
-class EndOfData:
-    pass
-
-
-VgmCommand = Union[Wait, ApuWrite, DataBlock, EndOfData]
-
-
-@dataclass
-class VgmDocument:
-    version: int            # BCD, e.g. 0x161
-    nes_apu_clock_hz: int
-    data_offset: int
-    commands: list = field(default_factory=list)
-
-
 class TimedWrite(NamedTuple):
     sample_offset: int
     register: int           # absolute, 0x4000-0x4017
@@ -107,6 +84,14 @@ class TimedWriteStream:
     sample_rate: int = SAMPLE_RATE
 
 
+@dataclass
+class VgmDocument:
+    version: int            # BCD, e.g. 0x161
+    nes_apu_clock_hz: int
+    data_offset: int
+    stream: TimedWriteStream
+
+
 def _u32(data: bytes, offset: int) -> int:
     if offset + 4 > len(data):
         raise TruncatedFile(f"header field at {offset:#x} beyond end of file")
@@ -114,7 +99,7 @@ def _u32(data: bytes, offset: int) -> int:
 
 
 def parse_vgm(data: bytes) -> VgmDocument:
-    """Parse a VGM (or gzipped .vgz) image into a command document."""
+    """Decode a VGM (or gzipped .vgz) image into its header and timed writes."""
     if data[:2] == GZIP_MAGIC:
         try:
             data = gzip.decompress(data)
@@ -130,77 +115,59 @@ def parse_vgm(data: bytes) -> VgmDocument:
     else:
         data_offset = 0x40
     nes_apu_clock = _u32(data, 0x84) if data_offset >= 0x88 and len(data) >= 0x88 else 0
-
-    commands = _parse_commands(data, data_offset)
     return VgmDocument(version=version, nes_apu_clock_hz=nes_apu_clock,
-                       data_offset=data_offset, commands=commands)
+                       data_offset=data_offset, stream=_decode(data, data_offset))
 
 
-def _parse_commands(data: bytes, pos: int) -> list:
-    commands: list[VgmCommand] = []
+def _decode(data: bytes, pos: int) -> TimedWriteStream:
+    writes: list[TimedWrite] = []
+    append, new = writes.append, tuple.__new__
+    wait_samples = _WAIT_SAMPLES
     end = len(data)
-
-    def need(n, what):
-        if pos + n > end:
-            raise TruncatedFile(f"{what} truncated at offset {pos:#x}")
-
-    while True:
-        if pos >= end:
-            raise TruncatedFile("command stream missing end-of-data (0x66)")
+    offset = 0
+    while pos < end:
         op = data[pos]
-        if op == 0x66:
-            commands.append(EndOfData())
-            return commands
-        if op == 0x61:
-            need(3, "wait command")
-            n = data[pos + 1] | (data[pos + 2] << 8)
-            if n:  # zero-sample waits are no-ops
-                commands.append(Wait(n))
-            pos += 3
-        elif op == 0x62:
-            commands.append(Wait(WAIT_NTSC_FRAME))
-            pos += 1
-        elif op == 0x63:
-            commands.append(Wait(WAIT_PAL_FRAME))
-            pos += 1
-        elif 0x70 <= op <= 0x7F:
-            commands.append(Wait((op & 0x0F) + 1))
-            pos += 1
-        elif op == 0xB4:
-            need(3, "APU write")
-            aa, dd = data[pos + 1], data[pos + 2]
-            if aa & 0x80:
-                raise DualChipUnsupported(f"second-chip APU write at offset {pos:#x}")
+        if op == 0xB4:
+            if pos + 3 > end:
+                raise TruncatedFile(f"APU write truncated at offset {pos:#x}")
+            aa = data[pos + 1]
             if aa > 0x17:
+                if aa & 0x80:
+                    raise DualChipUnsupported(f"second-chip APU write at offset {pos:#x}")
                 raise UnsupportedCommand(
                     f"APU register offset {aa:#04x} out of range at offset {pos:#x}")
-            commands.append(ApuWrite(aa, dd))
+            # tuple.__new__ skips the Python-level TimedWrite.__new__ call
+            append(new(TimedWrite, (offset, APU_REGISTER_BASE + aa, data[pos + 2])))
             pos += 3
+            continue
+        wait = wait_samples[op]
+        if wait:
+            offset += wait
+            pos += 1
+        elif op == 0x61:
+            if pos + 3 > end:
+                raise TruncatedFile(f"wait command truncated at offset {pos:#x}")
+            offset += data[pos + 1] | (data[pos + 2] << 8)
+            pos += 3
+        elif op == 0x66:
+            return TimedWriteStream(writes=writes, total_samples=offset)
         elif op == 0x67:
-            need(7, "data block header")
+            if pos + 7 > end:
+                raise TruncatedFile(f"data block header truncated at offset {pos:#x}")
             if data[pos + 1] != 0x66:
                 raise UnsupportedCommand(f"malformed data block at offset {pos:#x}")
-            block_type = data[pos + 2]
             size = struct.unpack_from("<I", data, pos + 3)[0]
-            need(7 + size, "data block payload")
-            commands.append(DataBlock(block_type, size))
+            if pos + 7 + size > end:
+                raise TruncatedFile(f"data block payload truncated at offset {pos:#x}")
             pos += 7 + size
         else:
             raise UnsupportedCommand(f"command {op:#04x} at offset {pos:#x}")
+    raise TruncatedFile("command stream missing end-of-data (0x66)")
 
 
 def flatten_to_writes(doc: VgmDocument) -> TimedWriteStream:
-    """Accumulate waits into absolute sample offsets for every APU write."""
-    writes: list[TimedWrite] = []
-    offset = 0
-    for cmd in doc.commands:
-        if isinstance(cmd, Wait):
-            offset += cmd.samples
-        elif isinstance(cmd, ApuWrite):
-            writes.append(TimedWrite(offset, APU_REGISTER_BASE + cmd.register_offset,
-                                     cmd.value))
-        # DataBlock / EndOfData contribute nothing
-    return TimedWriteStream(writes=writes, total_samples=offset)
+    """The document's timed writes; ``parse_vgm`` has already decoded them."""
+    return doc.stream
 
 
 def _encode_wait(delta: int, out: bytearray) -> None:

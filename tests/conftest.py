@@ -37,6 +37,21 @@ def random_score(rng: random.Random, n_frames: int, rate_hz: float = 24.0,
     return ExpressiveScore(rate_hz=rate_hz, frames=frames)
 
 
+def mutate(data: bytes, edits) -> bytes:
+    """Apply (kind, where, byte) edits; kind is "insert", "replace" or "delete"."""
+    out = bytearray(data)
+    for kind, where, byte in edits:
+        i = where % (len(out) + 1)
+        if kind == "insert":
+            out[i:i] = bytes((byte,))
+        elif i < len(out):
+            if kind == "replace":
+                out[i] = byte
+            else:
+                del out[i]
+    return bytes(out)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -1,14 +1,18 @@
 """Register semantics, sequencer units, pitch maps and timeline extraction."""
 
+import hashlib
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nesscore.apu import (
     ApuState,
+    BadWriteOffset,
     CPU_HZ,
     LENGTH_TABLE,
     NoteOutOfRange,
@@ -21,6 +25,7 @@ from nesscore.apu import (
     snapshot,
 )
 from nesscore.score import SILENCE, validate
+from nesscore.synth import render_writes
 from nesscore.vgm import TimedWrite, TimedWriteStream
 from nesscore import score as sc
 
@@ -365,6 +370,10 @@ def p1_note_stream(total=40_000):
     return TimedWriteStream(writes, total_samples=total)
 
 
+def _stream(total, *writes):
+    return TimedWriteStream([TimedWrite(*w) for w in writes], total_samples=total)
+
+
 class TestExtractTimeline:
     def test_empty_stream_is_silent(self):
         tl = extract_timeline(TimedWriteStream(total_samples=100))
@@ -442,10 +451,115 @@ class TestExtractTimeline:
         b = extract_timeline(p1_note_stream())
         assert a.changes == b.changes
 
+    def test_decreasing_offset_rejected(self):
+        stream = _stream(2000, (0, 0x4015, 0x01), (700, 0x4002, 0xFD), (700, 0x4003, 0x08),
+                         (699, 0x4000, 0xBF), (1500, 0x4000, 0x30))
+        for replay in (extract_timeline, render_writes):
+            with pytest.raises(BadWriteOffset) as exc:
+                replay(stream)
+            assert (exc.value.index, exc.value.sample_offset) == (3, 699)
+            assert str(exc.value) == "write 3 at sample 699 is before sample 700"
+
+    def test_decrease_after_the_last_segment_rejected(self):
+        stream = _stream(1000, (1000, 0x4015, 0x01), (10, 0x4015, 0x00))
+        for replay in (extract_timeline, render_writes):
+            with pytest.raises(BadWriteOffset) as exc:
+                replay(stream)
+            assert (exc.value.index, exc.value.sample_offset) == (1, 10)
+
+    def test_write_beyond_end_rejected(self):
+        stream = _stream(1000, (0, 0x4015, 0x01), (1000, 0x4015, 0x00), (1001, 0x4015, 0x01))
+        for replay in (extract_timeline, render_writes):
+            with pytest.raises(BadWriteOffset) as exc:
+                replay(stream)
+            assert (exc.value.index, exc.value.sample_offset) == (2, 1001)
+            assert "beyond the stream end at sample 1000" in str(exc.value)
+
+    def test_write_at_end_is_legal(self):
+        # VGM files end with their last writes at the final sample offset
+        tail = p1_note_stream(total=5000)
+        tail.writes.append(TimedWrite(5000, 0x4015, 0x00))
+        assert extract_timeline(tail).changes == extract_timeline(p1_note_stream(5000)).changes
+        pcm = render_writes(tail).samples
+        assert pcm.any() and np.array_equal(pcm, render_writes(p1_note_stream(5000)).samples)
+
     def test_propagates_register_errors(self):
         bad = TimedWriteStream([TimedWrite(0, 0x3FFF, 0)], total_samples=10)
         with pytest.raises(RegisterOutOfRange):
             extract_timeline(bad)
+
+
+def _random_writes(seed, n):
+    """Sorted writes to every register, $4017 included, at random offsets."""
+    rng = random.Random(seed)
+    offset, writes = 0, [(0, 0x4015, 0x0F)]
+    for _ in range(n):
+        offset += rng.choice((0, 0, 1, 7, 183, 184, 735, 1500))
+        writes.append((offset, 0x4000 + rng.randint(0, 0x17), rng.randint(0, 255)))
+    return _stream(offset + 3000, *writes)
+
+
+# Hand-built streams whose extracted change points are pinned.  Between them
+# they cover both sequencer modes, $4017 resets with and without bit 7 at
+# offsets off the tick grid, sweep, envelope and length-counter expiry.  The
+# digests were recorded with the replay loop that recomputed each tick time
+# per segment.
+PINNED_STREAMS = {
+    "four_step_envelopes": _stream(
+        60000, (0, 0x4015, 0x0F), (0, 0x4000, 0x42), (0, 0x4002, 0xFD),
+        (0, 0x4003, 0x18), (0, 0x4004, 0xA5), (0, 0x4006, 0x80), (0, 0x4007, 0x09),
+        (0, 0x4008, 0x30), (0, 0x400A, 0x40), (0, 0x400B, 0x08),
+        (0, 0x400C, 0x23), (0, 0x400E, 0x06), (0, 0x400F, 0x28),
+        (30000, 0x4003, 0x28), (30000, 0x400B, 0x10)),
+    "five_step": _stream(
+        60000, (0, 0x4017, 0x80), (0, 0x4015, 0x0F), (0, 0x4000, 0x41),
+        (0, 0x4002, 0x70), (0, 0x4003, 0x30), (0, 0x4004, 0x93), (0, 0x4006, 0x40),
+        (0, 0x4007, 0x09), (0, 0x4008, 0x18), (0, 0x400A, 0x90), (0, 0x400B, 0x20),
+        (0, 0x400C, 0x02), (0, 0x400E, 0x8A), (0, 0x400F, 0x38),
+        (25000, 0x4003, 0x30), (25000, 0x400B, 0x20), (25000, 0x400F, 0x38)),
+    "reset_4017_mid_stream": _stream(
+        50000, (0, 0x4015, 0x0F), (0, 0x4000, 0x03), (0, 0x4002, 0xFD),
+        (0, 0x4003, 0x08), (0, 0x4008, 0x0C), (0, 0x400A, 0x40), (0, 0x400B, 0x08),
+        (0, 0x400C, 0x01), (0, 0x400E, 0x04), (0, 0x400F, 0x08),
+        (10001, 0x4017, 0x00), (20003, 0x4017, 0x80), (20003, 0x400B, 0x08),
+        (30007, 0x4017, 0x40), (40009, 0x4017, 0xC0), (40010, 0x4017, 0x80)),
+    "sweep": _stream(
+        44100, (0, 0x4015, 0x03), (0, 0x4000, 0xBF), (0, 0x4001, 0xB2),
+        (0, 0x4002, 0x40), (0, 0x4003, 0x08), (0, 0x4004, 0x7C), (0, 0x4005, 0x89),
+        (0, 0x4006, 0xFF), (0, 0x4007, 0x0B), (15000, 0x4001, 0xF9),
+        (15000, 0x4002, 0x00), (15000, 0x4003, 0x0A), (30000, 0x4005, 0x00)),
+    "length_expiry": _stream(
+        30000, (0, 0x4015, 0x0F), (0, 0x4000, 0x1C), (0, 0x4002, 0xFD),
+        (0, 0x4003, 0x18), (0, 0x4004, 0x5A), (0, 0x4006, 0x80), (0, 0x4007, 0x29),
+        (0, 0x4008, 0x7F), (0, 0x400A, 0x40), (0, 0x400B, 0x38),
+        (0, 0x400C, 0x1F), (0, 0x400E, 0x0C), (0, 0x400F, 0x48),
+        (9000, 0x4003, 0x18), (9000, 0x4015, 0x05), (12000, 0x4007, 0x29)),
+    "random_writes": _random_writes(2024, 400),
+}
+
+PINNED_DIGESTS = {
+    "five_step": "ac74dd4e431fc8eac007a1125fd0d6501e7bcdb546223721b0e58146aadac426",
+    "four_step_envelopes": "b8e2011b29247d2f8072e3a51cd3ba601a9511a52e266404843e3034fb285382",
+    "length_expiry": "ff462873589e7846d158a8a1c4c27ccb99d3020a317c179730396189208304d5",
+    "random_writes": "b66c0cf65f8db6c2a459142ef797ff2ffdebc7f16e95a1bb7cc0542a7bb38329",
+    "reset_4017_mid_stream": "d36e60a4ed3b8d69623cf66e0c31bf2630442c857748de1f9c40a9a143531f3a",
+    "sweep": "e4adb8cb1450e69b808f5d98b4ddb28cf3646ffd1111dbe13c554fde3d08292b",
+}
+
+
+def changes_digest(stream):
+    tl = extract_timeline(stream)
+    return hashlib.sha256(json.dumps([[s, *f] for s, f in tl.changes]).encode()).hexdigest()
+
+
+class TestPinnedExtraction:
+    def test_streams_are_not_trivial(self):
+        for name, stream in PINNED_STREAMS.items():
+            assert len(extract_timeline(stream).changes) >= 5, name
+
+    @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+    def test_digest(self, name):
+        assert changes_digest(PINNED_STREAMS[name]) == PINNED_DIGESTS[name]
 
 
 class TestStateSpaces:

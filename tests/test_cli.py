@@ -59,6 +59,17 @@ class TestVgm2Score:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("rate", ["0.00001", "inf", "nan", "-24"])
+    def test_unusable_rate(self, song, tmp_path, capsys, rate):
+        # 1e-5 Hz makes one frame span 4.41e9 samples, more than a stream can hold
+        _score, vgm_path = song
+        out = tmp_path / "x.nesscore"
+        assert main(["vgm2score", str(vgm_path), str(out), "--rate", rate]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestRender:
     def test_score_input(self, tmp_path):
         score_path = tmp_path / "s.nesscore"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_score
+from conftest import mutate, random_score
 from nesscore.apu import Timeline
 from nesscore.score import (
     SILENCE,
@@ -231,20 +231,6 @@ def plain_decimal(data: bytes) -> bool:
     """ASCII, and every body field made of ASCII digits only."""
     body = data.replace(b"\r\n", b"\n").partition(b"\n")[2]
     return data.isascii() and not body.translate(None, b"0123456789 \n")
-
-
-def mutate(data: bytes, edits) -> bytes:
-    out = bytearray(data)
-    for kind, where, byte in edits:
-        i = where % (len(out) + 1)
-        if kind == "insert":
-            out[i:i] = bytes((byte,))
-        elif i < len(out):
-            if kind == "replace":
-                out[i] = byte
-            else:
-                del out[i]
-    return bytes(out)
 
 
 EDIT = st.tuples(st.sampled_from(["replace", "insert", "delete"]),

@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_vgm
+from conftest import mutate
 from nesscore import vgm
 from nesscore.vgm import (
-    ApuWrite,
+    HEADER_SIZE,
     BadMagic,
     CorruptGzip,
-    DataBlock,
     DualChipUnsupported,
-    EndOfData,
     OffsetOverflow,
     TimedWrite,
     TimedWriteStream,
     TruncatedFile,
     UnsupportedCommand,
-    Wait,
     flatten_to_writes,
     parse_vgm,
     write_vgm,
@@ -44,34 +43,42 @@ class TestParse:
         assert doc.version == 0x161
         assert doc.nes_apu_clock_hz == 1789773
         assert doc.data_offset == 0xC0
-        assert doc.commands == [EndOfData()]
+        assert doc.stream == TimedWriteStream()
 
     def test_wait_16bit(self):
         # 0x012C little-endian = 300
         doc = parse_vgm(make_vgm(bytes((0x61, 0x2C, 0x01, 0x66))))
-        assert doc.commands[0] == Wait(300)
+        assert doc.stream.total_samples == 300
 
     def test_wait_frame_shorthands(self):
         doc = parse_vgm(make_vgm(bytes((0x62, 0x63, 0x70, 0x7F, 0x66))))
-        assert doc.commands[:4] == [Wait(735), Wait(882), Wait(1), Wait(16)]
+        assert doc.stream.total_samples == 735 + 882 + 1 + 16
+        # a write after each wait shows each wait's own length
+        waits = (0x62, 0x63, 0x70, 0x7F)
+        body = b"".join(bytes((op, 0xB4, 0x15, i)) for i, op in enumerate(waits))
+        doc = parse_vgm(make_vgm(body + b"\x66"))
+        assert [w.sample_offset for w in doc.stream.writes] == [735, 1617, 1618, 1634]
 
     def test_zero_wait_dropped(self):
         doc = parse_vgm(make_vgm(bytes((0x61, 0x00, 0x00, 0x66))))
-        assert doc.commands == [EndOfData()]
+        assert doc.stream == TimedWriteStream()
 
     def test_apu_write(self):
         doc = parse_vgm(make_vgm(bytes((0xB4, 0x15, 0x0F, 0x66))))
-        assert doc.commands[0] == ApuWrite(0x15, 0x0F)
+        assert doc.stream.writes == [TimedWrite(0, 0x4015, 0x0F)]
+        w = doc.stream.writes[0]
+        assert type(w) is TimedWrite and (w.register, w.value) == (0x4015, 0x0F)
 
     def test_data_block_skipped(self):
         body = bytes((0x67, 0x66, 0xC2, 0x04, 0x00, 0x00, 0x00)) + b"\xde\xad\xbe\xef"
         doc = parse_vgm(make_vgm(body + bytes((0xB4, 0x00, 0x3F, 0x66))))
-        assert doc.commands[0] == DataBlock(0xC2, 4)
-        assert doc.commands[1] == ApuWrite(0x00, 0x3F)
+        # the block is skipped: the write after it is unaffected
+        assert doc.stream == TimedWriteStream([TimedWrite(0, 0x4000, 0x3F)])
 
     def test_gzip_transparent(self):
         plain = make_vgm(bytes((0x62, 0x66)))
-        assert parse_vgm(gzip.compress(plain)).commands == parse_vgm(plain).commands
+        assert parse_vgm(gzip.compress(plain)).stream == parse_vgm(plain).stream
+        assert parse_vgm(plain).stream.total_samples == 735
 
     def test_corrupt_gzip_is_vgm_error(self):
         vgz = gzip.compress(make_vgm(bytes((0xB4, 0x15, 0x0F, 0x62, 0x66))))
@@ -202,5 +209,81 @@ class TestProperties:
     @settings(max_examples=60)
     def test_wait_conservation(self, stream):
         doc = parse_vgm(write_vgm(stream))
-        waited = sum(c.samples for c in doc.commands if isinstance(c, Wait))
-        assert waited == stream.total_samples
+        assert doc.stream.total_samples == stream.total_samples
+
+
+def outcome(decode, data: bytes):
+    """Header fields and timed writes, or the type and message of a VgmError."""
+    try:
+        return decode(data)
+    except vgm.VgmError as exc:
+        return type(exc), str(exc)
+
+
+def decode_new(data: bytes):
+    doc = parse_vgm(data)
+    return doc.version, doc.nes_apu_clock_hz, doc.data_offset, doc.stream
+
+
+def decode_reference(data: bytes):
+    doc = reference_vgm.parse_commands(data)
+    stream = reference_vgm.flatten_to_writes(doc)
+    return doc.version, doc.nes_apu_clock_hz, doc.data_offset, stream
+
+
+@st.composite
+def vgm_images(draw):
+    """write_vgm images, some with a data block spliced in before the first command."""
+    image = write_vgm(draw(streams()))
+    if draw(st.booleans()):
+        payload = draw(st.binary(max_size=8))
+        block = bytes((0x67, 0x66, draw(st.integers(0, 255)))) + struct.pack("<I", len(payload))
+        image = image[:HEADER_SIZE] + block + payload + image[HEADER_SIZE:]
+    return image
+
+
+VGM_EDIT = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.one_of(st.integers(HEADER_SIZE, HEADER_SIZE + 400), st.integers(0, HEADER_SIZE - 1)),
+    st.one_of(st.sampled_from(b"\x00\x01\x17\x18\x61\x62\x63\x66\x67\x70\x7f\x80\xb4\xff"),
+              st.integers(0, 255)))
+
+
+class TestDecoderAgainstReference:
+    """The one-pass decoder against the two-pass one in reference_vgm."""
+
+    @given(vgm_images())
+    @settings(max_examples=100)
+    def test_round_trip(self, image):
+        assert decode_new(image) == decode_reference(image)
+
+    @pytest.mark.parametrize("body", [
+        bytes((0xB4, 0x15)),                                  # truncated APU write
+        bytes((0x62, 0x61, 0x10)),                            # truncated wait
+        bytes((0x62, 0x67, 0x66, 0x00)),                      # truncated block header
+        bytes((0x67, 0x66, 0x00, 0x09, 0, 0, 0, 1, 2, 0x66)),  # block beyond the end
+        bytes((0x67, 0x66, 0x00, 0xFF, 0xFF, 0xFF, 0xFF)),    # oversize block
+        bytes((0x70, 0x67, 0x00, 0x00, 0, 0, 0, 0, 0x66)),    # malformed block
+        bytes((0x62, 0xB4, 0x80, 0x00, 0x66)),                # second chip
+        bytes((0x62, 0xB4, 0x18, 0x00, 0x66)),                # register above 0x17
+        bytes((0x62, 0x62, 0x51, 0x00, 0x00, 0x66)),          # unknown opcode
+        bytes((0x62, 0xB4, 0x00, 0x3F)),                      # no end-of-data
+    ])
+    def test_same_error_at_same_offset(self, body):
+        for data in (make_vgm(body), gzip.compress(make_vgm(body), mtime=0)):
+            got = outcome(decode_new, data)
+            assert got == outcome(decode_reference, data)
+            assert issubclass(got[0], vgm.VgmError)
+
+    @given(vgm_images(), st.lists(VGM_EDIT, min_size=1, max_size=4),
+           st.sampled_from(["vgm", "vgz of mutated vgm", "mutated vgz"]))
+    @settings(derandomize=True, max_examples=400)
+    def test_byte_mutations(self, image, edits, form):
+        if form == "vgm":
+            data = mutate(image, edits)
+        elif form == "vgz of mutated vgm":
+            data = gzip.compress(mutate(image, edits), mtime=0)
+        else:
+            data = mutate(gzip.compress(image, mtime=0), edits)
+        # outcome lets any error other than a VgmError escape and fail the test
+        assert outcome(decode_new, data) == outcome(decode_reference, data)
