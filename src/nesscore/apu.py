@@ -11,7 +11,6 @@ No audio is produced here; waveform generation lives in ``synth``.
 
 import copy
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -479,22 +478,10 @@ def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, ApuState
 
 @dataclass
 class Timeline:
-    """Change-point view of a 44.1 kHz frame function over [0, total)."""
+    """Change points of a 44.1 kHz frame function over [0, total); SILENCE before the first."""
 
     total_samples: int
     changes: list[tuple[int, ExpressiveFrame]]
-
-    def __post_init__(self):
-        self._samples = [s for s, _ in self.changes]
-
-    def frame_at(self, sample: int) -> ExpressiveFrame:
-        i = bisect_right(self._samples, sample) - 1
-        return self.changes[i][1] if i >= 0 else SILENCE
-
-    def frames(self) -> Iterator[ExpressiveFrame]:
-        """Materialize every per-sample frame (tests only; O(total))."""
-        for i in range(self.total_samples):
-            yield self.frame_at(i)
 
 
 def extract_timeline(stream: TimedWriteStream) -> Timeline:

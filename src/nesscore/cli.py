@@ -21,7 +21,6 @@ def cmd_vgm2score(args) -> int:
     stream = _read_stream(args.input)
     timeline = apu.extract_timeline(stream)
     out = score.downsample(timeline, args.rate)
-    out.provenance = Path(args.input).name
     Path(args.output).write_bytes(score.write_score_text(out))
     return 0
 

@@ -496,7 +496,7 @@ def corpus_stats(corpus) -> CorpusStats:
     for s in corpus:
         arr = s.to_array().astype(np.int64)
         total_frames += arr.shape[0]
-        duration += len(s.frames) / s.rate_hz
+        duration += len(s) / s.rate_hz
         if arr.shape[0] == 0:
             continue
         for voice, col in note_columns.items():
@@ -546,10 +546,4 @@ def read_manifest(path) -> list[CorpusEntry]:
 
 
 def load_corpus(entries) -> list[ExpressiveScore]:
-    scores = []
-    for e in entries:
-        data = Path(e.score_ref).read_bytes()
-        s = read_score_text(data)
-        s.provenance = e.song_id
-        scores.append(s)
-    return scores
+    return [read_score_text(Path(e.score_ref).read_bytes()) for e in entries]

@@ -11,7 +11,9 @@ notes 1-16 are written as MIDI pitches 1-16.
 import struct
 from dataclasses import dataclass
 
-from .score import SAMPLE_RATE, ExpressiveScore, ExpressiveFrame
+import numpy as np
+
+from .score import SAMPLE_RATE, ExpressiveScore, check_rate, frame_count
 
 PPQ = 22050
 TEMPO_USPQ = 500000           # 120 BPM; 1 tick = 1/44100 s
@@ -22,6 +24,7 @@ TRACK_VOICES = ("P1", "P2", "TR", "NO")
 _EV_NOTE_OFF = 0
 _EV_CONTROL = 1
 _EV_NOTE_ON = 2
+_VOICE_FIELDS = ((0, 1, 2), (3, 4, 5), (6, None, None), (7, 8, 9))  # note, vel, timbre columns
 
 
 class NotSmf(ValueError):
@@ -73,9 +76,9 @@ def _encode_track(events: list[tuple[int, int, bytes]], end_tick: int) -> bytes:
     return bytes(data)
 
 
-def _voice_events(frames: list[ExpressiveFrame], voice: int,
+def _voice_events(frames: list[list[int]], voice: int,
                   rate_hz: float) -> list[tuple[int, int, bytes]]:
-    fields = {0: (0, 1, 2), 1: (3, 4, 5), 2: (6, None, None), 3: (7, 8, 9)}[voice]
+    fields = _VOICE_FIELDS[voice]
     ch = voice
     events: list[tuple[int, int, bytes]] = []
     note = vel = timbre = 0
@@ -109,12 +112,12 @@ def _voice_events(frames: list[ExpressiveFrame], voice: int,
 
 def score_to_midi(score: ExpressiveScore) -> bytes:
     """Serialize as an SMF type-1 file: tempo track + four voice tracks."""
-    end_tick = _frame_tick(len(score.frames), score.rate_hz)
+    frames = score.to_array().tolist()
+    end_tick = _frame_tick(len(frames), score.rate_hz)
     tempo = [(0, _EV_CONTROL, b"\xff\x51\x03" + struct.pack(">I", TEMPO_USPQ)[1:])]
     chunks = [_encode_track(tempo, end_tick)]
     for voice in range(4):
-        chunks.append(_encode_track(_voice_events(score.frames, voice, score.rate_hz),
-                                    end_tick))
+        chunks.append(_encode_track(_voice_events(frames, voice, score.rate_hz), end_tick))
     out = bytearray()
     out += b"MThd" + struct.pack(">IHHH", 6, 1, len(chunks), PPQ)
     for chunk in chunks:
@@ -260,11 +263,13 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
         else:
             voice_events.append(events)
 
+    # As in downsample: the frames covering the file must fit in a stream.
+    check_rate(rate_hz)
+    check_rate(rate_hz, frame_count(end_tick, rate_hz))
     n_frames = _tick_frame(end_tick, rate_hz)
-    fields_per_voice = ((0, 1, 2), (3, 4, 5), (6, None, None), (7, 8, 9))
     columns = [[0] * n_frames for _ in range(10)]
     for voice, events in enumerate(voice_events):
-        fields = fields_per_voice[voice]
+        fields = _VOICE_FIELDS[voice]
         note = vel = timbre = 0
         ei = 0
         for k in range(n_frames):
@@ -287,6 +292,4 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
                     columns[fields[1]][k] = vel
                 if fields[2] is not None:
                     columns[fields[2]][k] = timbre
-    frames = [ExpressiveFrame(*(columns[c][k] for c in range(10)))
-              for k in range(n_frames)]
-    return ExpressiveScore(rate_hz=float(rate_hz), frames=frames)
+    return ExpressiveScore(float(rate_hz), np.array(columns, np.int16).T)

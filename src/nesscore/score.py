@@ -13,7 +13,7 @@ the composer-disjoint corpus split.
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -68,25 +68,41 @@ class ExpressiveFrame(NamedTuple):
 
 SILENCE = ExpressiveFrame()
 
-# Column indices of each voice's fields in the flat frame tuple.
-VOICE_FIELDS = {"P1": (0, 1, 2), "P2": (3, 4, 5), "TR": (6,), "NO": (7, 8, 9)}
 
-
-@dataclass
 class ExpressiveScore:
-    """A sequence of expressive frames at a fixed frame rate."""
+    """Frames at a fixed rate, stored as one read-only (T, 10) int16 array.
 
-    rate_hz: float = DEFAULT_RATE_HZ
-    frames: list[ExpressiveFrame] = field(default_factory=list)
-    provenance: str | None = field(default=None, compare=False)
+    ``frames`` (ExpressiveFrames or a (T, 10) integer array) is copied in, else
+    ValueError.  ``to_array()`` is the store; ``.frames`` rebuilds tuples per access.
+    """
+
+    def __init__(self, rate_hz: float = DEFAULT_RATE_HZ, frames=()):
+        given = np.asarray(frames if len(frames) else np.empty((0, 10), np.int16))
+        values = given.astype(np.int16, order="C")
+        if values.shape[1:] != (10,) or (given.dtype != np.int16 and (values != given).any()):
+            raise ValueError(f"frames are not T x 10 int16 values: {given.shape} {given.dtype}")
+        values.flags.writeable = False
+        self.rate_hz = rate_hz
+        self._values = values
+
+    @property
+    def frames(self) -> list[ExpressiveFrame]:
+        return list(map(tuple.__new__, itertools.repeat(ExpressiveFrame), self._values.tolist()))
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self._values)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExpressiveScore):
+            return NotImplemented
+        return self.rate_hz == other.rate_hz and np.array_equal(self._values, other._values)
+
+    def __repr__(self) -> str:
+        return f"ExpressiveScore(rate_hz={self.rate_hz!r}, frames={self.frames!r})"
 
     def to_array(self) -> np.ndarray:
-        """Frames as a (T, 10) int16 array in frame-field order."""
-        flat = itertools.chain.from_iterable(self.frames)
-        return np.fromiter(flat, np.int16, 10 * len(self.frames)).reshape(-1, 10)
+        """Frames as a read-only (T, 10) int16 array in frame-field order."""
+        return self._values
 
 
 @dataclass(eq=False)
@@ -168,15 +184,19 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
     check_rate(rate_hz)                    # frame_count needs a usable rate
     n = frame_count(timeline.total_samples, rate_hz)
     check_rate(rate_hz, n)
-    frames = [timeline.frame_at(frame_sample_index(k, rate_hz)) for k in range(n)]
-    return ExpressiveScore(rate_hz=float(rate_hz), frames=frames)
+    points = [frame_sample_index(k, rate_hz) for k in range(n)]
+    # Point k falls in the run of change hit[row[k]] - 1; hit 0 is SILENCE before the first.
+    hit, row = np.unique(np.searchsorted([s for s, _f in timeline.changes], points, "right"),
+                         return_inverse=True)
+    frames = [timeline.changes[i - 1][1] if i else SILENCE for i in hit.tolist()]
+    table = np.fromiter(itertools.chain.from_iterable(frames), np.int16, 10 * len(frames))
+    return ExpressiveScore(float(rate_hz), table.reshape(-1, 10)[row])
 
 
 def to_separated(score: ExpressiveScore) -> SeparatedScore:
     """Project an expressive score to notes only (dynamics/timbre dropped)."""
     arr = score.to_array()
-    notes = arr[:, [0, 3, 6, 7]].T.copy() if len(arr) else np.zeros((4, 0), np.int16)
-    return SeparatedScore(rate_hz=score.rate_hz, notes=notes)
+    return SeparatedScore(rate_hz=score.rate_hz, notes=arr[:, [0, 3, 6, 7]].T.copy())
 
 
 def to_blended(score: SeparatedScore) -> BlendedScore:
@@ -275,6 +295,7 @@ _FIELD_BOUNDS = (
 )
 # Every lower bound is 0; the upper bounds in frame-field order.
 _FIELD_MAX = np.array([hi for _name, _lo, hi in _FIELD_BOUNDS], dtype=np.int16)
+_FRAME_LINE = " ".join(["%d"] * len(_FIELD_BOUNDS))
 
 # The most samples a stream may span: write_vgm encodes offsets in 32 bits.
 _MAX_TOTAL_SAMPLES = 0xFFFFFFFF
@@ -301,8 +322,8 @@ def _format_rate(rate_hz: float) -> str:
 
 
 def write_score_text(score: ExpressiveScore) -> bytes:
-    lines = [f"NESSCORE 1 {_format_rate(score.rate_hz)} {len(score.frames)}"]
-    lines.extend(" ".join(str(v) for v in f) for f in score.frames)
+    lines = [f"NESSCORE 1 {_format_rate(score.rate_hz)} {len(score)}"]
+    lines.extend(_FRAME_LINE % tuple(row) for row in score.to_array().tolist())
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -339,11 +360,7 @@ def read_score_text(data: bytes) -> ExpressiveScore:
         n_lines += 1
     if n_lines != n_frames:
         raise MalformedHeader(f"expected {n_frames} frame lines, found {n_lines}")
-    # zip builds each row's tuple in C and tuple.__new__ retypes it without a
-    # Python-level call per frame: 40 % faster than ExpressiveFrame._make.
-    columns = _read_body(body, n_lines).T.tolist()
-    frames = list(map(tuple.__new__, itertools.repeat(ExpressiveFrame), zip(*columns)))
-    return ExpressiveScore(rate_hz=rate_hz, frames=frames)
+    return ExpressiveScore(rate_hz, _read_body(body, n_lines))
 
 
 def _read_body(body: bytes, n_lines: int) -> np.ndarray:

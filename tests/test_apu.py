@@ -28,6 +28,7 @@ from nesscore.score import SILENCE, validate
 from nesscore.synth import render_writes
 from nesscore.vgm import TimedWrite, TimedWriteStream
 from nesscore import score as sc
+from reference_downsample import frame_at
 
 
 def formula_midi(timer: int, divisor: int) -> int:
@@ -378,12 +379,12 @@ class TestExtractTimeline:
     def test_empty_stream_is_silent(self):
         tl = extract_timeline(TimedWriteStream(total_samples=100))
         assert tl.total_samples == 100
-        assert all(f == SILENCE for f in tl.frames())
+        assert all(f == SILENCE for _s, f in tl.changes)
 
     def test_note_from_offset_zero(self):
         tl = extract_timeline(p1_note_stream())
-        assert tl.frame_at(0) == tl.frame_at(39_999)
-        f = tl.frame_at(0)
+        assert frame_at(tl, 0) == frame_at(tl, 39_999)
+        f = frame_at(tl, 0)
         assert (f.p1_note, f.p1_vel, f.p1_timbre) == (69, 12, 2)
 
     def test_no_enable_write_stays_silent(self):
@@ -399,8 +400,8 @@ class TestExtractTimeline:
                   TimedWrite(0, 0x4002, 0xFD),
                   TimedWrite(0, 0x4003, 0x08)]
         tl = extract_timeline(TimedWriteStream(writes, total_samples=120_000))
-        assert tl.frame_at(0).p1_note == 69
-        assert tl.frame_at(119_999).p1_note == 0
+        assert frame_at(tl, 0).p1_note == 69
+        assert frame_at(tl, 119_999).p1_note == 0
 
     def test_envelope_decay_is_expressive(self):
         # envelope mode (constant_volume off), period 1: velocity decays live
@@ -409,7 +410,7 @@ class TestExtractTimeline:
                   TimedWrite(0, 0x4002, 0xFD),
                   TimedWrite(0, 0x4003, 0x08)]
         tl = extract_timeline(TimedWriteStream(writes, total_samples=30_000))
-        vels = [tl.frame_at(s).p1_vel for s in range(0, 30_000, 1837)]
+        vels = [frame_at(tl, s).p1_vel for s in range(0, 30_000, 1837)]
         assert vels[0] == 0  # start flag not yet consumed at sample 0
         assert 15 in vels and vels != sorted(vels)
 
@@ -419,8 +420,8 @@ class TestExtractTimeline:
                   TimedWrite(0, 0x400A, 0xFD),
                   TimedWrite(0, 0x400B, 0x08)]
         tl = extract_timeline(TimedWriteStream(writes, total_samples=2000))
-        assert tl.frame_at(0).tr_note == 0       # linear counter still zero
-        assert tl.frame_at(400).tr_note == 57    # loaded at the first tick
+        assert frame_at(tl, 0).tr_note == 0       # linear counter still zero
+        assert frame_at(tl, 400).tr_note == 57    # loaded at the first tick
 
     def test_4017_immediate_clock_loads_linear(self):
         writes = [TimedWrite(0, 0x4015, 0x04),
@@ -429,7 +430,7 @@ class TestExtractTimeline:
                   TimedWrite(0, 0x400B, 0x08),
                   TimedWrite(0, 0x4017, 0x80)]
         tl = extract_timeline(TimedWriteStream(writes, total_samples=2000))
-        assert tl.frame_at(0).tr_note == 57
+        assert frame_at(tl, 0).tr_note == 57
 
     def test_sweep_bend_is_recorded(self):
         # sweep enabled, period 1, shift 3: the timer grows ~12.5% per fire,
@@ -440,7 +441,7 @@ class TestExtractTimeline:
                   TimedWrite(0, 0x4002, 0xFD),
                   TimedWrite(0, 0x4003, 0x08)]
         tl = extract_timeline(TimedWriteStream(writes, total_samples=44100))
-        notes = [tl.frame_at(s).p1_note for s in range(0, 44100, 1837)]
+        notes = [frame_at(tl, s).p1_note for s in range(0, 44100, 1837)]
         assert notes[0] == 69
         sounding = [n for n in notes if n > 0]
         assert len(set(sounding)) >= 3

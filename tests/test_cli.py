@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import random_score
-from nesscore import synth, vgm
+from nesscore import midi, synth, vgm
 from nesscore.cli import main
 from nesscore.score import ExpressiveFrame, ExpressiveScore, read_score_text, write_score_text
 
@@ -98,6 +98,19 @@ class TestRender:
         other.write_bytes(b"\x00" * 32)
         assert main(["render", str(other), str(tmp_path / "o.wav")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestMidi2Score:
+    @pytest.mark.parametrize("rate", ["0.00001", "inf", "nan", "-24"])
+    def test_unusable_rate(self, tmp_path, capsys, rate):
+        # at 1e-5 Hz the one frame covering a half-second file spans 4.41e9 samples
+        mid = tmp_path / "song.mid"
+        mid.write_bytes(midi.score_to_midi(ExpressiveScore(24.0, [A440] * 12)))
+        out = tmp_path / "x.nesscore"
+        assert main(["midi2score", str(mid), str(out), "--rate", rate]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestMidiCommands:

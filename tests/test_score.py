@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mutate, random_score
@@ -27,6 +27,7 @@ from nesscore.score import (
     validate,
     write_score_text,
 )
+from reference_downsample import downsample_by_frame
 from reference_reader import read_score_text_by_line
 
 A_FRAME = ExpressiveFrame(p1_note=69, p1_vel=12, p1_timbre=2, tr_note=57,
@@ -76,6 +77,79 @@ class TestDownsample:
         tl = Timeline(total_samples=pos, changes=changes)
         sampled = set(downsample(tl, 24).frames)
         assert {f for _s, f in changes} <= sampled
+
+
+@st.composite
+def timelines(draw):
+    """A timeline of up to 8 changes, the first of them at any sample."""
+    total = draw(st.integers(0, 20_000))
+    starts = sorted(draw(st.sets(st.integers(0, total), max_size=8)))
+    pool = [SILENCE, A_FRAME, ExpressiveFrame(tr_note=40), ExpressiveFrame(no_note=3, no_vel=7)]
+    return Timeline(total, [(s, draw(st.sampled_from(pool))) for s in starts])
+
+
+class TestDownsampleAgainstReference:
+    """The vectorised downsample against the per-frame one in reference_downsample."""
+
+    @given(timelines(), st.sampled_from([24, 24.0, 12.5, 29.97, 60.0]))
+    @example(Timeline(0, [(0, A_FRAME)]), 24)
+    @example(Timeline(0, []), 29.97)
+    @example(Timeline(5000, [(1000, A_FRAME), (3000, SILENCE)]), 12.5)
+    @example(Timeline(5000, [(1837, A_FRAME)]), 24)
+    @settings(max_examples=150)
+    def test_same_score(self, timeline, rate):
+        assert downsample(timeline, rate) == downsample_by_frame(timeline, rate)
+
+    def test_first_change_after_sample_0_is_preceded_by_silence(self):
+        tl = Timeline(total_samples=4000, changes=[(1000, A_FRAME)])
+        assert downsample(tl, 24).frames == [SILENCE, A_FRAME, A_FRAME]
+
+
+class TestArrayStore:
+    def test_to_array_is_read_only(self, rng):
+        built = random_score(rng, 5)
+        for score in (built, read_score_text(write_score_text(built))):
+            with pytest.raises(ValueError):
+                score.to_array()[0, 0] = 1
+
+    def test_list_and_array_built_scores_equal(self, rng):
+        frames = random_score(rng, 30).frames
+        values = np.array(frames, dtype=np.int16)
+        assert ExpressiveScore(24.0, frames) == ExpressiveScore(24.0, values)
+        assert np.array_equal(ExpressiveScore(24.0, frames).to_array(), values)
+
+    def test_input_array_is_copied(self):
+        values = np.zeros((2, 10), dtype=np.int16)
+        score = ExpressiveScore(24.0, values)
+        values[0, 6] = 40
+        assert score.frames == [SILENCE, SILENCE]
+        assert values.flags.writeable
+
+    def test_frames_view(self, rng):
+        frames = random_score(rng, 30).frames
+        view = ExpressiveScore(24.0, np.array(frames, dtype=np.int16)).frames
+        assert view == frames
+        assert all(type(f) is ExpressiveFrame for f in view)
+        assert ExpressiveScore(24.0, []).frames == []
+
+    def test_len(self):
+        assert len(ExpressiveScore(24.0, [A_FRAME] * 3)) == 3
+        assert len(ExpressiveScore()) == 0
+
+    def test_rates_compared(self):
+        assert ExpressiveScore(24.0, [A_FRAME]) != ExpressiveScore(12.0, [A_FRAME])
+        assert ExpressiveScore(24.0, [A_FRAME]) != ExpressiveScore(24.0, [SILENCE])
+        assert ExpressiveScore(24, [A_FRAME]) == ExpressiveScore(24.0, [A_FRAME])
+
+    @pytest.mark.parametrize("frames", [
+        np.zeros((3, 9), np.int16), np.zeros(10, np.int16), np.zeros((2, 5, 2), np.int16),
+        [(1, 2, 3)], [A_FRAME, (0,) * 9], [0] * 10,
+        # values int16 cannot hold must not wrap into valid ones (65605 -> 69)
+        np.full((1, 10), 65605), np.full((1, 10), 1.5), [(0,) * 9 + (65605,)],
+    ])
+    def test_bad_frames_rejected(self, frames):
+        with pytest.raises(ValueError):
+            ExpressiveScore(24.0, frames)
 
 
 class TestConversions:
