@@ -35,8 +35,6 @@ from .vgm import (
 from .apu import (
     ApuState,
     Timeline,
-    apply_write,
-    clock_frame_sequencer,
     extract_timeline,
     midi_to_timer,
     pitch_to_midi,
@@ -55,7 +53,6 @@ from .evaluation import (
     EvalReport,
     corpus_stats,
     evaluate,
-    find_pois,
     fit,
     report_to_json,
     report_to_table,

@@ -9,7 +9,6 @@ the (note, velocity, timbre) snapshot wherever it changes.
 No audio is produced here; waveform generation lives in ``synth``.
 """
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -191,14 +190,6 @@ class ApuState:
     no: NoiseChannelState = field(default_factory=NoiseChannelState)
     frame_mode: int = 4             # 4-step or 5-step sequencer
 
-    @classmethod
-    def reset(cls) -> "ApuState":
-        """Power-up state: everything zeroed, channels disabled, 4-step."""
-        return cls()
-
-    def clone(self) -> "ApuState":
-        return copy.deepcopy(self)
-
     # -- register writes ----------------------------------------------------
 
     def write(self, register: int, value: int) -> None:
@@ -283,25 +274,6 @@ class ApuState:
         self.p2.clock_sweep()
         self.tr.clock_length()
         self.no.clock_length()
-
-
-def apply_write(state: ApuState, register: int, value: int) -> ApuState:
-    """Pure register-write transition (canonical 2A03 semantics)."""
-    out = state.clone()
-    out.write(register, value)
-    return out
-
-
-def clock_frame_sequencer(state: ApuState, tick_kind: str) -> ApuState:
-    """Pure sequencer transition; a half tick includes the quarter work."""
-    out = state.clone()
-    if tick_kind == "quarter":
-        out.quarter_tick()
-    elif tick_kind == "half":
-        out.half_tick()
-    else:
-        raise ValueError(f"tick_kind must be 'quarter' or 'half', got {tick_kind!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +409,7 @@ def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, ApuState
     is legal and has no effect).  The yielded state object is live: consume
     it before advancing.
     """
-    state = ApuState.reset()
+    state = ApuState()
     writes = stream.writes
     total = int(stream.total_samples)
     wi, n = 0, len(writes)

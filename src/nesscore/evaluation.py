@@ -32,11 +32,11 @@ from .score import (
 
 TASKS = ("separated", "expressive", "blended")
 
-_PULSE_ALPHABET = np.array([0] + list(range(32, 109)), dtype=np.int64)
-_TRI_ALPHABET = np.array([0] + list(range(21, 109)), dtype=np.int64)
-_NOISE_ALPHABET = np.arange(17, dtype=np.int64)
-_VEL_ALPHABET = np.arange(16, dtype=np.int64)
-_TIMBRE_ALPHABET = np.arange(4, dtype=np.int64)
+_PULSE_ALPHABET = np.array([0, *range(sc.PULSE_NOTE_MIN, sc.PULSE_NOTE_MAX + 1)], np.int64)
+_TRI_ALPHABET = np.array([0, *range(sc.TRIANGLE_NOTE_MIN, sc.TRIANGLE_NOTE_MAX + 1)], np.int64)
+_NOISE_ALPHABET = np.arange(sc.NOISE_NOTE_MAX + 1, dtype=np.int64)
+_VEL_ALPHABET = np.arange(sc.VELOCITY_MAX + 1, dtype=np.int64)
+_TIMBRE_ALPHABET = np.arange(sc.PULSE_TIMBRE_MAX + 1, dtype=np.int64)
 
 # category -> (alphabet, column index into the flat expressive frame)
 CATEGORIES = {
@@ -59,10 +59,6 @@ CATEGORIES = {
 _START = -1   # bigram context index for t = 0; never equals an alphabet value
 
 
-class EmptySequence(ValueError):
-    """POI extraction needs at least one timestep."""
-
-
 class EmptyCorpus(ValueError):
     """Learned baselines need a non-empty training corpus."""
 
@@ -71,16 +67,8 @@ class AlphabetMismatch(ValueError):
     """A corpus value falls outside the model's category alphabet."""
 
 
-def find_pois(values) -> set[int]:
-    """Timesteps where the value differs from its predecessor; 0 included."""
-    arr = np.asarray(values)
-    if arr.shape[0] == 0:
-        raise EmptySequence("cannot locate points of interest in an empty sequence")
-    mask = _poi_mask(arr)
-    return set(int(i) for i in np.nonzero(mask)[0])
-
-
 def _poi_mask(arr: np.ndarray) -> np.ndarray:
+    """Timesteps where the value differs from its predecessor; 0 included."""
     mask = np.empty(arr.shape[0], dtype=bool)
     mask[0] = True
     mask[1:] = arr[1:] != arr[:-1]
@@ -121,7 +109,7 @@ def _category_values(scores, task: str) -> list[dict[str, np.ndarray]]:
             arr = s.to_array().astype(np.int64)
         elif isinstance(s, SeparatedScore) and task == "separated":
             arr = np.zeros((s.notes.shape[1], 10), dtype=np.int64)
-            arr[:, [0, 3, 6, 7]] = s.notes.T
+            arr[:, sc.NOTE_COLUMNS] = s.notes.T
         else:
             raise ValueError(f"cannot evaluate {type(s).__name__} on {task} task")
         out.append({cat: arr[:, col] for cat, (_a, col) in CATEGORIES[task].items()})
@@ -492,7 +480,7 @@ def corpus_stats(corpus) -> CorpusStats:
     total_frames = 0
     note_count = 0
     duration = 0.0
-    note_columns = dict(zip(sc.VOICES, (0, 3, 6, 7)))
+    note_columns = dict(zip(sc.VOICES, sc.NOTE_COLUMNS))
     for s in corpus:
         arr = s.to_array().astype(np.int64)
         total_frames += arr.shape[0]

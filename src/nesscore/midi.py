@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .score import SAMPLE_RATE, ExpressiveScore, check_rate, frame_count
+from .score import (
+    MAX_TOTAL_SAMPLES,
+    SAMPLE_RATE,
+    ExpressiveScore,
+    check_rate,
+    frame_count,
+    frame_position,
+)
 
 PPQ = 22050
 TEMPO_USPQ = 500000           # 120 BPM; 1 tick = 1/44100 s
@@ -35,12 +42,9 @@ class UnmappableEvent(ValueError):
     """Event outside the score profile (wrong tempo, pitch bend, ...)."""
 
 
-def _frame_tick(k: int, rate_hz: float) -> int:
-    return round(k * SAMPLE_RATE / rate_hz)
-
-
-def _tick_frame(tick: int, rate_hz: float) -> int:
-    return round(tick * rate_hz / SAMPLE_RATE)
+def _frame_ticks(n_frames: int, rate_hz: float) -> list[int]:
+    """Tick of frames 0..n_frames: each frame's sample position, rounded half to even."""
+    return np.rint(frame_position(np.arange(n_frames + 1), rate_hz)).astype(np.int64).tolist()
 
 
 def velocity_to_midi(vel: int) -> int:
@@ -77,16 +81,15 @@ def _encode_track(events: list[tuple[int, int, bytes]], end_tick: int) -> bytes:
 
 
 def _voice_events(frames: list[list[int]], voice: int,
-                  rate_hz: float) -> list[tuple[int, int, bytes]]:
+                  ticks: list[int]) -> list[tuple[int, int, bytes]]:
     fields = _VOICE_FIELDS[voice]
     ch = voice
     events: list[tuple[int, int, bytes]] = []
     note = vel = timbre = 0
-    for k, frame in enumerate(frames):
+    for tick, frame in zip(ticks, frames):
         n = frame[fields[0]]
         v = frame[fields[1]] if fields[1] is not None else (15 if n else 0)
         t = frame[fields[2]] if fields[2] is not None else 0
-        tick = _frame_tick(k, rate_hz)
         if n != note:
             if note:
                 events.append((tick, _EV_NOTE_OFF, bytes((0x80 | ch, note, 0))))
@@ -105,19 +108,23 @@ def _voice_events(frames: list[list[int]], voice: int,
                 events.append((tick, _EV_CONTROL, bytes((0xB0 | ch, CC_TIMBRE, t))))
                 timbre = t
     if note:
-        events.append((_frame_tick(len(frames), rate_hz), _EV_NOTE_OFF,
-                       bytes((0x80 | ch, note, 0))))
+        events.append((ticks[-1], _EV_NOTE_OFF, bytes((0x80 | ch, note, 0))))
     return events
 
 
 def score_to_midi(score: ExpressiveScore) -> bytes:
-    """Serialize as an SMF type-1 file: tempo track + four voice tracks."""
+    """Serialize as an SMF type-1 file: tempo track + four voice tracks.
+
+    Raises ValueError for a rate or length ``check_rate`` rejects.
+    """
+    check_rate(score.rate_hz, len(score))
     frames = score.to_array().tolist()
-    end_tick = _frame_tick(len(frames), score.rate_hz)
+    ticks = _frame_ticks(len(frames), score.rate_hz)
+    end_tick = ticks[-1]
     tempo = [(0, _EV_CONTROL, b"\xff\x51\x03" + struct.pack(">I", TEMPO_USPQ)[1:])]
     chunks = [_encode_track(tempo, end_tick)]
     for voice in range(4):
-        chunks.append(_encode_track(_voice_events(frames, voice, score.rate_hz), end_tick))
+        chunks.append(_encode_track(_voice_events(frames, voice, ticks), end_tick))
     out = bytearray()
     out += b"MThd" + struct.pack(">IHHH", 6, 1, len(chunks), PPQ)
     for chunk in chunks:
@@ -265,16 +272,19 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
 
     # As in downsample: the frames covering the file must fit in a stream.
     check_rate(rate_hz)
+    if end_tick > MAX_TOTAL_SAMPLES:   # one tick is one sample
+        raise UnmappableEvent(f"end of track at tick {end_tick}, past the "
+                              f"{MAX_TOTAL_SAMPLES} samples a stream can span")
     check_rate(rate_hz, frame_count(end_tick, rate_hz))
-    n_frames = _tick_frame(end_tick, rate_hz)
+    n_frames = round(end_tick * rate_hz / SAMPLE_RATE)
+    ticks = _frame_ticks(n_frames, rate_hz)
     columns = [[0] * n_frames for _ in range(10)]
     for voice, events in enumerate(voice_events):
         fields = _VOICE_FIELDS[voice]
         note = vel = timbre = 0
         ei = 0
         for k in range(n_frames):
-            frame_tick = _frame_tick(k, rate_hz)
-            while ei < len(events) and events[ei].tick <= frame_tick:
+            while ei < len(events) and events[ei].tick <= ticks[k]:
                 ev = events[ei]
                 if ev.status == 0x80:
                     note = 0

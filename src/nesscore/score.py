@@ -22,6 +22,7 @@ SAMPLE_RATE = 44100
 DEFAULT_RATE_HZ = 24.0
 
 VOICES = ("P1", "P2", "TR", "NO")
+NOTE_COLUMNS = (0, 3, 6, 7)     # each voice's note field in a frame, in VOICES order
 
 PULSE_NOTE_MIN, PULSE_NOTE_MAX = 32, 108
 TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX = 21, 108
@@ -138,36 +139,28 @@ class Diagnostic(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# frame/sample arithmetic shared by downsampling, synthesis and MIDI export
+# the frame clock shared by downsampling, synthesis and MIDI
+#
+# Frame k sits at k*44100/rate samples, one float64 quotient.  check_rate keeps
+# k*44100 below 2^53, where that quotient is the correctly rounded true one.
 
-def frame_sample_index(k: int, rate_hz: float) -> int:
-    """Audio sample index at which frame k is sampled: floor(k*44100/rate)."""
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
-    if float(rate_hz).is_integer():
-        return (k * SAMPLE_RATE) // int(rate_hz)
-    return int(k * SAMPLE_RATE / rate_hz)
+def frame_position(k, rate_hz: float):
+    """Where frame k (an int or an integer array) sits, in samples, as float64."""
+    return k * SAMPLE_RATE / rate_hz
+
+
+def frame_sample_index(k, rate_hz: float):
+    """Audio sample at which frame k is sampled: floor(k*44100/rate).
+
+    An int k gives an int; an integer array gives an int64 array.
+    """
+    index = np.floor(frame_position(k, rate_hz))
+    return index.astype(np.int64) if isinstance(index, np.ndarray) else int(index)
 
 
 def frame_count(total_samples: int, rate_hz: float) -> int:
     """Number of frames covering total_samples: ceil(total*rate/44100)."""
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
-    if float(rate_hz).is_integer():
-        return -((-total_samples * int(rate_hz)) // SAMPLE_RATE)
     return math.ceil(total_samples * rate_hz / SAMPLE_RATE)
-
-
-def score_total_samples(n_frames: int, rate_hz: float) -> int:
-    """Stream length whose extraction yields exactly n_frames frames.
-
-    floor(T*44100/rate) is the largest total with ceil(total*rate/44100) == T.
-    """
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
-    if float(rate_hz).is_integer():
-        return (n_frames * SAMPLE_RATE) // int(rate_hz)
-    return int(n_frames * SAMPLE_RATE / rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +177,7 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
     check_rate(rate_hz)                    # frame_count needs a usable rate
     n = frame_count(timeline.total_samples, rate_hz)
     check_rate(rate_hz, n)
-    points = [frame_sample_index(k, rate_hz) for k in range(n)]
+    points = frame_sample_index(np.arange(n), rate_hz)
     # Point k falls in the run of change hit[row[k]] - 1; hit 0 is SILENCE before the first.
     hit, row = np.unique(np.searchsorted([s for s, _f in timeline.changes], points, "right"),
                          return_inverse=True)
@@ -196,7 +189,7 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
 def to_separated(score: ExpressiveScore) -> SeparatedScore:
     """Project an expressive score to notes only (dynamics/timbre dropped)."""
     arr = score.to_array()
-    return SeparatedScore(rate_hz=score.rate_hz, notes=arr[:, [0, 3, 6, 7]].T.copy())
+    return SeparatedScore(rate_hz=score.rate_hz, notes=arr[:, NOTE_COLUMNS].T.copy())
 
 
 def to_blended(score: SeparatedScore) -> BlendedScore:
@@ -218,8 +211,9 @@ def to_blended(score: SeparatedScore) -> BlendedScore:
 # validation
 
 def _check_melodic(out, i, voice, note, vel, timbre, note_min, timbre_max):
-    if not (note == 0 or note_min <= note <= 108):
-        out.append(Diagnostic(i, voice, f"note {note} outside {{0}} u [{note_min},108]"))
+    if not (note == 0 or note_min <= note <= PULSE_NOTE_MAX):
+        out.append(Diagnostic(i, voice,
+                              f"note {note} outside {{0}} u [{note_min},{PULSE_NOTE_MAX}]"))
     if not 0 <= vel <= VELOCITY_MAX:
         out.append(Diagnostic(i, voice, f"velocity {vel} outside [0,{VELOCITY_MAX}]"))
     if not 0 <= timbre <= timbre_max:
@@ -239,8 +233,8 @@ def validate(score: ExpressiveScore) -> list[Diagnostic]:
         _check_melodic(out, i, "P2", f.p2_note, f.p2_vel, f.p2_timbre,
                        PULSE_NOTE_MIN, PULSE_TIMBRE_MAX)
         if not (f.tr_note == 0 or TRIANGLE_NOTE_MIN <= f.tr_note <= TRIANGLE_NOTE_MAX):
-            out.append(Diagnostic(i, "TR",
-                       f"note {f.tr_note} outside {{0}} u [{TRIANGLE_NOTE_MIN},108]"))
+            out.append(Diagnostic(i, "TR", f"note {f.tr_note} outside {{0}} u "
+                                  f"[{TRIANGLE_NOTE_MIN},{TRIANGLE_NOTE_MAX}]"))
         if not 0 <= f.no_note <= NOISE_NOTE_MAX:
             out.append(Diagnostic(i, "NO", f"note {f.no_note} outside [0,{NOISE_NOTE_MAX}]"))
         if not 0 <= f.no_vel <= VELOCITY_MAX:
@@ -289,32 +283,33 @@ def voice_state_space(voice: str) -> set[tuple]:
 # Lines end in "\n" or "\r\n"; the end of the last line may be omitted.
 
 _FIELD_BOUNDS = (
-    ("p1.note", 0, 108), ("p1.vel", 0, 15), ("p1.timbre", 0, 3),
-    ("p2.note", 0, 108), ("p2.vel", 0, 15), ("p2.timbre", 0, 3),
-    ("tr.note", 0, 108), ("no.note", 0, 16), ("no.vel", 0, 15), ("no.timbre", 0, 1),
+    ("p1.note", 0, PULSE_NOTE_MAX), ("p1.vel", 0, VELOCITY_MAX),
+    ("p1.timbre", 0, PULSE_TIMBRE_MAX), ("p2.note", 0, PULSE_NOTE_MAX),
+    ("p2.vel", 0, VELOCITY_MAX), ("p2.timbre", 0, PULSE_TIMBRE_MAX),
+    ("tr.note", 0, TRIANGLE_NOTE_MAX), ("no.note", 0, NOISE_NOTE_MAX),
+    ("no.vel", 0, VELOCITY_MAX), ("no.timbre", 0, NOISE_TIMBRE_MAX),
 )
 # Every lower bound is 0; the upper bounds in frame-field order.
 _FIELD_MAX = np.array([hi for _name, _lo, hi in _FIELD_BOUNDS], dtype=np.int16)
 _FRAME_LINE = " ".join(["%d"] * len(_FIELD_BOUNDS))
 
 # The most samples a stream may span: write_vgm encodes offsets in 32 bits.
-_MAX_TOTAL_SAMPLES = 0xFFFFFFFF
+MAX_TOTAL_SAMPLES = 0xFFFFFFFF
 
 
 def check_rate(rate_hz: float, n_frames: int = 0, error: type = ValueError) -> None:
-    """Raise ``error`` unless rate_hz is positive and finite and n_frames
-    frames at it span at most 2^32 - 1 samples (the default 0 frames checks
-    the rate alone).
+    """Raise ``error`` unless 0 < rate_hz <= 44100 and n_frames frames at it
+    span at most 2^32 - 1 samples (the default 0 frames checks the rate
+    alone).  A frame shorter than a sample would only repeat samples.
     """
-    if not 0 < rate_hz < math.inf:
-        raise error(f"rate {rate_hz} Hz is not a positive finite number")
-    try:
-        total_samples = score_total_samples(n_frames, rate_hz)
-    except OverflowError:   # the quotient is infinite or the count too big for a float
-        total_samples = math.inf
-    if total_samples > _MAX_TOTAL_SAMPLES:
+    if not 0 < rate_hz <= SAMPLE_RATE:
+        raise error(f"rate {rate_hz} Hz is not a number in (0, {SAMPLE_RATE}]")
+    # The count is bounded as an integer first, so no count too big for a float
+    # reaches the division; floor(x) > 2^32 - 1 exactly when x >= 2^32, x = inf too.
+    if (n_frames > MAX_TOTAL_SAMPLES
+            or frame_position(n_frames, rate_hz) >= MAX_TOTAL_SAMPLES + 1):
         raise error(f"{n_frames} frames at {rate_hz} Hz span more than "
-                    f"{_MAX_TOTAL_SAMPLES} samples")
+                    f"{MAX_TOTAL_SAMPLES} samples")
 
 
 def _format_rate(rate_hz: float) -> str:
@@ -322,6 +317,8 @@ def _format_rate(rate_hz: float) -> str:
 
 
 def write_score_text(score: ExpressiveScore) -> bytes:
+    """NESSCORE text of a score; ValueError for a rate or length ``check_rate`` rejects."""
+    check_rate(score.rate_hz, len(score))
     lines = [f"NESSCORE 1 {_format_rate(score.rate_hz)} {len(score)}"]
     lines.extend(_FRAME_LINE % tuple(row) for row in score.to_array().tolist())
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import apu
-from .score import (
-    SAMPLE_RATE,
-    ExpressiveScore,
-    frame_sample_index,
-    score_total_samples,
-)
+from .score import NOISE_NOTE_MAX, SAMPLE_RATE, ExpressiveScore, check_rate, frame_sample_index
 from .vgm import TimedWrite, TimedWriteStream
 
 DUTY_SEQUENCES = (
@@ -204,10 +199,13 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
     immediate sequencer clock loads the linear counter within the same
     sample.  Sweep units get negate-mode setup ($4001/$4005 = 0x08) before
     first use so low notes are not force-muted by the target-overflow rule.
+    Raises ValueError for a rate or length ``check_rate`` rejects.
     """
     frames = score.frames
+    check_rate(score.rate_hz, len(frames))
     writes: list[TimedWrite] = []
-    total = score_total_samples(len(frames), score.rate_hz)
+    # Frame k's writes land on its sample; the one past the last frame ends the stream.
+    *starts, total = frame_sample_index(np.arange(len(frames) + 1), score.rate_hz).tolist()
 
     def emit(sample, reg, value):
         writes.append(TimedWrite(sample, reg, value))
@@ -215,8 +213,7 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
     prev = None
     prev_mask = None
     sweep_ready = [False, False]
-    for k, f in enumerate(frames):
-        s = frame_sample_index(k, score.rate_hz)
+    for s, f in zip(starts, frames):
         mask = ((f.p1_note > 0) | ((f.p2_note > 0) << 1)
                 | ((f.tr_note > 0) << 2) | ((f.no_note > 0) << 3))
         if mask != prev_mask:
@@ -259,13 +256,13 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
         if f.no_note > 0:
             if f.no_note != no_old[0]:
                 emit(s, 0x400C, 0x30 | f.no_vel)
-                emit(s, 0x400E, (f.no_timbre << 7) | (16 - f.no_note))
+                emit(s, 0x400E, (f.no_timbre << 7) | (NOISE_NOTE_MAX - f.no_note))
                 emit(s, 0x400F, _LENGTH_LOAD_MAX)
             else:
                 if f.no_vel != no_old[1]:
                     emit(s, 0x400C, 0x30 | f.no_vel)
                 if f.no_timbre != no_old[2]:
-                    emit(s, 0x400E, (f.no_timbre << 7) | (16 - f.no_note))
+                    emit(s, 0x400E, (f.no_timbre << 7) | (NOISE_NOTE_MAX - f.no_note))
 
         if tr_onset:
             # immediate 5-step clock reloads the linear counter at this sample

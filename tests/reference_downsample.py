@@ -2,19 +2,14 @@
 
 Kept as the reference the downsampling tests compare against: it looks up
 each frame's sample point in the timeline's change list by bisection, one
-frame at a time, and builds the score from a list of ExpressiveFrame.
+frame at a time, with the scalar frame clock of ``reference_frames``, and
+builds the score from a list of ExpressiveFrame.
 """
 
 from bisect import bisect_right
 
-from nesscore.score import (
-    SILENCE,
-    ExpressiveFrame,
-    ExpressiveScore,
-    check_rate,
-    frame_count,
-    frame_sample_index,
-)
+from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore, check_rate
+from reference_frames import frame_count, frame_sample_index
 
 
 def frame_at(timeline, sample: int) -> ExpressiveFrame:

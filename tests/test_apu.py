@@ -1,5 +1,6 @@
 """Register semantics, sequencer units, pitch maps and timeline extraction."""
 
+import copy
 import hashlib
 import json
 import math
@@ -17,8 +18,6 @@ from nesscore.apu import (
     LENGTH_TABLE,
     NoteOutOfRange,
     RegisterOutOfRange,
-    apply_write,
-    clock_frame_sequencer,
     extract_timeline,
     midi_to_timer,
     pitch_to_midi,
@@ -37,30 +36,44 @@ def formula_midi(timer: int, divisor: int) -> int:
     return round(69 + 12 * math.log2(freq / 440.0))
 
 
+def written(state: ApuState, *writes) -> ApuState:
+    """A copy of state after the (register, value) writes; state is untouched."""
+    out = copy.deepcopy(state)
+    for register, value in writes:
+        out.write(register, value)
+    return out
+
+
+def ticked(state: ApuState, *kinds) -> ApuState:
+    """A copy of state after the "quarter"/"half" sequencer ticks."""
+    out = copy.deepcopy(state)
+    for kind in kinds:
+        getattr(out, f"{kind}_tick")()
+    return out
+
+
 class TestRegisterWrites:
     def test_pulse_control_bitfields(self):
         # 0xBF = 10 1 1 1111: duty 2, halt, constant volume, level 15
-        s = apply_write(ApuState.reset(), 0x4000, 0xBF)
+        s = written(ApuState(), (0x4000, 0xBF))
         assert (s.p1.duty, s.p1.length_halt, s.p1.constant_volume, s.p1.volume) \
             == (2, True, True, 15)
-        assert s.p2 == ApuState.reset().p2
+        assert s.p2 == ApuState().p2
 
     def test_sweep_setup_sets_reload(self):
-        s = apply_write(ApuState.reset(), 0x4001, 0xAB)  # 1 010 1 011
+        s = written(ApuState(), (0x4001, 0xAB))  # 1 010 1 011
         sw = s.p1.sweep
         assert (sw.enabled, sw.period, sw.negate, sw.shift, sw.reload) \
             == (True, 2, True, 3, True)
 
     def test_timer_low_high(self):
-        s = apply_write(ApuState.reset(), 0x4002, 0xFD)
-        s = apply_write(s, 0x4003, 0x08)
+        s = written(ApuState(), (0x4002, 0xFD), (0x4003, 0x08))
         assert s.p1.timer_period == 0xFD
 
     def test_length_load_requires_enable(self):
-        s = apply_write(ApuState.reset(), 0x4003, 0x08)
+        s = written(ApuState(), (0x4003, 0x08))
         assert s.p1.length_counter == 0
-        s = apply_write(ApuState.reset(), 0x4015, 0x01)
-        s = apply_write(s, 0x4003, 0x08)
+        s = written(ApuState(), (0x4015, 0x01), (0x4003, 0x08))
         assert s.p1.length_counter == 254  # load field 1 -> table entry 254
 
     def test_length_table_is_canonical(self):
@@ -69,161 +82,150 @@ class TestRegisterWrites:
         assert max(LENGTH_TABLE) == 254
 
     def test_disable_zeroes_length(self):
-        s = ApuState.reset()
-        for reg, val in ((0x4015, 0x0F), (0x4003, 0x08), (0x4007, 0x08),
-                         (0x400B, 0x08), (0x400F, 0x08)):
-            s = apply_write(s, reg, val)
+        s = written(ApuState(), (0x4015, 0x0F), (0x4003, 0x08), (0x4007, 0x08),
+                    (0x400B, 0x08), (0x400F, 0x08))
         assert all(c.length_counter > 0 for c in (s.p1, s.p2, s.tr, s.no))
-        s = apply_write(s, 0x4015, 0x00)
+        s = written(s, (0x4015, 0x00))
         assert all(c.length_counter == 0 for c in (s.p1, s.p2, s.tr, s.no))
 
     def test_envelope_start_flag(self):
-        s = apply_write(apply_write(ApuState.reset(), 0x4015, 0x01), 0x4003, 0x00)
+        s = written(ApuState(), (0x4015, 0x01), (0x4003, 0x00))
         assert s.p1.envelope.start
 
     def test_triangle_linear_setup(self):
-        s = apply_write(ApuState.reset(), 0x4008, 0xFF)
+        s = written(ApuState(), (0x4008, 0xFF))
         assert s.tr.linear_control and s.tr.linear_reload_value == 127
-        s = apply_write(s, 0x400B, 0x00)
+        s = written(s, (0x400B, 0x00))
         assert s.tr.linear_reload
 
     def test_noise_mode_and_period(self):
-        s = apply_write(ApuState.reset(), 0x400E, 0x84)
+        s = written(ApuState(), (0x400E, 0x84))
         assert (s.no.mode, s.no.period_index) == (1, 4)
 
     def test_frame_mode(self):
-        s = apply_write(ApuState.reset(), 0x4017, 0x80)
+        s = written(ApuState(), (0x4017, 0x80))
         assert s.frame_mode == 5
-        assert apply_write(s, 0x4017, 0x00).frame_mode == 4
+        assert written(s, (0x4017, 0x00)).frame_mode == 4
 
     def test_sampler_registers_are_noops(self):
-        base = ApuState.reset()
+        base = ApuState()
         for reg in range(0x4010, 0x4015):
-            assert apply_write(base, reg, 0xFF) == base
+            assert written(base, (reg, 0xFF)) == base
 
     def test_register_out_of_range(self):
         with pytest.raises(RegisterOutOfRange):
-            apply_write(ApuState.reset(), 0x4018, 0)
-
-    def test_purity(self):
-        base = ApuState.reset()
-        apply_write(base, 0x4000, 0xFF)
-        assert base == ApuState.reset()
+            ApuState().write(0x4018, 0)
 
 
 class TestFrameSequencer:
     def test_envelope_start_then_quarter(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.p1.envelope.start = True
-        s = clock_frame_sequencer(s, "quarter")
+        s = ticked(s, "quarter")
         assert s.p1.envelope.decay_level == 15
         assert not s.p1.envelope.start
 
     def test_envelope_decays_and_loops(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.p1.envelope.decay_level = 1
         s.p1.length_halt = True  # loop flag
-        s = clock_frame_sequencer(s, "quarter")
+        s = ticked(s, "quarter")
         assert s.p1.envelope.decay_level == 0
-        s = clock_frame_sequencer(s, "quarter")
+        s = ticked(s, "quarter")
         assert s.p1.envelope.decay_level == 15
 
     def test_envelope_monotone_without_loop(self):
         rng = random.Random(7)
-        s = ApuState.reset()
+        s = ApuState()
         s.p1.envelope.start = True
         s.p1.volume = 3  # envelope divider period
-        s = clock_frame_sequencer(s, "quarter")
+        s = ticked(s, "quarter")
         levels = [s.p1.envelope.decay_level]
         for _ in range(120):
-            s = clock_frame_sequencer(s, rng.choice(("quarter", "half")))
+            s = ticked(s, rng.choice(("quarter", "half")))
             levels.append(s.p1.envelope.decay_level)
         assert all(a >= b for a, b in zip(levels, levels[1:]))
         assert levels[-1] == 0
 
     def test_length_counts_down_on_half(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.p1.length_counter = 5
-        s = clock_frame_sequencer(s, "half")
+        s = ticked(s, "half")
         assert s.p1.length_counter == 4
 
     def test_length_floor_and_halt(self):
-        s = ApuState.reset()
-        assert clock_frame_sequencer(s, "half").p1.length_counter == 0
+        s = ApuState()
+        assert ticked(s, "half").p1.length_counter == 0
         s.p1.length_counter = 5
         s.p1.length_halt = True
-        assert clock_frame_sequencer(s, "half").p1.length_counter == 5
+        assert ticked(s, "half").p1.length_counter == 5
 
     def test_quarter_does_not_clock_length(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.p1.length_counter = 5
-        assert clock_frame_sequencer(s, "quarter").p1.length_counter == 5
+        assert ticked(s, "quarter").p1.length_counter == 5
 
     def test_linear_counter_reload_and_clear(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.tr.linear_reload_value = 50
         s.tr.linear_reload = True
         s.tr.linear_control = False
-        s = clock_frame_sequencer(s, "quarter")
+        s = ticked(s, "quarter")
         assert s.tr.linear_counter == 50
         assert not s.tr.linear_reload  # cleared because control is off
-        s = clock_frame_sequencer(s, "quarter")
+        s = ticked(s, "quarter")
         assert s.tr.linear_counter == 49
 
     def test_linear_reload_persists_under_control(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.tr.linear_reload_value = 9
         s.tr.linear_reload = True
         s.tr.linear_control = True
         for _ in range(3):
-            s = clock_frame_sequencer(s, "quarter")
+            s = ticked(s, "quarter")
             assert s.tr.linear_counter == 9 and s.tr.linear_reload
 
     def test_sweep_adds_change_on_fire(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.p2.enabled = True
         s.p2.timer_period = 0x100
         s.p2.sweep.enabled = True
         s.p2.sweep.shift = 1
-        s = clock_frame_sequencer(s, "half")  # divider at 0 fires immediately
+        s = ticked(s, "half")  # divider at 0 fires immediately
         assert s.p2.timer_period == 0x100 + 0x80
 
     def test_sweep_negate_asymmetry(self):
-        base = ApuState.reset()
+        base = ApuState()
         for ch_name, expected in (("p1", 0x100 - 0x80 - 1), ("p2", 0x100 - 0x80)):
-            s = base.clone()
+            s = copy.deepcopy(base)
             ch = getattr(s, ch_name)
             ch.enabled = True
             ch.timer_period = 0x100
             ch.sweep.enabled = True
             ch.sweep.shift = 1
             ch.sweep.negate = True
-            s = clock_frame_sequencer(s, "half")
+            s = ticked(s, "half")
             assert getattr(s, ch_name).timer_period == expected
 
     def test_sweep_does_not_fire_when_muted(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.p1.enabled = True
         s.p1.timer_period = 0x700  # target 0xA80 > 0x7FF -> muted
         s.p1.sweep.enabled = True
         s.p1.sweep.shift = 1
-        assert clock_frame_sequencer(s, "half").p1.timer_period == 0x700
-
-    def test_bad_tick_kind(self):
-        with pytest.raises(ValueError):
-            clock_frame_sequencer(ApuState.reset(), "eighth")
+        assert ticked(s, "half").p1.timer_period == 0x700
 
     def test_five_step_pattern_rates(self):
         from nesscore.apu import _fire_tick
 
         # 4-step: a half tick every 2nd position -> 5 length clocks per 10
-        s4 = ApuState.reset()
+        s4 = ApuState()
         s4.p1.length_counter = 100
         for i in range(1, 11):
             _fire_tick(s4, i)
         assert s4.p1.length_counter == 95
         # 5-step: halves at positions 2 and 5, position 4 silent -> 4 per 10
-        s5 = ApuState.reset()
+        s5 = ApuState()
         s5.frame_mode = 5
         s5.p1.length_counter = 100
         for i in range(1, 11):
@@ -232,7 +234,7 @@ class TestFrameSequencer:
 
 
 def sounding_pulse(timer=253, volume=12, duty=2, negate_sweep=False):
-    s = ApuState.reset()
+    s = ApuState()
     s.p1.enabled = True
     s.p1.length_counter = 10
     s.p1.constant_volume = True
@@ -282,7 +284,7 @@ class TestSnapshot:
         assert snapshot(s).p1_vel == 7
 
     def test_triangle(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.tr.enabled = True
         s.tr.length_counter = 10
         s.tr.linear_counter = 10
@@ -295,7 +297,7 @@ class TestSnapshot:
         assert snapshot(s).tr_note == 0
 
     def test_noise_orientation(self):
-        s = ApuState.reset()
+        s = ApuState()
         s.no.enabled = True
         s.no.length_counter = 10
         s.no.constant_volume = True
@@ -306,7 +308,7 @@ class TestSnapshot:
         assert (frame.no_note, frame.no_vel, frame.no_timbre) == (16 - 4, 9, 1)
 
     def test_reset_state_is_silent(self):
-        assert snapshot(ApuState.reset()) == SILENCE
+        assert snapshot(ApuState()) == SILENCE
 
 
 class TestPitchMaps:

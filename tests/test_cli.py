@@ -59,9 +59,10 @@ class TestVgm2Score:
         assert err.startswith("error:") and "Traceback" not in err
 
 
-    @pytest.mark.parametrize("rate", ["0.00001", "inf", "nan", "-24"])
+    @pytest.mark.parametrize("rate", ["0.00001", "inf", "nan", "-24", "44101", "1e12"])
     def test_unusable_rate(self, song, tmp_path, capsys, rate):
-        # 1e-5 Hz makes one frame span 4.41e9 samples, more than a stream can hold
+        # 1e-5 Hz makes one frame span 4.41e9 samples, more than a stream can hold;
+        # above 44100 Hz a frame is shorter than a sample
         _score, vgm_path = song
         out = tmp_path / "x.nesscore"
         assert main(["vgm2score", str(vgm_path), str(out), "--rate", rate]) == 1
@@ -101,9 +102,10 @@ class TestRender:
 
 
 class TestMidi2Score:
-    @pytest.mark.parametrize("rate", ["0.00001", "inf", "nan", "-24"])
+    @pytest.mark.parametrize("rate", ["0.00001", "inf", "nan", "-24", "44101", "1e12"])
     def test_unusable_rate(self, tmp_path, capsys, rate):
-        # at 1e-5 Hz the one frame covering a half-second file spans 4.41e9 samples
+        # at 1e-5 Hz the one frame covering a half-second file spans 4.41e9 samples;
+        # above 44100 Hz a frame is shorter than a sample
         mid = tmp_path / "song.mid"
         mid.write_bytes(midi.score_to_midi(ExpressiveScore(24.0, [A440] * 12)))
         out = tmp_path / "x.nesscore"

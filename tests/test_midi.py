@@ -10,6 +10,7 @@ from nesscore.midi import (
     PPQ,
     NotSmf,
     UnmappableEvent,
+    _vlq,
     midi_to_score,
     midi_to_velocity,
     score_to_midi,
@@ -209,6 +210,13 @@ class TestImportErrors:
         struct.pack_into(">H", patched, 10, 4)
         with pytest.raises(UnmappableEvent):
             midi_to_score(bytes(patched), 24.0)
+
+    @pytest.mark.parametrize("end_tick", [2 ** 32, 2 ** 1400], ids=["2^32", "2^1400"])
+    @pytest.mark.parametrize("rate", [24.0, 29.97])
+    def test_end_past_32_bits_rejected(self, end_tick, rate):
+        # one tick is one sample; 2^1400 ticks is too many for a float
+        with pytest.raises(UnmappableEvent):
+            midi_to_score(five_track_file(_vlq(end_tick) + b"\x90\x45\x7f"), rate)
 
     def test_running_status_accepted(self):
         # two notes sharing one status byte; deltas of 8000 ticks (VLQ be 40)

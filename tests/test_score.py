@@ -9,25 +9,31 @@ from hypothesis import strategies as st
 
 from conftest import mutate, random_score
 from nesscore.apu import Timeline
+from nesscore.midi import _frame_ticks, score_to_midi
 from nesscore.score import (
+    MAX_TOTAL_SAMPLES,
+    SAMPLE_RATE,
     SILENCE,
     BadFieldValue,
     CorpusEntry,
     ExpressiveFrame,
     ExpressiveScore,
     MalformedHeader,
+    check_rate,
     downsample,
     frame_count,
+    frame_position,
     frame_sample_index,
     read_score_text,
-    score_total_samples,
     split_corpus,
     to_blended,
     to_separated,
     validate,
     write_score_text,
 )
+from nesscore.synth import score_to_writes
 from reference_downsample import downsample_by_frame
+import reference_frames as ref
 from reference_reader import read_score_text_by_line
 
 A_FRAME = ExpressiveFrame(p1_note=69, p1_vel=12, p1_timbre=2, tr_note=57,
@@ -91,7 +97,7 @@ def timelines(draw):
 class TestDownsampleAgainstReference:
     """The vectorised downsample against the per-frame one in reference_downsample."""
 
-    @given(timelines(), st.sampled_from([24, 24.0, 12.5, 29.97, 60.0]))
+    @given(timelines(), st.sampled_from([24, 24.0, 12.5, 29.97, 60.0, 44100.0]))
     @example(Timeline(0, [(0, A_FRAME)]), 24)
     @example(Timeline(0, []), 29.97)
     @example(Timeline(5000, [(1000, A_FRAME), (3000, SILENCE)]), 12.5)
@@ -268,17 +274,19 @@ class TestTextFormat:
         assert read_score_text(write_score_text(score)) == score
 
     @pytest.mark.parametrize("head", [b"NESSCORE 1 nan 1", b"NESSCORE 1 inf 1",
-                                      b"NESSCORE 1 1e-9 1", b"NESSCORE 1 5e-324 1"])
+                                      b"NESSCORE 1 1e-9 1", b"NESSCORE 1 5e-324 1",
+                                      b"NESSCORE 1 44101 1", b"NESSCORE 1 1e12 1"])
     def test_unusable_rate_rejected(self, head):
-        # 1e-9 Hz asks for 4.4e13 samples; 5e-324 Hz for infinitely many
+        # 1e-9 Hz asks for 4.4e13 samples; 5e-324 Hz for infinitely many;
+        # above 44100 Hz a frame is shorter than a sample
         with pytest.raises(MalformedHeader):
             read_score_text(head + b"\n0 0 0 0 0 0 0 0 0 0\n")
 
     def test_sample_limit_is_32_bits(self):
         line = b"\n0 0 0 0 0 0 0 0 0 0\n"
-        assert score_total_samples(1, 0.0000103) <= 0xFFFFFFFF
+        assert frame_sample_index(1, 0.0000103) <= 0xFFFFFFFF
         assert read_score_text(b"NESSCORE 1 0.0000103 1" + line).rate_hz == 0.0000103
-        assert score_total_samples(1, 0.0000102) > 0xFFFFFFFF
+        assert frame_sample_index(1, 0.0000102) > 0xFFFFFFFF
         with pytest.raises(MalformedHeader):
             read_score_text(b"NESSCORE 1 0.0000102 1" + line)
 
@@ -441,3 +449,98 @@ class TestFrameArithmetic:
         assert frame_count(44100, 24) == 24
         assert frame_count(44101, 24) == 25
         assert frame_count(0, 24) == 0
+
+    def test_scalar_gives_int_array_gives_int64(self):
+        assert type(frame_sample_index(3, 29.97)) is int
+        points = frame_sample_index(np.arange(3), 24)
+        assert points.dtype == np.int64 and points.tolist() == [0, 1837, 3675]
+
+
+class TestRateBound:
+    """check_rate: 0 < rate <= 44100, and every frame within 2^32 - 1 samples."""
+
+    def test_rate_of_a_sample_accepted(self):
+        check_rate(44100.0, MAX_TOTAL_SAMPLES)
+        score = read_score_text(b"NESSCORE 1 44100 1\n0 0 0 0 0 0 0 0 0 0\n")
+        assert score.rate_hz == 44100.0
+
+    def test_huge_rate_covering_count_rejected(self):
+        # 10^12 frames for one second of input used to pass
+        with pytest.raises(ValueError):
+            check_rate(1e12, frame_count(44100, 1e12))
+
+    @pytest.mark.parametrize("n_frames", [MAX_TOTAL_SAMPLES + 1, 10 ** 400],
+                             ids=["2^32", "10^400"])
+    def test_count_above_32_bits_rejected_as_an_integer(self, n_frames):
+        # 10^400 is too big for a float: the count is refused before any division
+        with pytest.raises(MalformedHeader):
+            check_rate(44100.0, n_frames, MalformedHeader)
+
+    @pytest.mark.parametrize("rate", [0.0, -24.0, 44101.0, 1e12])
+    def test_writers_check_the_rate(self, rate):
+        score = ExpressiveScore(rate, [A_FRAME] * 3)
+        for writer in (write_score_text, score_to_writes, score_to_midi):
+            with pytest.raises(ValueError):
+                writer(score)
+
+
+def last_frame(rate_hz: float) -> int:
+    """The last frame k that the reference clock puts at most 2^32 - 1 samples in."""
+    k = int(MAX_TOTAL_SAMPLES * rate_hz / SAMPLE_RATE)
+    while ref.frame_sample_index(k + 1, rate_hz) <= MAX_TOTAL_SAMPLES:
+        k += 1
+    while ref.frame_sample_index(k, rate_hz) > MAX_TOTAL_SAMPLES:
+        k -= 1
+    return k
+
+
+class TestFrameClockAgainstReference:
+    """The one float64 frame clock against the two-branch scalar one in
+    reference_frames, over every frame check_rate allows."""
+
+    def test_every_integer_rate_at_both_ends(self):
+        for rate in range(1, SAMPLE_RATE + 1):
+            kmax = ((MAX_TOTAL_SAMPLES + 1) * rate - 1) // SAMPLE_RATE
+            assert ref.frame_sample_index(kmax, rate) <= MAX_TOTAL_SAMPLES
+            assert ref.frame_sample_index(kmax + 1, rate) > MAX_TOTAL_SAMPLES
+            ks = [0, 1, kmax - 1, kmax]
+            want = [ref.frame_sample_index(k, rate) for k in ks]
+            assert frame_sample_index(np.array(ks), float(rate)).tolist() == want
+            assert frame_sample_index(kmax, float(rate)) == want[-1]
+            check_rate(float(rate), kmax)
+            with pytest.raises(ValueError):
+                check_rate(float(rate), kmax + 1)
+            for total in (0, 1, MAX_TOTAL_SAMPLES - 1, MAX_TOTAL_SAMPLES):
+                assert frame_count(total, float(rate)) == ref.frame_count(total, rate)
+
+    def assert_clock_matches(self, rate, ks):
+        kmax = last_frame(rate)
+        ks = [0, 1, kmax - 1, kmax, *(k for k in ks if k <= kmax)]
+        want = [ref.frame_sample_index(k, rate) for k in ks]
+        assert frame_sample_index(np.array(ks), rate).tolist() == want
+        assert [frame_sample_index(k, rate) for k in ks] == want
+        ticks = np.rint(frame_position(np.array(ks), rate)).astype(np.int64).tolist()
+        assert ticks == [ref.frame_tick(k, rate) for k in ks]
+        check_rate(rate, kmax)
+        with pytest.raises(ValueError):
+            check_rate(rate, kmax + 1)
+
+    @pytest.mark.parametrize("rate", [29.97, 12.5, 0.0000103, 0.5, 59.94, 44099.9])
+    def test_fractional_rates(self, rate):
+        self.assert_clock_matches(rate, [2, 3, 1000, 123456789])
+
+    @given(st.floats(min_value=1.1e-5, max_value=44100.0), st.lists(st.integers(0, 2 ** 32)))
+    @settings(max_examples=300)
+    def test_drawn_rates(self, rate, ks):
+        self.assert_clock_matches(rate, ks)
+
+    @given(st.floats(min_value=1.1e-5, max_value=44100.0), st.integers(0, MAX_TOTAL_SAMPLES))
+    @settings(max_examples=300)
+    def test_drawn_frame_counts(self, rate, total):
+        assert frame_count(total, rate) == ref.frame_count(total, rate)
+
+    @pytest.mark.parametrize("rate", [24, 24.0, 29.97, 12.5, 29400.0, 17640.0, 0.0000103])
+    def test_midi_ticks_round_half_to_even(self, rate):
+        # at 29400 and 17640 Hz every other frame sits exactly half-way between two samples
+        n = min(2000, last_frame(rate))
+        assert _frame_ticks(n, rate) == [ref.frame_tick(k, rate) for k in range(n + 1)]
