@@ -38,7 +38,6 @@ from .apu import (
     extract_timeline,
     midi_to_timer,
     pitch_to_midi,
-    snapshot,
 )
 from .midi import midi_to_score, score_to_midi
 from .synth import (

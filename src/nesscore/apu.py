@@ -1,21 +1,31 @@
 """Register-accurate state machine for the 2A03's four scored voices.
 
 Tracks exactly the state that determines what a voice contributes to a
-score frame: duty/volume/envelope, sweep, length and linear counters, noise
-mode and period.  ``extract_timeline`` replays a timed write stream against
-this state, clocking the frame sequencer at its ~240 Hz cadence, and records
-the (note, velocity, timbre) snapshot wherever it changes.
+score frame or to the audio: duty/volume/envelope, sweep, length and linear
+counters, noise mode and period.
+
+``replay`` runs a timed write stream against this state, clocking the frame
+sequencer at its ~240 Hz cadence.  It cuts the stream into segments of
+constant state and returns one integer row per segment: the parameters each
+voice sounds with (see ``ROW_FIELDS``).  A channel's part of the row is
+recomputed only after a write to its registers or a sequencer clock that
+changed something the row reads; the clock methods report that.  Both
+consumers read the same rows: ``extract_timeline`` turns them into
+expressive frames with whole-array gathers and keeps the rows where the
+frame changes, and ``synth.render_writes`` drives its oscillators from them.
 
 No audio is produced here; waveform generation lives in ``synth``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from .score import (
     SAMPLE_RATE,
-    SILENCE,
     ExpressiveFrame,
     NOISE_NOTE_MAX,
     PULSE_NOTE_MIN,
@@ -58,7 +68,9 @@ class Envelope:
     divider: int = 0
     decay_level: int = 0
 
-    def clock(self, period: int, loop: bool) -> None:
+    def clock(self, period: int, loop: bool) -> bool:
+        """One quarter-frame clock; True when it changed ``decay_level``."""
+        before = self.decay_level
         if self.start:
             self.start = False
             self.decay_level = 15
@@ -71,6 +83,7 @@ class Envelope:
                 self.decay_level -= 1
             elif loop:
                 self.decay_level = 15
+        return self.decay_level != before
 
 
 @dataclass
@@ -113,8 +126,10 @@ class PulseChannelState:
         # The target comparison applies even with the sweep disabled.
         return self.timer_period < 8 or self.sweep_target() > 0x7FF
 
-    def clock_sweep(self) -> None:
+    def clock_sweep(self) -> bool:
+        """One half-frame sweep clock; True when it changed ``timer_period``."""
         s = self.sweep
+        before = self.timer_period
         if s.divider == 0 and s.enabled and s.shift > 0 and not self.sweep_muted():
             self.timer_period = max(self.sweep_target(), 0)
         if s.divider == 0 or s.reload:
@@ -122,10 +137,14 @@ class PulseChannelState:
             s.reload = False
         else:
             s.divider -= 1
+        return self.timer_period != before
 
-    def clock_length(self) -> None:
+    def clock_length(self) -> bool:
+        """One half-frame length clock; True when the counter reached 0."""
         if not self.length_halt and self.length_counter > 0:
             self.length_counter -= 1
+            return self.length_counter == 0
+        return False
 
 
 @dataclass
@@ -143,17 +162,23 @@ class TriangleChannelState:
         return (self.enabled and self.length_counter > 0 and self.linear_counter > 0
                 and self.timer_period >= 2)
 
-    def clock_linear(self) -> None:
+    def clock_linear(self) -> bool:
+        """One quarter-frame clock; True when the counter went to or from 0."""
+        was_zero = self.linear_counter == 0
         if self.linear_reload:
             self.linear_counter = self.linear_reload_value
         elif self.linear_counter > 0:
             self.linear_counter -= 1
         if not self.linear_control:
             self.linear_reload = False
+        return was_zero != (self.linear_counter == 0)
 
-    def clock_length(self) -> None:
+    def clock_length(self) -> bool:
+        """One half-frame length clock; True when the counter reached 0."""
         if not self.linear_control and self.length_counter > 0:
             self.length_counter -= 1
+            return self.length_counter == 0
+        return False
 
 
 @dataclass
@@ -174,9 +199,12 @@ class NoiseChannelState:
         # the LFSR only advances while this holds
         return self.enabled and self.length_counter > 0 and self.output_volume() > 0
 
-    def clock_length(self) -> None:
+    def clock_length(self) -> bool:
+        """One half-frame length clock; True when the counter reached 0."""
         if not self.length_halt and self.length_counter > 0:
             self.length_counter -= 1
+            return self.length_counter == 0
+        return False
 
 
 @dataclass
@@ -260,20 +288,38 @@ class ApuState:
 
     # -- frame sequencer ticks ----------------------------------------------
 
-    def quarter_tick(self) -> None:
-        self.p1.envelope.clock(self.p1.volume, self.p1.length_halt)
-        self.p2.envelope.clock(self.p2.volume, self.p2.length_halt)
-        self.no.envelope.clock(self.no.volume, self.no.length_halt)
-        self.tr.clock_linear()
+    def quarter_tick(self) -> int:
+        """Clock the envelopes and the linear counter.
 
-    def half_tick(self) -> None:
-        self.quarter_tick()
-        self.p1.clock_length()
-        self.p1.clock_sweep()
-        self.p2.clock_length()
-        self.p2.clock_sweep()
-        self.tr.clock_length()
-        self.no.clock_length()
+        Returns the channels whose replay row the clock may have changed, as
+        a mask: 1 pulse 1, 2 pulse 2, 4 triangle, 8 noise.  A decay step
+        counts only for a channel that plays its envelope.
+        """
+        p1, p2, no = self.p1, self.p2, self.no
+        dirty = 0
+        if p1.envelope.clock(p1.volume, p1.length_halt) and not p1.constant_volume:
+            dirty = 1
+        if p2.envelope.clock(p2.volume, p2.length_halt) and not p2.constant_volume:
+            dirty |= 2
+        if no.envelope.clock(no.volume, no.length_halt) and not no.constant_volume:
+            dirty |= 8
+        if self.tr.clock_linear():
+            dirty |= 4
+        return dirty
+
+    def half_tick(self) -> int:
+        """A quarter tick, then the length counters and sweeps; returns the mask."""
+        dirty = self.quarter_tick()
+        # | and not `or`: both units must clock
+        if self.p1.clock_length() | self.p1.clock_sweep():
+            dirty |= 1
+        if self.p2.clock_length() | self.p2.clock_sweep():
+            dirty |= 2
+        if self.tr.clock_length():
+            dirty |= 4
+        if self.no.clock_length():
+            dirty |= 8
+        return dirty
 
 
 # ---------------------------------------------------------------------------
@@ -348,123 +394,186 @@ def midi_to_timer(note: int, kind: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# snapshots
-
-def _pulse_fields(ch: PulseChannelState) -> tuple[int, int, int]:
-    note = _PULSE_NOTES[ch.timer_period] if ch.sounding() else None
-    return (0, 0, 0) if note is None else (note, ch.output_volume(), ch.duty)
-
-
-def snapshot(state: ApuState) -> ExpressiveFrame:
-    """Project the register state onto one expressive frame.
-
-    Silent channels (disabled, expired, muted or out of range) give the
-    canonical (0, 0, 0) so the frame alphabets stay closed.
-    """
-    p1 = _pulse_fields(state.p1)
-    p2 = _pulse_fields(state.p2)
-
-    tr = state.tr
-    tr_note = (_TRIANGLE_NOTES[tr.timer_period] or 0) if tr.sounding() else 0
-
-    no = state.no
-    no_fields = (0, 0, 0)
-    if no.sounding():
-        # smaller period index = faster shift clock = brighter noise
-        no_fields = (NOISE_NOTE_MAX - no.period_index, no.output_volume(), no.mode)
-
-    return ExpressiveFrame(*p1, *p2, tr_note, *no_fields)
-
-
-# ---------------------------------------------------------------------------
 # stream replay
 
-def _fire_tick(state: ApuState, index: int) -> None:
+# A replay row: per pulse the timer period, the duty and the output volume
+# (0 unless the channel sounds); the triangle's timer period (-1 unless it
+# sounds); the noise period index, mode and output volume (0 unless it
+# sounds); and the pulses whose phase a $4003/$4007 write reset (1 pulse 1,
+# 2 pulse 2).
+ROW_FIELDS = ("p1_timer", "p1_duty", "p1_volume", "p2_timer", "p2_duty", "p2_volume",
+              "tr_timer", "no_period", "no_mode", "no_volume", "phase_reset")
+
+# Channels (as in ``ApuState.quarter_tick``) whose row a write to $4000 + i
+# may change; $4015 touches all four.
+_WRITE_DIRTY = (1,) * 4 + (2,) * 4 + (4,) * 4 + (8,) * 4 + (0,) * 5 + (15, 0, 0)
+
+
+def _pulse_row(ch: PulseChannelState) -> tuple[int, int, int]:
+    return ch.timer_period, ch.duty, ch.output_volume() if ch.sounding() else 0
+
+
+def _triangle_row(ch: TriangleChannelState) -> tuple[int]:
+    return (ch.timer_period if ch.sounding() else -1,)
+
+
+def _noise_row(ch: NoiseChannelState) -> tuple[int, int, int]:
+    return ch.period_index, ch.mode, ch.output_volume() if ch.sounding() else 0
+
+
+def _fire_tick(state: ApuState, index: int) -> int:
+    """Clock sequencer position ``index``; returns the tick's dirty mask."""
     if state.frame_mode == 4:
-        if index % 2 == 0:
-            state.half_tick()
-        else:
-            state.quarter_tick()
-    else:
-        step = (index - 1) % 5 + 1
-        if step in (2, 5):
-            state.half_tick()
-        elif step in (1, 3):
-            state.quarter_tick()
-        # step 4 of the 5-step pattern is silent
+        return state.half_tick() if index % 2 == 0 else state.quarter_tick()
+    step = (index - 1) % 5 + 1
+    if step in (2, 5):
+        return state.half_tick()
+    if step in (1, 3):
+        return state.quarter_tick()
+    return 0    # step 4 of the 5-step pattern is silent
 
 
-def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, ApuState, list]]:
-    """Replay a write stream, yielding (start, end, state, writes) spans.
+def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
+    """Replay a write stream; return its segment starts and one row per segment.
 
-    Within each span [start, end) the register state is constant; ``writes``
-    lists the (register, value) pairs applied at ``start`` (the renderer
-    watches them for phase resets).  A $4017 write restarts the sequencer
-    phase and, in 5-step mode, clocks quarter+half immediately.  Tick k after
-    a restart at sample b lands on b + int(k * _TICK_SAMPLES); each tick
-    time is computed once, when the previous tick has passed.
+    The starts are an int64 array; segment i spans [starts[i], starts[i + 1])
+    and the last one ends at ``total_samples``.  The rows are an (n, 11)
+    int32 array laid out as ``ROW_FIELDS``: what each segment sounds with,
+    after the writes and the sequencer tick at its start.  A $4017 write
+    restarts the sequencer phase and, in 5-step mode, clocks quarter+half
+    immediately.  Tick k after a restart at sample b lands on
+    b + int(k * _TICK_SAMPLES).
 
     Raises BadWriteOffset for a write whose offset is below that of an
     earlier write, or beyond ``total_samples`` (a write exactly at the end
-    is legal and has no effect).  The yielded state object is live: consume
-    it before advancing.
+    is legal and has no effect).
     """
     state = ApuState()
+    p1, p2, tr, no = state.p1, state.p2, state.tr, state.no
     writes = stream.writes
     total = int(stream.total_samples)
     wi, n = 0, len(writes)
     next_write = writes[0].sample_offset if n else total
     tick_base, tick_index = 0, 1
     next_tick = int(_TICK_SAMPLES)
+    starts: list[int] = []
+    rows: list[tuple] = []          # every row built, once per run of segments
+    row_firsts: list[int] = []      # that hold it, and the first of those segments
+    dirty, row_reset = 15, 0        # all four dirty: the first row builds every part
     cur = 0
     while cur < total:
-        applied: list[tuple[int, int]] = []
+        reset = 0
         while next_write <= cur:
             if next_write < cur:
                 raise BadWriteOffset(wi, next_write, f"is before sample {cur}")
             _offset, register, value = writes[wi]
             state.write(register, value)
-            applied.append((register, value))
-            if register == 0x4017:
+            dirty |= _WRITE_DIRTY[register - 0x4000]
+            if register == 0x4003:
+                reset |= 1
+            elif register == 0x4007:
+                reset |= 2
+            elif register == 0x4017:
                 tick_base, tick_index = cur, 1
                 next_tick = cur + int(_TICK_SAMPLES)
                 if value & 0x80:
-                    state.half_tick()
+                    dirty |= state.half_tick()
             wi += 1
             next_write = writes[wi].sample_offset if wi < n else total
         # Segments end at every tick, so the next one is never behind cur.
         if next_tick == cur:
-            _fire_tick(state, tick_index)
+            dirty |= _fire_tick(state, tick_index)
             tick_index += 1
             next_tick = tick_base + int(tick_index * _TICK_SAMPLES)
-        end = min(next_write, next_tick, total)
-        yield cur, end, state, applied
-        cur = end
+        if dirty or reset != row_reset:
+            if dirty & 1:
+                r1 = _pulse_row(p1)
+            if dirty & 2:
+                r2 = _pulse_row(p2)
+            if dirty & 4:
+                rt = _triangle_row(tr)
+            if dirty & 8:
+                rn = _noise_row(no)
+            row_firsts.append(len(starts))
+            rows.append(r1 + r2 + rt + rn + (reset,))
+            dirty, row_reset = 0, reset
+        starts.append(cur)
+        cur = next_write if next_write < next_tick else next_tick
+        if cur > total:
+            cur = total
     for i in range(wi, n):      # writes at the very end are never applied
         offset = writes[i].sample_offset
         if offset < cur:
             raise BadWriteOffset(i, offset, f"is before sample {cur}")
         if offset > total:
             raise BadWriteOffset(i, offset, f"is beyond the stream end at sample {total}")
+    table = np.array(rows, np.int32).reshape(-1, len(ROW_FIELDS))
+    held = np.diff(np.array(row_firsts + [len(starts)], np.int64))
+    return np.array(starts, np.int64), np.repeat(table, held, axis=0)
 
 
-@dataclass
+def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, list]]:
+    """(start, end, row) of each replay segment, the row a list as in ``replay``.
+
+    The whole stream is replayed first, so a bad write offset raises here.
+    """
+    starts, rows = replay(stream)
+    ends = starts[1:].tolist() + [int(stream.total_samples)]
+    return zip(starts.tolist(), ends, rows.tolist())
+
+
+# Note of each 11-bit timer period, 0 where the voice has none in range.
+_PULSE_NOTE_ARRAY = np.array([note or 0 for note in _PULSE_NOTES], np.int16)
+_TRIANGLE_NOTE_ARRAY = np.array([note or 0 for note in _TRIANGLE_NOTES], np.int16)
+
+
+def frame_table(rows: np.ndarray) -> np.ndarray:
+    """The expressive frames, shape (n, 10) int16, of n replay rows.
+
+    A voice that does not sound, or whose pitch is out of range, gives the
+    canonical (0, 0, 0) so the frame alphabets stay closed.  Noise notes run
+    the other way from period indices: a faster shift clock is brighter.
+    """
+    frames = np.zeros((len(rows), 10), np.int16)
+    for first, timer, duty, volume in ((0, 0, 1, 2), (3, 3, 4, 5)):
+        note = _PULSE_NOTE_ARRAY.take(rows[:, timer])
+        on = (note > 0) & (rows[:, volume] > 0)
+        frames[:, first] = note * on
+        frames[:, first + 1] = rows[:, volume] * on
+        frames[:, first + 2] = rows[:, duty] * on
+    timer = rows[:, 6]
+    frames[:, 6] = _TRIANGLE_NOTE_ARRAY.take(timer) * (timer >= 0)
+    on = rows[:, 9] > 0
+    frames[:, 7] = (NOISE_NOTE_MAX - rows[:, 7]) * on
+    frames[:, 8] = rows[:, 9]
+    frames[:, 9] = rows[:, 8] * on
+    return frames
+
+
+@dataclass(eq=False)
 class Timeline:
-    """Change points of a 44.1 kHz frame function over [0, total); SILENCE before the first."""
+    """Change points of a 44.1 kHz frame function over [0, total); SILENCE before the first.
+
+    Change i starts at sample ``starts[i]`` (int64, increasing) and holds
+    frame ``frames[i]`` ((n, 10) int16, in frame-field order).
+    """
 
     total_samples: int
-    changes: list[tuple[int, ExpressiveFrame]]
+    starts: np.ndarray
+    frames: np.ndarray
+
+    @property
+    def changes(self) -> list[tuple[int, ExpressiveFrame]]:
+        """The change points as (start, ExpressiveFrame) pairs."""
+        frames = map(tuple.__new__, itertools.repeat(ExpressiveFrame), self.frames.tolist())
+        return list(zip(self.starts.tolist(), frames))
 
 
 def extract_timeline(stream: TimedWriteStream) -> Timeline:
-    """Replay writes against a fresh APU and record snapshot change points."""
-    changes: list[tuple[int, ExpressiveFrame]] = []
-    last = None
-    for start, _end, state, _writes in iter_segments(stream):
-        frame = snapshot(state)
-        if frame != last:
-            changes.append((start, frame))
-            last = frame
-    if not changes:
-        changes.append((0, SILENCE))
-    return Timeline(int(stream.total_samples), changes)
+    """Replay writes against a fresh APU and keep the segments that change the frame."""
+    starts, rows = replay(stream)
+    if not len(starts):             # an empty stream is silent from sample 0
+        starts, rows = np.zeros(1, np.int64), np.zeros((1, len(ROW_FIELDS)), np.int32)
+    frames = frame_table(rows)
+    keep = np.concatenate(([True], np.diff(frames, axis=0).any(axis=1)))
+    return Timeline(int(stream.total_samples), starts[keep], frames[keep])

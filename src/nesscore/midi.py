@@ -9,7 +9,6 @@ notes 1-16 are written as MIDI pitches 1-16.
 """
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +41,9 @@ class UnmappableEvent(ValueError):
     """Event outside the score profile (wrong tempo, pitch bend, ...)."""
 
 
-def _frame_ticks(n_frames: int, rate_hz: float) -> list[int]:
+def _frame_ticks(n_frames: int, rate_hz: float) -> np.ndarray:
     """Tick of frames 0..n_frames: each frame's sample position, rounded half to even."""
-    return np.rint(frame_position(np.arange(n_frames + 1), rate_hz)).astype(np.int64).tolist()
+    return np.rint(frame_position(np.arange(n_frames + 1), rate_hz)).astype(np.int64)
 
 
 def velocity_to_midi(vel: int) -> int:
@@ -53,6 +52,10 @@ def velocity_to_midi(vel: int) -> int:
 
 def midi_to_velocity(value: int) -> int:
     return min(15, max(1, round(value * 15 / 127)))
+
+
+# midi_to_velocity of every byte value
+_VELOCITY_OF = np.array([midi_to_velocity(value) for value in range(256)], np.int16)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +122,7 @@ def score_to_midi(score: ExpressiveScore) -> bytes:
     """
     check_rate(score.rate_hz, len(score))
     frames = score.to_array().tolist()
-    ticks = _frame_ticks(len(frames), score.rate_hz)
+    ticks = _frame_ticks(len(frames), score.rate_hz).tolist()
     end_tick = ticks[-1]
     tempo = [(0, _EV_CONTROL, b"\xff\x51\x03" + struct.pack(">I", TEMPO_USPQ)[1:])]
     chunks = [_encode_track(tempo, end_tick)]
@@ -135,11 +138,11 @@ def score_to_midi(score: ExpressiveScore) -> bytes:
 # ---------------------------------------------------------------------------
 # reader
 
-@dataclass
-class _TrackEvent:
-    tick: int
-    status: int
-    data: tuple
+# A channel event as (tick, status, data1, data2): status 0x80 (note off,
+# data2 0), 0x90 (note on) or 0xB0 (controller CC_EXPRESSION or CC_TIMBRE).
+_TrackEvent = tuple[int, int, int, int]
+
+_VLQ_MAX_BYTES = 4      # the most a Standard MIDI File allows: 0x0FFFFFFF
 
 
 def _parse_track(chunk: bytes, offset: int) -> tuple[list[_TrackEvent], int]:
@@ -159,15 +162,17 @@ def _parse_track_body(chunk: bytes, offset: int) -> tuple[list[_TrackEvent], int
 
     def read_vlq():
         nonlocal pos
-        value = 0
-        while True:
+        start, value = pos, 0
+        for _ in range(_VLQ_MAX_BYTES):
             if pos >= len(chunk):
-                raise NotSmf(f"track at {offset:#x} truncated inside a delta")
+                raise NotSmf(f"track at {offset:#x} truncated inside a variable-length quantity")
             b = chunk[pos]
             pos += 1
             value = (value << 7) | (b & 0x7F)
             if not b & 0x80:
                 return value
+        raise NotSmf(f"variable-length quantity at {offset + start:#x} is longer "
+                     f"than {_VLQ_MAX_BYTES} bytes")
 
     while pos < len(chunk):
         tick += read_vlq()
@@ -184,13 +189,7 @@ def _parse_track_body(chunk: bytes, offset: int) -> tuple[list[_TrackEvent], int
         if status == 0xFF:
             meta_type = chunk[pos]
             pos += 1
-            length = 0
-            while True:
-                mb = chunk[pos]
-                pos += 1
-                length = (length << 7) | (mb & 0x7F)
-                if not mb & 0x80:
-                    break
+            length = read_vlq()
             payload = chunk[pos:pos + length]
             pos += length
             if meta_type == 0x2F:
@@ -215,13 +214,13 @@ def _parse_track_body(chunk: bytes, offset: int) -> tuple[list[_TrackEvent], int
         else:
             raise NotSmf(f"bad status byte {status:#04x} in track at {offset:#x}")
         if kind == 0x80 or (kind == 0x90 and d2 == 0):
-            events.append(_TrackEvent(tick, 0x80, (d1,)))
+            events.append((tick, 0x80, d1, 0))
         elif kind == 0x90:
-            events.append(_TrackEvent(tick, 0x90, (d1, d2)))
+            events.append((tick, 0x90, d1, d2))
         elif kind == 0xB0:
             if d1 not in (CC_EXPRESSION, CC_TIMBRE):
                 raise UnmappableEvent(f"controller {d1} is outside the score profile")
-            events.append(_TrackEvent(tick, 0xB0, (d1, d2)))
+            events.append((tick, 0xB0, d1, d2))
         else:
             raise UnmappableEvent(f"event {status:#04x} is outside the score profile")
     if end_tick is None:
@@ -277,29 +276,30 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
                               f"{MAX_TOTAL_SAMPLES} samples a stream can span")
     check_rate(rate_hz, frame_count(end_tick, rate_hz))
     n_frames = round(end_tick * rate_hz / SAMPLE_RATE)
-    ticks = _frame_ticks(n_frames, rate_hz)
-    columns = [[0] * n_frames for _ in range(10)]
+    ticks = _frame_ticks(n_frames, rate_hz)[:-1]
+    frames = np.zeros((n_frames, 10), np.int16)
     for voice, events in enumerate(voice_events):
-        fields = _VOICE_FIELDS[voice]
-        note = vel = timbre = 0
-        ei = 0
-        for k in range(n_frames):
-            while ei < len(events) and events[ei].tick <= ticks[k]:
-                ev = events[ei]
-                if ev.status == 0x80:
-                    note = 0
-                elif ev.status == 0x90:
-                    note = ev.data[0]
-                    vel = midi_to_velocity(ev.data[1])
-                elif ev.data[0] == CC_EXPRESSION:
-                    vel = midi_to_velocity(ev.data[1])
-                else:
-                    timbre = ev.data[1]
-                ei += 1
-            if note:
-                columns[fields[0]][k] = note
-                if fields[1] is not None:
-                    columns[fields[1]][k] = vel
-                if fields[2] is not None:
-                    columns[fields[2]][k] = timbre
-    return ExpressiveScore(float(rate_hz), np.array(columns, np.int16).T)
+        if not events:
+            continue
+        tick, status, d1, d2 = np.array(events, np.int64).T
+        control = status == 0xB0
+        note = _held(status != 0xB0, d1 * (status == 0x90))
+        vel = _held((status == 0x90) | (control & (d1 == CC_EXPRESSION)), _VELOCITY_OF.take(d2))
+        timbre = _held(control & (d1 == CC_TIMBRE), d2)
+        # Frame k holds the state after the events at or before its tick.
+        seen = np.searchsorted(tick, ticks, "right")
+        sounding = note[seen] > 0
+        for column, held in zip(_VOICE_FIELDS[voice], (note, vel, timbre)):
+            if column is not None:
+                frames[:, column] = held[seen] * sounding
+    return ExpressiveScore(float(rate_hz), frames)
+
+
+def _held(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The value a field holds after each prefix of a voice's events.
+
+    Entry p is ``values[i]`` of the last event i < p that ``mask`` marks as
+    setting the field, or 0 when none of the first p events did.
+    """
+    setter = np.maximum.accumulate(np.where(mask, np.arange(1, len(mask) + 1), 0))
+    return np.concatenate(([0], values))[np.concatenate(([0], setter))]

@@ -178,12 +178,11 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
     n = frame_count(timeline.total_samples, rate_hz)
     check_rate(rate_hz, n)
     points = frame_sample_index(np.arange(n), rate_hz)
-    # Point k falls in the run of change hit[row[k]] - 1; hit 0 is SILENCE before the first.
-    hit, row = np.unique(np.searchsorted([s for s, _f in timeline.changes], points, "right"),
-                         return_inverse=True)
-    frames = [timeline.changes[i - 1][1] if i else SILENCE for i in hit.tolist()]
-    table = np.fromiter(itertools.chain.from_iterable(frames), np.int16, 10 * len(frames))
-    return ExpressiveScore(float(rate_hz), table.reshape(-1, 10)[row])
+    # Point k falls in the run of change i - 1, i = searchsorted(...)[k]; i = 0 is
+    # the SILENCE before the first change.
+    table = np.concatenate((np.zeros((1, 10), np.int16), timeline.frames))
+    return ExpressiveScore(float(rate_hz),
+                           table[np.searchsorted(timeline.starts, points, "right")])
 
 
 def to_separated(score: ExpressiveScore) -> SeparatedScore:

@@ -1,11 +1,13 @@
 """Waveform synthesis: timed register writes -> 44.1 kHz PCM.
 
-The renderer replays the writes through ``apu.iter_segments``, the register
-state machine extraction uses, in two stages.  A Python pass carries each
-oscillator (duty sequencer, triangle staircase, noise LFSR) across segments
-in whole CPU cycles and records one parameter row per segment; once rows
-cover ``_BLOCK`` samples, ``_render_block`` turns them into PCM with integer
-numpy ops, table lookups and the console's nonlinear mixer.  Waveforms are
+The renderer reads the replay rows of ``apu.iter_segments``, the same rows
+extraction derives its frames from, so a voice sounds exactly where it is
+scored.  It works in two stages.  A Python pass carries each oscillator
+(duty sequencer, triangle staircase, noise LFSR) across segments in whole
+CPU cycles, with the period, volume and phase resets its replay row gives,
+and records one parameter row per segment; once rows cover ``_BLOCK``
+samples, ``_render_block`` turns them into PCM with integer numpy ops,
+table lookups and the console's nonlinear mixer.  Waveforms are
 naive (no band-limiting), which is exactly how the hardware aliases.
 
 ``score_to_writes`` is the inverse path: it schedules the minimal register
@@ -148,30 +150,31 @@ def render_writes(stream: TimedWriteStream) -> PcmBuffer:
     pulse, tri, noise, lfsr = [[0, 0], [0, 0]], [0, 0], [0, 0], 1
     rows, first, c1 = [], 0, 0
     cycle_base, cycle_pos, cycle_len, cycle_state, cycle_bit = _lfsr_cycle_tables()
-    for _start, end, state, writes in apu.iter_segments(stream):
+    for _start, end, segment in apu.iter_segments(stream):
+        (p1_timer, p1_duty, p1_volume, p2_timer, p2_duty, p2_volume,
+         tr_timer, no_period, no_mode, no_volume, phase_reset) = segment
         # cycles counted from the block's first sample keep the rows small
         c0, c1 = c1, _cycles(end) - _cycles(first)
-        for reg, _value in writes:
-            if reg in (0x4003, 0x4007):
-                pulse[reg == 0x4007] = [0, 0]
+        if phase_reset & 1:
+            pulse[0] = [0, 0]
+        if phase_reset & 2:
+            pulse[1] = [0, 0]
         row = [end]
-        for osc, ch in zip(pulse, (state.p1, state.p2)):
-            period = 2 * (ch.timer_period + 1)  # duty steps take 2(t+1) cycles
-            wave = (ch.duty * 16 + ch.output_volume()) * 8 if ch.sounding() else 0
-            row += (period, _advance(osc, period, 8, c0, c1), wave)
-        ch = state.tr
-        if ch.sounding():
-            period = ch.timer_period + 1
+        for osc, timer, duty, volume in ((pulse[0], p1_timer, p1_duty, p1_volume),
+                                         (pulse[1], p2_timer, p2_duty, p2_volume)):
+            period = 2 * (timer + 1)    # duty steps take 2(t+1) cycles
+            # a silent pulse has volume 0, whose table rows are all 0
+            row += (period, _advance(osc, period, 8, c0, c1), (duty * 16 + volume) * 8)
+        if tr_timer >= 0:
+            period = tr_timer + 1
             row += (period, _advance(tri, period, 32, c0, c1), 32)
         else:
             row += (1, 0, 0)    # gated: phase frozen, silent row
-        ch = state.no
-        if ch.sounding():
-            period = NOISE_PERIODS[ch.period_index]
-            base, length = cycle_base.item(ch.mode, lfsr), cycle_len.item(ch.mode, lfsr)
-            noise[0] = cycle_pos.item(ch.mode, lfsr)
-            row += (period, _advance(noise, period, length, c0, c1), base, length,
-                    ch.output_volume())
+        if no_volume:
+            period = NOISE_PERIODS[no_period]
+            base, length = cycle_base.item(no_mode, lfsr), cycle_len.item(no_mode, lfsr)
+            noise[0] = cycle_pos.item(no_mode, lfsr)
+            row += (period, _advance(noise, period, length, c0, c1), base, length, no_volume)
             lfsr = cycle_state.item(base + noise[0])
         else:
             row += (1, 0, 0, 1, 0)  # the LFSR only advances while audible

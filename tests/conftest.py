@@ -1,8 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
+from nesscore.apu import Timeline
 from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore
+
+
+def timeline_of(total_samples: int, changes) -> Timeline:
+    """A Timeline holding the (start, ExpressiveFrame) change points given."""
+    starts = np.array([start for start, _frame in changes], np.int64)
+    frames = np.array([frame for _start, frame in changes], np.int16).reshape(-1, 10)
+    return Timeline(total_samples, starts, frames)
 
 
 def random_synthesizable_frame(rng: random.Random) -> ExpressiveFrame:

@@ -12,15 +12,20 @@ from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore, check_rate
 from reference_frames import frame_count, frame_sample_index
 
 
+def _frame_at(changes, sample: int) -> ExpressiveFrame:
+    i = bisect_right([s for s, _ in changes], sample) - 1
+    return changes[i][1] if i >= 0 else SILENCE
+
+
 def frame_at(timeline, sample: int) -> ExpressiveFrame:
     """The frame of the last change at or before sample; SILENCE before the first."""
-    i = bisect_right([s for s, _ in timeline.changes], sample) - 1
-    return timeline.changes[i][1] if i >= 0 else SILENCE
+    return _frame_at(timeline.changes, sample)
 
 
 def downsample_by_frame(timeline, rate_hz: float) -> ExpressiveScore:
     check_rate(rate_hz)
     n = frame_count(timeline.total_samples, rate_hz)
     check_rate(rate_hz, n)
-    frames = [frame_at(timeline, frame_sample_index(k, rate_hz)) for k in range(n)]
+    changes = timeline.changes      # built from the arrays on each access
+    frames = [_frame_at(changes, frame_sample_index(k, rate_hz)) for k in range(n)]
     return ExpressiveScore(rate_hz=float(rate_hz), frames=frames)

@@ -10,9 +10,9 @@ import time
 
 import numpy as np
 
-from conftest import random_score
+from conftest import random_score, timeline_of
 from nesscore import apu, evaluation as ev, midi, synth, vgm
-from nesscore.apu import Timeline, extract_timeline
+from nesscore.apu import extract_timeline
 from nesscore.score import (
     SILENCE,
     ExpressiveFrame,
@@ -190,7 +190,7 @@ def test_criterion_10_downsampling_contract():
     with criterion(10, "44100 samples -> exactly 24 frames; stable notes "
                        "of >= 1838 samples are never dropped"):
         frame = ExpressiveFrame(tr_note=60)
-        tl = Timeline(total_samples=44100, changes=[(0, frame)])
+        tl = timeline_of(total_samples=44100, changes=[(0, frame)])
         score = downsample(tl, 24.0)
         assert len(score.frames) == 24
         assert all(f == frame for f in score.frames)
@@ -201,7 +201,7 @@ def test_criterion_10_downsampling_contract():
             for i in range(rng.randint(1, 10)):
                 changes.append((pos, ExpressiveFrame(tr_note=21 + i)))
                 pos += 1838 * rng.randint(1, 3)
-            tl = Timeline(total_samples=pos, changes=changes)
+            tl = timeline_of(total_samples=pos, changes=changes)
             sampled = set(downsample(tl, 24.0).frames)
             for _s, f in changes:
                 assert f in sampled, "a stable note was dropped"

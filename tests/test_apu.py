@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -18,16 +19,22 @@ from nesscore.apu import (
     LENGTH_TABLE,
     NoteOutOfRange,
     RegisterOutOfRange,
+    _noise_row,
+    _pulse_row,
+    _triangle_row,
     extract_timeline,
+    frame_table,
+    iter_segments,
     midi_to_timer,
     pitch_to_midi,
-    snapshot,
 )
-from nesscore.score import SILENCE, validate
+from nesscore.score import SILENCE, ExpressiveFrame, validate
 from nesscore.synth import render_writes
 from nesscore.vgm import TimedWrite, TimedWriteStream
 from nesscore import score as sc
+from conftest import mutate
 from reference_downsample import frame_at
+import reference_replay
 
 
 def formula_midi(timer: int, divisor: int) -> int:
@@ -231,6 +238,13 @@ class TestFrameSequencer:
         for i in range(1, 11):
             _fire_tick(s5, i)
         assert s5.p1.length_counter == 96
+
+
+def snapshot(state: ApuState) -> ExpressiveFrame:
+    """The frame extraction derives from the replay row of this state."""
+    row = (_pulse_row(state.p1) + _pulse_row(state.p2) + _triangle_row(state.tr)
+           + _noise_row(state.no) + (0,))
+    return ExpressiveFrame(*frame_table(np.array([row])).tolist()[0])
 
 
 def sounding_pulse(timer=253, volume=12, duty=2, negate_sweep=False):
@@ -587,3 +601,69 @@ def test_extraction_always_canonical(write_specs):
     tl = extract_timeline(stream)
     frames = [f for _s, f in tl.changes]
     assert not validate(sc.ExpressiveScore(rate_hz=24.0, frames=frames))
+
+
+def outcome(extract, stream):
+    """The change points of a stream, or the replay error's type and message."""
+    try:
+        return extract(stream)
+    except (BadWriteOffset, RegisterOutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+def table_changes(stream):
+    return extract_timeline(stream).changes
+
+
+REGISTERS = st.one_of(st.integers(0, 0x17),
+                      st.sampled_from([0x03, 0x07, 0x0B, 0x0F, 0x15, 0x17]))
+
+
+@st.composite
+def write_streams(draw):
+    """Sorted writes at offsets on and off the tick grid; $4017 in either mode at times."""
+    writes = [(0, 0x4015, draw(st.sampled_from([0x0F, 0x0F, 0x05, 0x00])))]
+    if draw(st.booleans()):
+        writes.append((0, 0x4017, draw(st.sampled_from([0x00, 0x40, 0x80, 0xC0]))))
+    offset = 0
+    for _ in range(draw(st.integers(0, 60))):
+        offset += draw(st.sampled_from([0, 0, 1, 7, 183, 184, 735, 1500]))
+        writes.append((offset, 0x4000 + draw(REGISTERS), draw(st.integers(0, 255))))
+    return _stream(offset + draw(st.integers(0, 4000)), *writes)
+
+
+def _packed(stream) -> bytes:
+    return b"".join(struct.pack("<HHB", o, r, v) for o, r, v in stream.writes)
+
+
+def _unpacked(data: bytes, total: int) -> TimedWriteStream:
+    """Writes from 5-byte records (a trailing partial record is dropped)."""
+    records = struct.iter_unpack("<HHB", data[:len(data) // 5 * 5])
+    return TimedWriteStream([TimedWrite(*r) for r in records], total_samples=total)
+
+
+class TestReplayAgainstReference:
+    """The replay table against the per-segment snapshots of reference_replay."""
+
+    @given(write_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_random_streams(self, stream):
+        assert outcome(table_changes, stream) == outcome(reference_replay.timeline_changes, stream)
+
+    @given(write_streams(), st.lists(st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 400),
+        st.one_of(st.sampled_from(b"\x00\x03\x07\x15\x17\x40\x80\xc0\xff"), st.integers(0, 255))),
+        min_size=1, max_size=6))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_byte_mutations(self, stream, edits):
+        # offsets may now fall, pass the end or hit a register outside $4000-$4017
+        mutated = _unpacked(mutate(_packed(stream), edits), stream.total_samples)
+        assert (outcome(table_changes, mutated)
+                == outcome(reference_replay.timeline_changes, mutated))
+
+    def test_iter_segments_has_one_item_per_segment(self):
+        for stream in PINNED_STREAMS.values():
+            items = list(iter_segments(stream))
+            assert len(items) == sum(1 for _ in reference_replay.iter_segments(stream))
+            assert [end for _s, end, _r in items[:-1]] == [s for s, _e, _r in items[1:]]
+            assert (items[0][0], items[-1][1]) == (0, stream.total_samples)

@@ -4,8 +4,10 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_score
+from conftest import mutate, random_score
 from nesscore.midi import (
     PPQ,
     NotSmf,
@@ -17,6 +19,7 @@ from nesscore.midi import (
     velocity_to_midi,
 )
 from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore
+from reference_midi import midi_to_score_by_frame
 
 
 def walk_smf(data):
@@ -214,9 +217,26 @@ class TestImportErrors:
     @pytest.mark.parametrize("end_tick", [2 ** 32, 2 ** 1400], ids=["2^32", "2^1400"])
     @pytest.mark.parametrize("rate", [24.0, 29.97])
     def test_end_past_32_bits_rejected(self, end_tick, rate):
-        # one tick is one sample; 2^1400 ticks is too many for a float
-        with pytest.raises(UnmappableEvent):
-            midi_to_score(five_track_file(_vlq(end_tick) + b"\x90\x45\x7f"), rate)
+        # one tick is one sample
+        if end_tick == 2 ** 32:
+            # 16 of the largest 4-byte deltas, each before an empty text meta
+            big = 0x0FFFFFFF
+            body = (_vlq(big) + b"\xff\x01\x00") * 16 + _vlq(end_tick - 16 * big)
+            with pytest.raises(UnmappableEvent):
+                midi_to_score(five_track_file(body + b"\x90\x45\x7f"), rate)
+            return
+        # a 201-byte delta breaks the 4-byte bound where it starts, in the second track
+        data = five_track_file(_vlq(end_tick) + b"\x90\x45\x7f")
+        delta_at = data.index(b"MTrk", data.index(b"MTrk") + 1) + 8
+        with pytest.raises(NotSmf, match=f"at {delta_at:#x} is longer than 4 bytes"):
+            midi_to_score(data, rate)
+
+    def test_long_meta_length_rejected(self):
+        # a text meta whose length, though 0, takes 5 bytes
+        data = five_track_file(b"\x00\xff\x01\x80\x80\x80\x80\x00")
+        length_at = data.index(b"MTrk", data.index(b"MTrk") + 1) + 8 + 3
+        with pytest.raises(NotSmf, match=f"at {length_at:#x} is longer than 4 bytes"):
+            midi_to_score(data, 24.0)
 
     def test_running_status_accepted(self):
         # two notes sharing one status byte; deltas of 8000 ticks (VLQ be 40)
@@ -227,3 +247,72 @@ class TestImportErrors:
         score = midi_to_score(five_track_file(body), 24.0)
         assert score.frames[0].p1_note == 69
         assert 70 in {f.p1_note for f in score.frames}
+
+
+# (delta, status, data1, data2) events of one voice; a frame lasts 1837.5 ticks at 24 Hz.
+HAND_BUILT = {
+    "four events on tick 0": [
+        (0, 0x90, 69, 127), (0, 0xB0, 11, 64), (0, 0xB0, 12, 2), (0, 0x90, 72, 48),
+        (3676, 0x80, 72, 0)],
+    "on and off on one tick, then a later note": [
+        (0, 0x90, 69, 127), (0, 0x80, 69, 0), (2000, 0x90, 70, 32), (2000, 0x90, 70, 0)],
+    "events after the last frame": [
+        (0, 0x90, 69, 127), (3000, 0xB0, 11, 16), (0, 0xB0, 12, 3), (0, 0x90, 48, 64)],
+    "note on a frame tick, then expression and off on one tick": [
+        (1838, 0x90, 80, 80), (1838, 0xB0, 11, 32), (0, 0x80, 80, 0)],
+    "controllers before the first note": [
+        (0, 0xB0, 12, 1), (0, 0xB0, 11, 5), (1838, 0x90, 65, 127), (1838, 0x80, 65, 0)],
+}
+
+
+class TestImportAgainstReference:
+    """The vectorised import against the per-frame one in reference_midi."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 60),
+           st.sampled_from([24.0, 12.5, 29.97, 60.0]), st.sampled_from([24.0, 7.5, 29.97, 100.0]))
+    @settings(max_examples=150)
+    def test_random_scores(self, seed, n_frames, rate, import_rate):
+        # importing at another rate puts several events, or none, between frames
+        data = score_to_midi(random_score(random.Random(seed), n_frames, rate_hz=rate))
+        assert midi_to_score(data, import_rate) == midi_to_score_by_frame(data, import_rate)
+
+    @pytest.mark.parametrize("events", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+    @pytest.mark.parametrize("voice", range(4))
+    def test_hand_built(self, events, voice):
+        def track(body):
+            return b"MTrk" + struct.pack(">I", len(body)) + body
+        eot = b"\x00\xff\x2f\x00"
+        body = b"".join(_vlq(delta) + bytes((status | voice, d1, d2))
+                        for delta, status, d1, d2 in events)
+        voices = [track(eot)] * 4
+        voices[voice] = track(body + eot)
+        data = (b"MThd" + struct.pack(">IHHH", 6, 1, 5, PPQ)
+                + track(b"\x00\xff\x51\x03\x07\xa1\x20" + eot) + b"".join(voices))
+        sounded = False
+        for rate in (24.0, 29.97, 1000.0):
+            score = midi_to_score(data, rate)
+            assert score == midi_to_score_by_frame(data, rate)
+            sounded |= score.to_array()[:, (0, 3, 6, 7)[voice]].any()
+        assert sounded
+
+
+MIDI_EDIT = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, 500),
+    st.one_of(st.sampled_from(b"\x00\x01\x0b\x0c\x2f\x51\x7f\x80\x81\x90\xb0\xc0\xf0\xff"),
+              st.integers(0, 255)))
+
+
+class TestByteMutations:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.lists(MIDI_EDIT, min_size=1, max_size=4))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_only_typed_errors(self, seed, n_frames, edits):
+        data = mutate(score_to_midi(random_score(random.Random(seed), n_frames)), edits)
+        try:
+            midi_to_score(data, 24.0)
+        except (NotSmf, UnmappableEvent):
+            pass
+        except ValueError as exc:
+            # check_rate's own error: the frames would span too many samples
+            if type(exc) is not ValueError or "span more than" not in str(exc):
+                raise

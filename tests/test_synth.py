@@ -1,15 +1,25 @@
 """Oscillators, mixer, write scheduling, rendering and WAV emission."""
 
 import hashlib
+import math
+import random
 import struct
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_score
 from nesscore import apu, synth
-from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore, downsample
+from nesscore.score import (
+    SILENCE,
+    ExpressiveFrame,
+    ExpressiveScore,
+    downsample,
+    frame_sample_index,
+)
 from nesscore.synth import (
     NOISE_PERIODS,
     PcmBuffer,
@@ -353,3 +363,45 @@ class TestPinnedPcm:
         for name, stream in PINNED_STREAMS.items():
             samples = render_writes(stream).samples
             assert hashlib.sha256(samples.tobytes()).hexdigest() == PINNED_DIGESTS[name], name
+
+
+def solo(stream: TimedWriteStream, voice: int) -> TimedWriteStream:
+    """The stream with every voice but one (0 P1 .. 3 NO) kept off through $4015."""
+    keep = 1 << voice
+    return TimedWriteStream([w._replace(value=w.value & keep) if w.register == 0x4015 else w
+                             for w in stream.writes], stream.total_samples)
+
+
+def edge_pitch(samples: np.ndarray) -> float | None:
+    """MIDI pitch, as a float, of a periodic signal from its rising edges.
+
+    An edge is a sample above the midpoint of the signal's range after one at
+    or below it; None with fewer than two edges.
+    """
+    above = samples > (samples.min() + samples.max()) / 2
+    edges = np.flatnonzero(above[1:] & ~above[:-1])
+    if len(edges) < 2:
+        return None
+    period = (edges[-1] - edges[0]) / (len(edges) - 1)
+    return 69 + 12 * math.log2(44100 / period / 440)
+
+
+class TestRenderMatchesExtraction:
+    """Each voice rendered alone sounds exactly on the frames extraction scores it on."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16))
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_solo_voices(self, seed, n_frames):
+        stream = score_to_writes(random_score(random.Random(seed), n_frames))
+        bounds = frame_sample_index(np.arange(n_frames + 1), 24.0).tolist()
+        # note columns of P1, P2, TR, NO; the noise note is no pitch
+        for voice, (column, pitched) in enumerate(((0, True), (3, True), (6, True), (7, False))):
+            alone = solo(stream, voice)
+            notes = extract(alone).to_array()[:, column].tolist()
+            pcm = render_writes(alone).samples
+            for k, note in enumerate(notes):
+                frame = pcm[bounds[k]:bounds[k + 1]]
+                assert frame.any() == (note > 0), (voice, k)
+                pitch = edge_pitch(frame) if note and pitched else None
+                if pitch is not None:
+                    assert round(pitch) == note, (voice, k, pitch)
