@@ -97,20 +97,33 @@ class Sweep:
 
 
 @dataclass
-class PulseChannelState:
-    duty: int = 0
+class _EnvelopeChannel:
+    """The volume, envelope and length counter the pulses and the noise share."""
+
     length_halt: bool = False       # shared bit: halts length, loops envelope
     constant_volume: bool = False
     volume: int = 0                 # constant level, doubles as envelope period
-    sweep: Sweep = field(default_factory=Sweep)
-    timer_period: int = 0
     length_counter: int = 0
     envelope: Envelope = field(default_factory=Envelope)
     enabled: bool = False
-    ones_complement_sweep: bool = False  # pulse 1 negates with an extra -1
 
     def output_volume(self) -> int:
         return self.volume if self.constant_volume else self.envelope.decay_level
+
+    def clock_length(self) -> bool:
+        """One half-frame length clock; True when the counter reached 0."""
+        if not self.length_halt and self.length_counter > 0:
+            self.length_counter -= 1
+            return self.length_counter == 0
+        return False
+
+
+@dataclass
+class PulseChannelState(_EnvelopeChannel):
+    duty: int = 0
+    sweep: Sweep = field(default_factory=Sweep)
+    timer_period: int = 0
+    ones_complement_sweep: bool = False  # pulse 1 negates with an extra -1
 
     def sounding(self) -> bool:
         return (self.enabled and self.length_counter > 0 and self.output_volume() > 0
@@ -138,13 +151,6 @@ class PulseChannelState:
         else:
             s.divider -= 1
         return self.timer_period != before
-
-    def clock_length(self) -> bool:
-        """One half-frame length clock; True when the counter reached 0."""
-        if not self.length_halt and self.length_counter > 0:
-            self.length_counter -= 1
-            return self.length_counter == 0
-        return False
 
 
 @dataclass
@@ -182,29 +188,13 @@ class TriangleChannelState:
 
 
 @dataclass
-class NoiseChannelState:
+class NoiseChannelState(_EnvelopeChannel):
     mode: int = 0
     period_index: int = 0
-    length_halt: bool = False
-    constant_volume: bool = False
-    volume: int = 0
-    length_counter: int = 0
-    envelope: Envelope = field(default_factory=Envelope)
-    enabled: bool = False
-
-    def output_volume(self) -> int:
-        return self.volume if self.constant_volume else self.envelope.decay_level
 
     def sounding(self) -> bool:
         # the LFSR only advances while this holds
         return self.enabled and self.length_counter > 0 and self.output_volume() > 0
-
-    def clock_length(self) -> bool:
-        """One half-frame length clock; True when the counter reached 0."""
-        if not self.length_halt and self.length_counter > 0:
-            self.length_counter -= 1
-            return self.length_counter == 0
-        return False
 
 
 @dataclass
@@ -270,18 +260,10 @@ class ApuState:
                 self.no.length_counter = LENGTH_TABLE[value >> 3]
             self.no.envelope.start = True
         elif reg == 0x15:
-            self.p1.enabled = bool(value & 0x01)
-            self.p2.enabled = bool(value & 0x02)
-            self.tr.enabled = bool(value & 0x04)
-            self.no.enabled = bool(value & 0x08)
-            if not self.p1.enabled:
-                self.p1.length_counter = 0
-            if not self.p2.enabled:
-                self.p2.length_counter = 0
-            if not self.tr.enabled:
-                self.tr.length_counter = 0
-            if not self.no.enabled:
-                self.no.length_counter = 0
+            for bit, ch in enumerate((self.p1, self.p2, self.tr, self.no)):
+                ch.enabled = bool(value >> bit & 1)
+                if not ch.enabled:
+                    ch.length_counter = 0
         elif reg == 0x17:
             self.frame_mode = 5 if value & 0x80 else 4
         # 0x09, 0x0D, 0x10-0x14 (sampler), 0x16: no-ops
@@ -381,9 +363,12 @@ def pitch_to_midi(timer_period: int, kind: str) -> int | None:
 def midi_to_timer(note: int, kind: str) -> int:
     """Timer period whose pitch maps back to exactly this note.
 
-    Raises NoteOutOfRange when the note is outside the voice's range or (as
-    for pulse MIDI 32, whose ideal period exceeds 11 bits) has no timer value
-    that round-trips.
+    Raises NoteOutOfRange when the note is outside the voice's range or has
+    no timer value that round-trips.  Pulse MIDI 32 is the one such note: it
+    is in the score alphabet (the paper's 4621 pulse states count it), but
+    its ideal period exceeds 11 bits and the nearest timer, 0x7FF, sounds as
+    note 33, which would break the exact round trip, so ``score_to_writes``
+    refuses it, naming the frame.
     """
     table = _table_for(kind)
     if not table.lo <= note <= table.hi:

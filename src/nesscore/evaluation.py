@@ -32,27 +32,23 @@ from .score import (
 
 TASKS = ("separated", "expressive", "blended")
 
-_PULSE_ALPHABET = np.array([0, *range(sc.PULSE_NOTE_MIN, sc.PULSE_NOTE_MAX + 1)], np.int64)
-_TRI_ALPHABET = np.array([0, *range(sc.TRIANGLE_NOTE_MIN, sc.TRIANGLE_NOTE_MAX + 1)], np.int64)
-_NOISE_ALPHABET = np.arange(sc.NOISE_NOTE_MAX + 1, dtype=np.int64)
-_VEL_ALPHABET = np.arange(sc.VELOCITY_MAX + 1, dtype=np.int64)
-_TIMBRE_ALPHABET = np.arange(sc.PULSE_TIMBRE_MAX + 1, dtype=np.int64)
+
+def _category(voice: str, field: str) -> tuple[np.ndarray, int]:
+    """A voice field's alphabet (0 and its sounding values) and frame column, per the schema."""
+    i = sc.FIELD_NAMES.index(field)
+    return np.array(sorted({0, *sc.SCHEMA[voice][i]}), np.int64), sc.VOICE_COLUMNS[voice][i]
+
 
 # category -> (alphabet, column index into the flat expressive frame)
 CATEGORIES = {
-    "separated": {
-        "P1": (_PULSE_ALPHABET, 0),
-        "P2": (_PULSE_ALPHABET, 3),
-        "TR": (_TRI_ALPHABET, 6),
-        "NO": (_NOISE_ALPHABET, 7),
-    },
+    "separated": {voice: _category(voice, "note") for voice in sc.VOICES},
     # noise timbre is omitted: it is set on well under 1% of timesteps
     "expressive": {
-        "V_P1": (_VEL_ALPHABET, 1),
-        "V_P2": (_VEL_ALPHABET, 4),
-        "V_NO": (_VEL_ALPHABET, 8),
-        "T_P1": (_TIMBRE_ALPHABET, 2),
-        "T_P2": (_TIMBRE_ALPHABET, 5),
+        "V_P1": _category("P1", "vel"),
+        "V_P2": _category("P2", "vel"),
+        "V_NO": _category("NO", "vel"),
+        "T_P1": _category("P1", "timbre"),
+        "T_P2": _category("P2", "timbre"),
     },
 }
 
@@ -67,18 +63,13 @@ class AlphabetMismatch(ValueError):
     """A corpus value falls outside the model's category alphabet."""
 
 
-def _poi_mask(arr: np.ndarray) -> np.ndarray:
-    """Timesteps where the value differs from its predecessor; 0 included."""
-    mask = np.empty(arr.shape[0], dtype=bool)
+def _poi_mask(values: np.ndarray) -> np.ndarray:
+    """Timesteps (the last axis) where the value, or for a grid any of its
+    rows, differs from its predecessor; 0 included."""
+    changed = values[..., 1:] != values[..., :-1]
+    mask = np.empty(values.shape[-1], dtype=bool)
     mask[0] = True
-    mask[1:] = arr[1:] != arr[:-1]
-    return mask
-
-
-def _column_poi_mask(grid: np.ndarray) -> np.ndarray:
-    mask = np.empty(grid.shape[1], dtype=bool)
-    mask[0] = True
-    mask[1:] = np.any(grid[:, 1:] != grid[:, :-1], axis=0)
+    mask[1:] = changed.any(axis=0) if values.ndim == 2 else changed
     return mask
 
 
@@ -257,7 +248,7 @@ class NoteUnigramBaseline(_BlendedBaseline):
         self.on_counts = np.zeros(sc.BLENDED_ROWS, dtype=np.int64)
         self.total = 0
 
-    def observe(self, grid):
+    def observe(self, category, grid):
         self.on_counts += grid.sum(axis=1)
         self.total += grid.shape[1]
 
@@ -284,7 +275,7 @@ class ChordUnigramBaseline(_BlendedBaseline):
         self.counts: dict[bytes, int] = {}
         self.total = 0
 
-    def observe(self, grid):
+    def observe(self, category, grid):
         for col in np.ascontiguousarray(grid.T.astype(np.uint8)):
             key = col.tobytes()
             self.counts[key] = self.counts.get(key, 0) + 1
@@ -330,26 +321,17 @@ def fit(kind: str, corpus, task: str):
     if kind == "random":
         return BlendedRandomBaseline() if task == "blended" else RandomBaseline(task)
 
-    data = _category_values(corpus, task)
     if task == "blended":
         model = NoteUnigramBaseline() if kind == "note-unigram" else ChordUnigramBaseline()
-        n = 0
-        for per_score in data:
-            model.observe(per_score["blended"])
-            n += per_score["blended"].shape[1]
-        if n == 0:
-            raise EmptyCorpus(f"cannot fit {kind} on an empty corpus")
-        model.finalize()
-        return model
-
-    model = UnigramBaseline(task) if kind == "unigram" else BigramBaseline(task)
+    else:
+        model = UnigramBaseline(task) if kind == "unigram" else BigramBaseline(task)
     n = 0
-    for per_score in data:
+    for per_score in _category_values(corpus, task):
         for cat in model.category_names:
             values = per_score[cat]
-            if values.shape[0]:
+            if values.shape[-1]:
                 model.observe(cat, values)
-        n += next(iter(per_score.values())).shape[0]
+        n += next(iter(per_score.values())).shape[-1]
     if n == 0:
         raise EmptyCorpus(f"cannot fit {kind} on an empty corpus")
     model.finalize()
@@ -405,8 +387,7 @@ def evaluate(model, corpus, task: str) -> EvalReport:
             n = values.shape[-1]
             if n == 0:
                 continue
-            mask = (_column_poi_mask(values) if values.ndim == 2
-                    else _poi_mask(values))
+            mask = _poi_mask(values)
             logp = model.log_probs(cat, values)
             hits = model.matches(cat, values)
             sums[cat] += (-logp[mask].sum(), -logp.sum(),
@@ -480,14 +461,13 @@ def corpus_stats(corpus) -> CorpusStats:
     total_frames = 0
     note_count = 0
     duration = 0.0
-    note_columns = dict(zip(sc.VOICES, sc.NOTE_COLUMNS))
     for s in corpus:
         arr = s.to_array().astype(np.int64)
         total_frames += arr.shape[0]
         duration += len(s) / s.rate_hz
         if arr.shape[0] == 0:
             continue
-        for voice, col in note_columns.items():
+        for voice, col in zip(sc.VOICES, sc.NOTE_COLUMNS):
             notes = arr[:, col]
             on_counts[voice] += int((notes > 0).sum())
             onsets = _poi_mask(notes) & (notes > 0)

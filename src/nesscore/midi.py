@@ -15,7 +15,11 @@ import numpy as np
 from .score import (
     MAX_TOTAL_SAMPLES,
     SAMPLE_RATE,
+    VELOCITY_MAX,
+    VOICE_COLUMNS,
+    VOICES,
     ExpressiveScore,
+    check_frames,
     check_rate,
     frame_count,
     frame_position,
@@ -25,12 +29,10 @@ PPQ = 22050
 TEMPO_USPQ = 500000           # 120 BPM; 1 tick = 1/44100 s
 CC_EXPRESSION = 11
 CC_TIMBRE = 12
-TRACK_VOICES = ("P1", "P2", "TR", "NO")
 
 _EV_NOTE_OFF = 0
 _EV_CONTROL = 1
 _EV_NOTE_ON = 2
-_VOICE_FIELDS = ((0, 1, 2), (3, 4, 5), (6, None, None), (7, 8, 9))  # note, vel, timbre columns
 
 
 class NotSmf(ValueError):
@@ -47,15 +49,15 @@ def _frame_ticks(n_frames: int, rate_hz: float) -> np.ndarray:
 
 
 def velocity_to_midi(vel: int) -> int:
-    return max(1, round(vel * 127 / 15))
+    return max(1, round(vel * 127 / VELOCITY_MAX))
 
 
 def midi_to_velocity(value: int) -> int:
-    return min(15, max(1, round(value * 15 / 127)))
+    return min(VELOCITY_MAX, max(1, round(value * VELOCITY_MAX / 127)))
 
 
-# midi_to_velocity of every byte value
-_VELOCITY_OF = np.array([midi_to_velocity(value) for value in range(256)], np.int16)
+# midi_to_velocity of every data byte value
+_VELOCITY_OF = np.array([midi_to_velocity(value) for value in range(128)], np.int16)
 
 
 # ---------------------------------------------------------------------------
@@ -83,33 +85,30 @@ def _encode_track(events: list[tuple[int, int, bytes]], end_tick: int) -> bytes:
     return bytes(data)
 
 
-def _voice_events(frames: list[list[int]], voice: int,
+def _voice_events(frames: list[list[int]], ch: int,
                   ticks: list[int]) -> list[tuple[int, int, bytes]]:
-    fields = _VOICE_FIELDS[voice]
-    ch = voice
+    # a voice without velocity and timbre columns (the triangle) sounds at full velocity
+    note_column, *dynamics = VOICE_COLUMNS[VOICES[ch]]
     events: list[tuple[int, int, bytes]] = []
     note = vel = timbre = 0
     for tick, frame in zip(ticks, frames):
-        n = frame[fields[0]]
-        v = frame[fields[1]] if fields[1] is not None else (15 if n else 0)
-        t = frame[fields[2]] if fields[2] is not None else 0
+        n = frame[note_column]
+        v, t = ((frame[dynamics[0]], frame[dynamics[1]]) if dynamics
+                else (VELOCITY_MAX if n else 0, 0))
         if n != note:
             if note:
                 events.append((tick, _EV_NOTE_OFF, bytes((0x80 | ch, note, 0))))
             if n:
-                if fields[2] is not None:
+                if dynamics:
                     events.append((tick, _EV_CONTROL, bytes((0xB0 | ch, CC_TIMBRE, t))))
-                on_vel = velocity_to_midi(v) if fields[1] is not None else 127
-                events.append((tick, _EV_NOTE_ON, bytes((0x90 | ch, n, on_vel))))
-            note, vel, timbre = n, v, t
+                events.append((tick, _EV_NOTE_ON, bytes((0x90 | ch, n, velocity_to_midi(v)))))
         elif n:
-            if v != vel and fields[1] is not None:
+            if v != vel:
                 events.append((tick, _EV_CONTROL,
                                bytes((0xB0 | ch, CC_EXPRESSION, velocity_to_midi(v)))))
-                vel = v
-            if t != timbre and fields[2] is not None:
+            if t != timbre:
                 events.append((tick, _EV_CONTROL, bytes((0xB0 | ch, CC_TIMBRE, t))))
-                timbre = t
+        note, vel, timbre = n, v, t
     if note:
         events.append((ticks[-1], _EV_NOTE_OFF, bytes((0x80 | ch, note, 0))))
     return events
@@ -118,9 +117,11 @@ def _voice_events(frames: list[list[int]], voice: int,
 def score_to_midi(score: ExpressiveScore) -> bytes:
     """Serialize as an SMF type-1 file: tempo track + four voice tracks.
 
-    Raises ValueError for a rate or length ``check_rate`` rejects.
+    Raises ValueError for a rate or length ``check_rate`` rejects, or naming
+    the first frame ``validate`` rejects.
     """
     check_rate(score.rate_hz, len(score))
+    check_frames(score)
     frames = score.to_array().tolist()
     ticks = _frame_ticks(len(frames), score.rate_hz).tolist()
     end_tick = ticks[-1]
@@ -205,14 +206,18 @@ def _parse_track_body(chunk: bytes, offset: int) -> tuple[list[_TrackEvent], int
             raise UnmappableEvent("sysex events are outside the score profile")
         running = status
         kind = status & 0xF0
+        start = pos
         if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
             d1, d2 = chunk[pos], chunk[pos + 1]
             pos += 2
         elif kind in (0xC0, 0xD0):
-            d1, d2 = chunk[pos], None
+            d1, d2 = chunk[pos], 0
             pos += 1
         else:
             raise NotSmf(f"bad status byte {status:#04x} in track at {offset:#x}")
+        if d1 >= 0x80 or d2 >= 0x80:
+            at = start if d1 >= 0x80 else start + 1
+            raise NotSmf(f"data byte {chunk[at]:#04x} at {offset + at:#x} is not below 0x80")
         if kind == 0x80 or (kind == 0x90 and d2 == 0):
             events.append((tick, 0x80, d1, 0))
         elif kind == 0x90:
@@ -251,7 +256,11 @@ def _chunks(data: bytes):
 
 
 def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
-    """Inverse of score_to_midi up to frame quantization at rate_hz."""
+    """Inverse of score_to_midi up to frame quantization at rate_hz.
+
+    A frame ``validate`` rejects is an UnmappableEvent naming the frame and
+    its track (1-4 for P1, P2, TR, NO; track 0 holds the tempo).
+    """
     _fmt, division, tracks = _chunks(data)
     if division != PPQ:
         raise UnmappableEvent(f"division {division}; profile requires {PPQ}")
@@ -289,10 +298,12 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
         # Frame k holds the state after the events at or before its tick.
         seen = np.searchsorted(tick, ticks, "right")
         sounding = note[seen] > 0
-        for column, held in zip(_VOICE_FIELDS[voice], (note, vel, timbre)):
-            if column is not None:
-                frames[:, column] = held[seen] * sounding
-    return ExpressiveScore(float(rate_hz), frames)
+        for column, held in zip(VOICE_COLUMNS[VOICES[voice]], (note, vel, timbre)):
+            frames[:, column] = held[seen] * sounding
+    score = ExpressiveScore(float(rate_hz), frames)
+    check_frames(score, lambda d: UnmappableEvent(
+        f"frame {d.frame_index}, track {VOICES.index(d.voice) + 1}: {d.voice} {d.message}"))
+    return score
 
 
 def _held(mask: np.ndarray, values: np.ndarray) -> np.ndarray:

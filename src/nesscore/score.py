@@ -6,8 +6,9 @@ Three representations of the same material, ordered by information content:
 * separated score  -- note-only 4xT matrix, one monophonic row per voice
 * blended score    -- 88xT binary piano roll, union of the melodic voices
 
-Plus the 24 Hz downsampling step, validation, the NESSCORE text format and
-the composer-disjoint corpus split.
+Plus the frame schema (``SCHEMA``, checked by ``validate`` and, in every
+reader and writer, by ``check_frames``), the 24 Hz downsampling step, the
+NESSCORE text format and the composer-disjoint corpus split.
 """
 
 import itertools
@@ -21,15 +22,32 @@ import numpy as np
 SAMPLE_RATE = 44100
 DEFAULT_RATE_HZ = 24.0
 
-VOICES = ("P1", "P2", "TR", "NO")
-NOTE_COLUMNS = (0, 3, 6, 7)     # each voice's note field in a frame, in VOICES order
-
 PULSE_NOTE_MIN, PULSE_NOTE_MAX = 32, 108
 TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX = 21, 108
 NOISE_NOTE_MAX = 16
 VELOCITY_MAX = 15
-PULSE_TIMBRE_MAX = 3
-NOISE_TIMBRE_MAX = 1
+
+# The frame schema.  A frame holds each voice's fields in turn, in the order
+# of this table: its note, then its velocity and timbre where it has them.
+# A voice is off, 0 in every field, or sounding, with each field in its
+# range here: a note in the voice's range, velocity 1-15 and a timbre within
+# its bound.  Noise "notes" 1..16 index period, higher = noisier/brighter.
+_VELOCITIES = range(1, VELOCITY_MAX + 1)
+_PULSE = (range(PULSE_NOTE_MIN, PULSE_NOTE_MAX + 1), _VELOCITIES, range(4))  # timbre: duty
+SCHEMA = {
+    "P1": _PULSE,
+    "P2": _PULSE,
+    "TR": (range(TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX + 1),),
+    "NO": (range(1, NOISE_NOTE_MAX + 1), _VELOCITIES, range(2)),     # timbre: mode
+}
+FIELD_NAMES = ("note", "vel", "timbre")
+VOICES = tuple(SCHEMA)
+# (voice, field name, sounding values) of each frame column, in column order
+_FIELDS = [(voice, name, values) for voice, fields in SCHEMA.items()
+           for name, values in zip(FIELD_NAMES, fields)]
+VOICE_COLUMNS = {voice: tuple(c for c, field in enumerate(_FIELDS) if field[0] == voice)
+                 for voice in VOICES}
+NOTE_COLUMNS = tuple(columns[0] for columns in VOICE_COLUMNS.values())
 
 # Blended grid covers the 88 piano keys, bottom row = MIDI 21.
 BLENDED_NOTE_MIN = 21
@@ -49,11 +67,8 @@ class BadFieldValue(ValueError):
 
 
 class ExpressiveFrame(NamedTuple):
-    """One timestep of the expressive representation (all fields integers).
-
-    ``note == 0`` is the canonical off state: velocity and timbre are then 0
-    as well.  Noise "notes" 1..16 index period, higher = noisier/brighter.
-    """
+    """One timestep of the expressive representation (all fields integers),
+    each voice's fields in ``SCHEMA`` order."""
 
     p1_note: int = 0
     p1_vel: int = 0
@@ -209,67 +224,65 @@ def to_blended(score: SeparatedScore) -> BlendedScore:
 # ---------------------------------------------------------------------------
 # validation
 
-def _check_melodic(out, i, voice, note, vel, timbre, note_min, timbre_max):
-    if not (note == 0 or note_min <= note <= PULSE_NOTE_MAX):
-        out.append(Diagnostic(i, voice,
-                              f"note {note} outside {{0}} u [{note_min},{PULSE_NOTE_MAX}]"))
-    if not 0 <= vel <= VELOCITY_MAX:
-        out.append(Diagnostic(i, voice, f"velocity {vel} outside [0,{VELOCITY_MAX}]"))
-    if not 0 <= timbre <= timbre_max:
-        out.append(Diagnostic(i, voice, f"timbre {timbre} outside [0,{timbre_max}]"))
-    if note == 0 and (vel != 0 or timbre != 0):
-        out.append(Diagnostic(i, voice, "off state must be (0, 0, 0)"))
-    if note != 0 and vel == 0:
-        out.append(Diagnostic(i, voice, "sounding note with velocity 0"))
+# Per frame column, one row each: the least value it holds while its voice
+# sounds, how far above that it may go, and its voice's note column.
+_LO = np.array([[values.start] for _voice, _name, values in _FIELDS], np.int16)
+_SPAN = np.array([[len(values) - 1] for _voice, _name, values in _FIELDS], np.uint16)
+_NOTE_OF = np.array([VOICE_COLUMNS[voice][0] for voice, _name, _values in _FIELDS])
 
 
 def validate(score: ExpressiveScore) -> list[Diagnostic]:
-    """Return one diagnostic per invariant violation (empty list if valid)."""
-    out: list[Diagnostic] = []
-    for i, f in enumerate(score.frames):
-        _check_melodic(out, i, "P1", f.p1_note, f.p1_vel, f.p1_timbre,
-                       PULSE_NOTE_MIN, PULSE_TIMBRE_MAX)
-        _check_melodic(out, i, "P2", f.p2_note, f.p2_vel, f.p2_timbre,
-                       PULSE_NOTE_MIN, PULSE_TIMBRE_MAX)
-        if not (f.tr_note == 0 or TRIANGLE_NOTE_MIN <= f.tr_note <= TRIANGLE_NOTE_MAX):
-            out.append(Diagnostic(i, "TR", f"note {f.tr_note} outside {{0}} u "
-                                  f"[{TRIANGLE_NOTE_MIN},{TRIANGLE_NOTE_MAX}]"))
-        if not 0 <= f.no_note <= NOISE_NOTE_MAX:
-            out.append(Diagnostic(i, "NO", f"note {f.no_note} outside [0,{NOISE_NOTE_MAX}]"))
-        if not 0 <= f.no_vel <= VELOCITY_MAX:
-            out.append(Diagnostic(i, "NO", f"velocity {f.no_vel} outside [0,{VELOCITY_MAX}]"))
-        if not 0 <= f.no_timbre <= NOISE_TIMBRE_MAX:
-            out.append(Diagnostic(i, "NO", f"timbre {f.no_timbre} outside [0,{NOISE_TIMBRE_MAX}]"))
-        if f.no_note == 0 and (f.no_vel != 0 or f.no_timbre != 0):
-            out.append(Diagnostic(i, "NO", "off state must be (0, 0, 0)"))
-        if f.no_note != 0 and f.no_vel == 0:
-            out.append(Diagnostic(i, "NO", "sounding note with velocity 0"))
+    """One diagnostic per schema violation, by frame, then voice: a field
+    outside {0} u its sounding range, an off voice with a field not 0, a
+    sounding voice at velocity 0.  An empty list if the score is valid."""
+    values = score.to_array()
+    rows = values.T.copy()      # contiguous rows make each mask one fast pass
+    zero = rows == 0
+    off = zero[_NOTE_OF]
+    # below _LO the difference wraps to above every span
+    in_range = (rows - _LO).view(np.uint16) <= _SPAN
+    # The rule: a field is 0 while its voice is off, in its range while it sounds.
+    valid = (off & zero) | (~off & in_range)
+    if valid.all():
+        return []
+    # Each field breaking it is out of range, set while its voice is off, or
+    # a velocity of 0 while its voice sounds.
+    checks = []     # (frames failing it, voice, column shown as {value}, message)
+    for voice, columns in VOICE_COLUMNS.items():
+        for c, label in zip(columns, ("note", "velocity", "timbre")):
+            lo, hi = _FIELDS[c][2][0], _FIELDS[c][2][-1]
+            allowed = f"[0,{hi}]" if lo <= 1 else f"{{0}} u [{lo},{hi}]"
+            checks.append((~(zero[c] | in_range[c]), voice, c,
+                           f"{label} {{value}} outside {allowed}"))
+        if len(columns) > 1:
+            note, vel, timbre = columns
+            checks.append((off[vel] & ~(valid[vel] & valid[timbre]), voice, note,
+                           "off state must be (0, 0, 0)"))
+            checks.append((zero[vel] & ~valid[vel], voice, vel, "sounding note with velocity 0"))
+    frames, failed = np.nonzero(np.array([mask for mask, *_ in checks]).T)
+    out = []
+    for i, k in zip(frames.tolist(), failed.tolist()):     # once per diagnostic
+        _mask, voice, column, text = checks[k]
+        out.append(Diagnostic(i, voice, text.replace("{value}", str(values[i, column]))))
     return out
 
 
-def voice_state_space(voice: str) -> set[tuple]:
-    """Enumerate the distinct per-frame states a voice can take.
+def check_frames(score: ExpressiveScore, error=lambda d: ValueError(
+        f"frame {d.frame_index}: {d.voice} {d.message}")) -> None:
+    """Raise ``error(d)``, d the first diagnostic ``validate`` gives, if any."""
+    diagnostics = validate(score)
+    if diagnostics:
+        raise error(diagnostics[0])
 
-    Sizes: pulse 1 + 77*15*4 = 4621, triangle 1 + 88 = 89,
-    noise 1 + 16*15*2 = 481.
+
+def voice_state_space(voice: str) -> set[tuple]:
+    """The distinct per-frame states a voice can take: off, or each field in
+    its sounding range.  Sizes: pulse 1 + 77*15*4 = 4621, triangle 1 + 88 =
+    89, noise 1 + 16*15*2 = 481.
     """
-    if voice in ("P1", "P2"):
-        states = {(0, 0, 0)}
-        for n in range(PULSE_NOTE_MIN, PULSE_NOTE_MAX + 1):
-            for v in range(1, VELOCITY_MAX + 1):
-                for t in range(PULSE_TIMBRE_MAX + 1):
-                    states.add((n, v, t))
-        return states
-    if voice == "TR":
-        return {(0,)} | {(n,) for n in range(TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX + 1)}
-    if voice == "NO":
-        states = {(0, 0, 0)}
-        for n in range(1, NOISE_NOTE_MAX + 1):
-            for v in range(1, VELOCITY_MAX + 1):
-                for m in range(NOISE_TIMBRE_MAX + 1):
-                    states.add((n, v, m))
-        return states
-    raise ValueError(f"unknown voice {voice!r}")
+    if voice not in SCHEMA:
+        raise ValueError(f"unknown voice {voice!r}")
+    return {(0,) * len(SCHEMA[voice]), *itertools.product(*SCHEMA[voice])}
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +294,9 @@ def voice_state_space(voice: str) -> set[tuple]:
 # p1.note p1.vel p1.timbre p2.note p2.vel p2.timbre tr.note no.note no.vel no.timbre
 # Lines end in "\n" or "\r\n"; the end of the last line may be omitted.
 
-_FIELD_BOUNDS = (
-    ("p1.note", 0, PULSE_NOTE_MAX), ("p1.vel", 0, VELOCITY_MAX),
-    ("p1.timbre", 0, PULSE_TIMBRE_MAX), ("p2.note", 0, PULSE_NOTE_MAX),
-    ("p2.vel", 0, VELOCITY_MAX), ("p2.timbre", 0, PULSE_TIMBRE_MAX),
-    ("tr.note", 0, TRIANGLE_NOTE_MAX), ("no.note", 0, NOISE_NOTE_MAX),
-    ("no.vel", 0, VELOCITY_MAX), ("no.timbre", 0, NOISE_TIMBRE_MAX),
-)
-# Every lower bound is 0; the upper bounds in frame-field order.
-_FIELD_MAX = np.array([hi for _name, _lo, hi in _FIELD_BOUNDS], dtype=np.int16)
+# Each field's name and upper bound; every lower bound is 0.
+_FIELD_BOUNDS = tuple((f"{voice.lower()}.{name}", values[-1]) for voice, name, values in _FIELDS)
+_FIELD_MAX = np.array([hi for _name, hi in _FIELD_BOUNDS], np.int16)
 _FRAME_LINE = " ".join(["%d"] * len(_FIELD_BOUNDS))
 
 # The most samples a stream may span: write_vgm encodes offsets in 32 bits.
@@ -316,8 +323,10 @@ def _format_rate(rate_hz: float) -> str:
 
 
 def write_score_text(score: ExpressiveScore) -> bytes:
-    """NESSCORE text of a score; ValueError for a rate or length ``check_rate`` rejects."""
+    """NESSCORE text of a score; ValueError for a rate or length ``check_rate``
+    rejects, or naming the first frame ``validate`` rejects."""
     check_rate(score.rate_hz, len(score))
+    check_frames(score)
     lines = [f"NESSCORE 1 {_format_rate(score.rate_hz)} {len(score)}"]
     lines.extend(_FRAME_LINE % tuple(row) for row in score.to_array().tolist())
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -327,9 +336,12 @@ def read_score_text(data: bytes) -> ExpressiveScore:
     """Parse NESSCORE text, raising MalformedHeader or BadFieldValue.
 
     The body is parsed and bounds-checked in one vectorised pass over its
-    bytes; see ``_read_body``.
+    bytes (see ``_read_body``); a body that passes is then checked against
+    the frame schema, and the first frame ``validate`` rejects is a
+    BadFieldValue at its line.
     """
-    data = data.replace(b"\r\n", b"\n")
+    if b"\r" in data:      # with no CR, replace's scan costs as much as check_frames
+        data = data.replace(b"\r\n", b"\n")
     if not data:
         raise MalformedHeader("empty file")
     head_line, _, body = data.partition(b"\n")
@@ -356,7 +368,9 @@ def read_score_text(data: bytes) -> ExpressiveScore:
         n_lines += 1
     if n_lines != n_frames:
         raise MalformedHeader(f"expected {n_frames} frame lines, found {n_lines}")
-    return ExpressiveScore(rate_hz, _read_body(body, n_lines))
+    score = ExpressiveScore(rate_hz, _read_body(body, n_lines))
+    check_frames(score, lambda d: BadFieldValue(d.frame_index + 2, f"{d.voice} {d.message}"))
+    return score
 
 
 def _read_body(body: bytes, n_lines: int) -> np.ndarray:
@@ -409,12 +423,12 @@ def _line_error(body: bytes, index: int) -> BadFieldValue:
     parts = body.split(b"\n")[index].decode("utf-8", "backslashreplace").split(" ")
     if len(parts) != 10:
         return BadFieldValue(line_number, f"expected 10 fields, found {len(parts)}")
-    for (name, lo, hi), part in zip(_FIELD_BOUNDS, parts):
+    for (name, hi), part in zip(_FIELD_BOUNDS, parts):
         if not (part.isascii() and part.isdigit()):
             return BadFieldValue(line_number, f"{name}: {part!r} is not an integer")
         v = int(part)
-        if not lo <= v <= hi:
-            return BadFieldValue(line_number, f"{name}: {v} outside [{lo},{hi}]")
+        if v > hi:
+            return BadFieldValue(line_number, f"{name}: {v} outside [0,{hi}]")
     return BadFieldValue(line_number, "line does not match the frame grammar")
 
 

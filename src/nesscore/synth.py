@@ -23,7 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import apu
-from .score import NOISE_NOTE_MAX, SAMPLE_RATE, ExpressiveScore, check_rate, frame_sample_index
+from .score import (
+    NOISE_NOTE_MAX,
+    SAMPLE_RATE,
+    SILENCE,
+    VOICES,
+    ExpressiveScore,
+    check_frames,
+    check_rate,
+    frame_sample_index,
+)
 from .vgm import TimedWrite, TimedWriteStream
 
 DUTY_SEQUENCES = (
@@ -202,10 +211,13 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
     immediate sequencer clock loads the linear counter within the same
     sample.  Sweep units get negate-mode setup ($4001/$4005 = 0x08) before
     first use so low notes are not force-muted by the target-overflow rule.
-    Raises ValueError for a rate or length ``check_rate`` rejects.
+    Raises ValueError for a rate or length ``check_rate`` rejects, or naming
+    the first frame ``validate`` rejects, and NoteOutOfRange naming the frame
+    and voice of a pulse note 32, which no 11-bit timer sounds.
     """
+    check_rate(score.rate_hz, len(score))
+    check_frames(score)
     frames = score.frames
-    check_rate(score.rate_hz, len(frames))
     writes: list[TimedWrite] = []
     # Frame k's writes land on its sample; the one past the last frame ends the stream.
     *starts, total = frame_sample_index(np.arange(len(frames) + 1), score.rate_hz).tolist()
@@ -213,10 +225,10 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
     def emit(sample, reg, value):
         writes.append(TimedWrite(sample, reg, value))
 
-    prev = None
+    prev = SILENCE
     prev_mask = None
     sweep_ready = [False, False]
-    for s, f in zip(starts, frames):
+    for k, (s, f) in enumerate(zip(starts, frames)):
         mask = ((f.p1_note > 0) | ((f.p2_note > 0) << 1)
                 | ((f.tr_note > 0) << 2) | ((f.no_note > 0) << 3))
         if mask != prev_mask:
@@ -224,10 +236,8 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
             prev_mask = mask
 
         for i, (note, vel, timbre, old) in enumerate((
-            (f.p1_note, f.p1_vel, f.p1_timbre,
-             (prev.p1_note, prev.p1_vel, prev.p1_timbre) if prev else (0, 0, 0)),
-            (f.p2_note, f.p2_vel, f.p2_timbre,
-             (prev.p2_note, prev.p2_vel, prev.p2_timbre) if prev else (0, 0, 0)),
+            (f.p1_note, f.p1_vel, f.p1_timbre, (prev.p1_note, prev.p1_vel, prev.p1_timbre)),
+            (f.p2_note, f.p2_vel, f.p2_timbre, (prev.p2_note, prev.p2_vel, prev.p2_timbre)),
         )):
             base = 0x4000 + 4 * i
             if note == 0:
@@ -237,35 +247,34 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
                 sweep_ready[i] = True
             control = (timbre << 6) | 0x30 | vel
             if note != old[0]:
-                timer = apu.midi_to_timer(note, "pulse")
+                try:
+                    timer = apu.midi_to_timer(note, "pulse")
+                except apu.NoteOutOfRange as exc:
+                    raise apu.NoteOutOfRange(f"frame {k}: {VOICES[i]} {exc}") from None
                 emit(s, base + 0, control)
                 emit(s, base + 2, timer & 0xFF)
                 emit(s, base + 3, _LENGTH_LOAD_MAX | (timer >> 8))
             elif (vel, timbre) != old[1:]:
                 emit(s, base + 0, control)
 
-        tr_old = prev.tr_note if prev else 0
         tr_onset = False
-        if f.tr_note > 0 and f.tr_note != tr_old:
+        if f.tr_note > 0 and f.tr_note != prev.tr_note:
             timer = apu.midi_to_timer(f.tr_note, "triangle")
             emit(s, 0x4008, 0xFF)
             emit(s, 0x400A, timer & 0xFF)
             emit(s, 0x400B, _LENGTH_LOAD_MAX | (timer >> 8))
-            tr_onset = tr_old == 0
-        elif f.tr_note == 0 and tr_old > 0:
+            tr_onset = prev.tr_note == 0
+        elif f.tr_note == 0 and prev.tr_note > 0:
             emit(s, 0x4008, 0x80)
 
-        no_old = (prev.no_note, prev.no_vel, prev.no_timbre) if prev else (0, 0, 0)
         if f.no_note > 0:
-            if f.no_note != no_old[0]:
+            onset = f.no_note != prev.no_note
+            if onset or f.no_vel != prev.no_vel:
                 emit(s, 0x400C, 0x30 | f.no_vel)
+            if onset or f.no_timbre != prev.no_timbre:
                 emit(s, 0x400E, (f.no_timbre << 7) | (NOISE_NOTE_MAX - f.no_note))
+            if onset:
                 emit(s, 0x400F, _LENGTH_LOAD_MAX)
-            else:
-                if f.no_vel != no_old[1]:
-                    emit(s, 0x400C, 0x30 | f.no_vel)
-                if f.no_timbre != no_old[2]:
-                    emit(s, 0x400E, (f.no_timbre << 7) | (NOISE_NOTE_MAX - f.no_note))
 
         if tr_onset:
             # immediate 5-step clock reloads the linear counter at this sample

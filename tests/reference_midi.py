@@ -12,7 +12,6 @@ from nesscore.midi import (
     CC_EXPRESSION,
     PPQ,
     UnmappableEvent,
-    _VOICE_FIELDS,
     _chunks,
     _frame_ticks,
     _parse_track,
@@ -21,6 +20,7 @@ from nesscore.midi import (
 from nesscore.score import (
     MAX_TOTAL_SAMPLES,
     SAMPLE_RATE,
+    VOICE_COLUMNS,
     ExpressiveScore,
     check_rate,
     frame_count,
@@ -51,8 +51,7 @@ def midi_to_score_by_frame(data: bytes, rate_hz: float) -> ExpressiveScore:
     n_frames = round(end_tick * rate_hz / SAMPLE_RATE)
     ticks = _frame_ticks(n_frames, rate_hz).tolist()
     columns = [[0] * n_frames for _ in range(10)]
-    for voice, events in enumerate(voice_events):
-        fields = _VOICE_FIELDS[voice]
+    for fields, events in zip(VOICE_COLUMNS.values(), voice_events):
         note = vel = timbre = 0
         ei = 0
         for k in range(n_frames):
@@ -69,9 +68,7 @@ def midi_to_score_by_frame(data: bytes, rate_hz: float) -> ExpressiveScore:
                     timbre = d2
                 ei += 1
             if note:
-                columns[fields[0]][k] = note
-                if fields[1] is not None:
-                    columns[fields[1]][k] = vel
-                if fields[2] is not None:
-                    columns[fields[2]][k] = timbre
+                # the triangle has a note column only
+                for column, value in zip(fields, (note, vel, timbre)):
+                    columns[column][k] = value
     return ExpressiveScore(float(rate_hz), np.array(columns, np.int16).T)

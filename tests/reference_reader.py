@@ -43,13 +43,13 @@ def read_score_text_by_line(data: bytes) -> ExpressiveScore:
         if len(parts) != 10:
             raise BadFieldValue(i, f"expected 10 fields, found {len(parts)}")
         values = []
-        for (name, lo, hi), part in zip(_FIELD_BOUNDS, parts):
+        for (name, hi), part in zip(_FIELD_BOUNDS, parts):
             try:
                 v = int(part)
             except ValueError:
                 raise BadFieldValue(i, f"{name}: {part!r} is not an integer") from None
-            if not lo <= v <= hi:
-                raise BadFieldValue(i, f"{name}: {v} outside [{lo},{hi}]")
+            if not 0 <= v <= hi:
+                raise BadFieldValue(i, f"{name}: {v} outside [0,{hi}]")
             values.append(v)
         frames.append(ExpressiveFrame(*values))
     return ExpressiveScore(rate_hz=rate_hz, frames=frames)

@@ -38,6 +38,10 @@ class TestFindPois:
     def test_all_changes(self):
         assert pois([1, 2, 3]) == {0, 1, 2}
 
+    def test_grid_column_changes_when_any_row_does(self):
+        # blended grids: one row per key, POIs along the time axis
+        assert pois([[0, 0, 1, 1, 1], [1, 1, 1, 0, 0]]) == {0, 2, 3}
+
 
 class TestRandomBaseline:
     def test_separated_closed_forms(self):

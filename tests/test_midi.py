@@ -18,7 +18,7 @@ from nesscore.midi import (
     score_to_midi,
     velocity_to_midi,
 )
-from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore
+from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore, validate
 from reference_midi import midi_to_score_by_frame
 
 
@@ -238,6 +238,25 @@ class TestImportErrors:
         with pytest.raises(NotSmf, match=f"at {length_at:#x} is longer than 4 bytes"):
             midi_to_score(data, 24.0)
 
+    def test_data_byte_with_high_bit_rejected(self):
+        # a note-on whose data bytes 0xC8 0xFF would read as pitch 200, velocity 15
+        data = five_track_file(b"\x00\x90\xc8\xff\x8e\x2e\x80\xc8\x00")
+        at = data.index(b"MTrk", data.index(b"MTrk") + 1) + 8 + 2
+        with pytest.raises(NotSmf, match=f"data byte 0xc8 at {at:#x} is not below 0x80"):
+            midi_to_score(data, 24.0)
+        # the second data byte too, and under running status
+        data = five_track_file(b"\x00\x90\x45\x7f\x00\x45\x80")
+        at = data.index(b"MTrk", data.index(b"MTrk") + 1) + 8 + 6
+        with pytest.raises(NotSmf, match=f"data byte 0x80 at {at:#x} is not below 0x80"):
+            midi_to_score(data, 24.0)
+
+    def test_timbre_outside_the_voice_rejected(self):
+        # duty 9 on pulse 1, set before its note
+        body = b"\x00\xb0\x0c\x09\x00\x90\x45\x7f\x8e\x2e\x80\x45\x00"
+        message = r"^frame 0, track 1: P1 timbre 9 outside \[0,3\]$"
+        with pytest.raises(UnmappableEvent, match=message):
+            midi_to_score(five_track_file(body), 24.0)
+
     def test_running_status_accepted(self):
         # two notes sharing one status byte; deltas of 8000 ticks (VLQ be 40)
         body = (b"\x00\x90\x45\x7f"      # on 69
@@ -265,6 +284,26 @@ HAND_BUILT = {
 }
 
 
+def noise_range(events):
+    """The same events with pitches folded into noise notes 1-16 and timbres into 0-1."""
+    return [(delta, status, 1 + d1 % 16 if status != 0xB0 else d1,
+             min(d2, 1) if (status, d1) == (0xB0, 12) else d2)
+            for delta, status, d1, d2 in events]
+
+
+def hand_built_file(events, voice: int) -> bytes:
+    """Tempo track and four voice tracks, the events on the given voice's."""
+    def track(body):
+        return b"MTrk" + struct.pack(">I", len(body)) + body
+    eot = b"\x00\xff\x2f\x00"
+    body = b"".join(_vlq(delta) + bytes((status | voice, d1, d2))
+                    for delta, status, d1, d2 in events)
+    voices = [track(eot)] * 4
+    voices[voice] = track(body + eot)
+    return (b"MThd" + struct.pack(">IHHH", 6, 1, 5, PPQ)
+            + track(b"\x00\xff\x51\x03\x07\xa1\x20" + eot) + b"".join(voices))
+
+
 class TestImportAgainstReference:
     """The vectorised import against the per-frame one in reference_midi."""
 
@@ -279,21 +318,21 @@ class TestImportAgainstReference:
     @pytest.mark.parametrize("events", HAND_BUILT.values(), ids=HAND_BUILT.keys())
     @pytest.mark.parametrize("voice", range(4))
     def test_hand_built(self, events, voice):
-        def track(body):
-            return b"MTrk" + struct.pack(">I", len(body)) + body
-        eot = b"\x00\xff\x2f\x00"
-        body = b"".join(_vlq(delta) + bytes((status | voice, d1, d2))
-                        for delta, status, d1, d2 in events)
-        voices = [track(eot)] * 4
-        voices[voice] = track(body + eot)
-        data = (b"MThd" + struct.pack(">IHHH", 6, 1, 5, PPQ)
-                + track(b"\x00\xff\x51\x03\x07\xa1\x20" + eot) + b"".join(voices))
+        # the noise voice plays the same timing on its own notes and modes
+        data = hand_built_file(noise_range(events) if voice == 3 else events, voice)
         sounded = False
         for rate in (24.0, 29.97, 1000.0):
             score = midi_to_score(data, rate)
             assert score == midi_to_score_by_frame(data, rate)
             sounded |= score.to_array()[:, (0, 3, 6, 7)[voice]].any()
         assert sounded
+
+    def test_pitch_outside_the_noise_voice_rejected(self):
+        data = hand_built_file(HAND_BUILT["events after the last frame"], 3)
+        for rate in (24.0, 29.97, 1000.0):
+            with pytest.raises(UnmappableEvent,
+                               match=r"^frame 0, track 4: NO note 69 outside \[0,16\]$"):
+                midi_to_score(data, rate)
 
 
 MIDI_EDIT = st.tuples(
@@ -309,7 +348,7 @@ class TestByteMutations:
     def test_only_typed_errors(self, seed, n_frames, edits):
         data = mutate(score_to_midi(random_score(random.Random(seed), n_frames)), edits)
         try:
-            midi_to_score(data, 24.0)
+            assert validate(midi_to_score(data, 24.0)) == []
         except (NotSmf, UnmappableEvent):
             pass
         except ValueError as exc:

@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import mutate, random_score, timeline_of
 from nesscore.midi import _frame_ticks, score_to_midi
 from nesscore.score import (
     MAX_TOTAL_SAMPLES,
     SAMPLE_RATE,
+    SCHEMA,
     SILENCE,
+    VOICE_COLUMNS,
+    _FIELDS,
     BadFieldValue,
     CorpusEntry,
     ExpressiveFrame,
     ExpressiveScore,
     MalformedHeader,
+    check_frames,
     check_rate,
     downsample,
     frame_count,
@@ -28,12 +33,14 @@ from nesscore.score import (
     to_blended,
     to_separated,
     validate,
+    voice_state_space,
     write_score_text,
 )
 from nesscore.synth import score_to_writes
 from reference_downsample import downsample_by_frame
 import reference_frames as ref
 from reference_reader import read_score_text_by_line
+from reference_validate import validate_by_frame
 
 A_FRAME = ExpressiveFrame(p1_note=69, p1_vel=12, p1_timbre=2, tr_note=57,
                           no_note=12, no_vel=9, no_timbre=1)
@@ -218,6 +225,45 @@ class TestValidate:
         messages = [d.voice for d in validate(ExpressiveScore(24.0, [frame]))]
         assert messages.count("P1") == 2 and "TR" in messages and "NO" in messages
 
+    # Values near every bound, 0 and the int16 extremes; a field drawn at random
+    # from them makes valid and invalid voices about equally common.
+    VALUES = st.one_of(st.just(0), st.integers(-2, 20), st.integers(19, 110),
+                       st.sampled_from([-32768, -1, 109, 32767]))
+
+    @given(arrays(np.int16, st.tuples(st.integers(0, 12), st.just(10)), elements=VALUES))
+    @settings(max_examples=400)
+    def test_same_diagnostics_as_reference(self, values):
+        score = ExpressiveScore(24.0, values)
+        expected = validate_by_frame(score)
+        assert validate(score) == expected
+        if not expected:
+            check_frames(score)
+            return
+        first = expected[0]
+        with pytest.raises(ValueError) as exc:
+            check_frames(score)
+        assert str(exc.value) == f"frame {first.frame_index}: {first.voice} {first.message}"
+
+    @pytest.mark.parametrize("voice, maxima", [("P1", (108, 15, 3)), ("P2", (108, 15, 3)),
+                                               ("TR", (108,)), ("NO", (16, 15, 1))])
+    def test_state_space_is_what_validate_accepts(self, voice, maxima):
+        # every combination of the voice's field values within the reader's bounds
+        states = np.indices([hi + 1 for hi in maxima]).reshape(len(maxima), -1).T
+        values = np.zeros((len(states), 10), np.int16)
+        values[:, VOICE_COLUMNS[voice]] = states
+        rejected = {d.frame_index for d in validate(ExpressiveScore(24.0, values))}
+        accepted = {tuple(state) for i, state in enumerate(states.tolist()) if i not in rejected}
+        assert accepted == voice_state_space(voice)
+        assert len(SCHEMA[voice]) == len(maxima)
+
+    def test_frame_layout_derived_from_the_schema(self):
+        # the column order NESSCORE lines and MIDI tracks depend on
+        assert VOICE_COLUMNS == {"P1": (0, 1, 2), "P2": (3, 4, 5), "TR": (6,), "NO": (7, 8, 9)}
+        # the typed NamedTuple names the same columns, in the schema's order
+        assert ExpressiveFrame._fields == tuple(
+            f"{voice.lower()}_{name}" for voice, name, _values in _FIELDS)
+        assert SILENCE == (0,) * 10
+
 
 class TestTextFormat:
     def test_round_trip(self, rng):
@@ -260,10 +306,35 @@ class TestTextFormat:
             read_score_text(b"NESSCORE 1 24 1\n200 5 0 0 0 0 0 0 0 0\n")
 
     def test_alphabet_gap_left_to_validate(self):
-        # numeric bounds are the parser's job; the {0} u [32,108] gap is
-        # a semantic invariant that validate() diagnoses
-        score = read_score_text(b"NESSCORE 1 24 1\n31 5 0 0 0 0 0 0 0 0\n")
-        assert len(validate(score)) == 1
+        # within the field bounds, the {0} u [32,108] gap is a schema rule
+        # that validate() diagnoses and the reader enforces
+        data = b"NESSCORE 1 24 1\n31 5 0 0 0 0 0 0 0 0\n"
+        assert len(validate(read_score_text_by_line(data))) == 1
+        with pytest.raises(BadFieldValue) as exc:
+            read_score_text(data)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("line, message", [
+        (b"5 3 0 0 0 0 0 0 0 0", "P1 note 5 outside {0} u [32,108]"),
+        (b"60 0 0 0 0 0 0 0 0 0", "P1 sounding note with velocity 0"),
+        (b"0 3 1 0 0 0 0 0 0 0", "P1 off state must be (0, 0, 0)"),
+        (b"0 0 0 0 0 0 5 0 0 0", "TR note 5 outside {0} u [21,108]"),
+    ])
+    def test_invalid_frame_rejected_with_line(self, line, message):
+        # each line is within the field bounds, so the line-by-line reference reads it
+        good = b"0 0 0 0 0 0 0 0 0 0"
+        data = b"NESSCORE 1 24 3\n" + b"\n".join([good, line, line]) + b"\n"
+        assert validate(read_score_text_by_line(data))[0].frame_index == 1
+        with pytest.raises(BadFieldValue) as exc:
+            read_score_text(data)
+        assert exc.value.line_number == 3 and str(exc.value) == f"line 3: {message}"
+
+    def test_bad_field_wins_over_an_earlier_invalid_frame(self):
+        # the grammar and field bounds are checked over the whole body first
+        data = b"NESSCORE 1 24 2\n5 3 0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0 0 x\n"
+        with pytest.raises(BadFieldValue) as exc:
+            read_score_text(data)
+        assert exc.value.line_number == 3
 
     @given(st.integers(0, 40), st.sampled_from([24.0, 12.0, 60.0, 29.97]))
     @settings(max_examples=40)
@@ -337,8 +408,14 @@ class TestReaderAgainstReference:
     def test_byte_mutations(self, seed, n, edits):
         data = mutate(write_score_text(random_score(random.Random(seed), n)), edits)
         got = outcome(read_score_text, data)   # raises on any other error type
+        if isinstance(got, ExpressiveScore):
+            assert validate(got) == []
         if plain_decimal(data):
-            assert got == outcome(read_score_text_by_line, data)
+            expected = outcome(read_score_text_by_line, data)
+            if isinstance(expected, ExpressiveScore) and validate(expected):
+                # the reader refuses the first frame validate rejects, at its line
+                expected = BadFieldValue, validate(expected)[0].frame_index + 2
+            assert got == expected
 
     @pytest.mark.parametrize("field", [b"+5", b"5\t", b"\t5", b" 5", b"5 ",
                                        "\u0665".encode(), "\uff15".encode()])
@@ -481,6 +558,18 @@ class TestRateBound:
         for writer in (write_score_text, score_to_writes, score_to_midi):
             with pytest.raises(ValueError):
                 writer(score)
+
+
+@pytest.mark.parametrize("writer, bad_frame, message", [
+    (write_score_text, A_FRAME._replace(p1_note=5), "frame 2: P1 note 5 outside {0} u [32,108]"),
+    (score_to_midi, A_FRAME._replace(p2_note=60, p2_vel=7, p2_timbre=9),
+     "frame 2: P2 timbre 9 outside [0,3]"),
+    (score_to_writes, A_FRAME._replace(no_vel=0), "frame 2: NO sounding note with velocity 0"),
+])
+def test_writers_refuse_invalid_frames(writer, bad_frame, message):
+    with pytest.raises(ValueError) as exc:
+        writer(ExpressiveScore(24.0, [A_FRAME, SILENCE, bad_frame, SILENCE]))
+    assert str(exc.value) == message
 
 
 def last_frame(rate_hz: float) -> int:

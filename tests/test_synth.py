@@ -75,9 +75,13 @@ class TestScoreToWrites:
         assert extract(stream).frames == frames
 
     def test_unsynthesizable_note_raises(self):
-        with pytest.raises(apu.NoteOutOfRange):
+        with pytest.raises(apu.NoteOutOfRange, match="^frame 0: P1 note 32 "):
             score_to_writes(ExpressiveScore(
                 24.0, [ExpressiveFrame(p1_note=32, p1_vel=9)]))
+        # pulse 32 is a valid state: the error names where it sits
+        with pytest.raises(apu.NoteOutOfRange, match="^frame 2: P2 note 32 "):
+            score_to_writes(ExpressiveScore(
+                24.0, [SILENCE, A440, A440._replace(p2_note=32, p2_vel=9)]))
 
     def test_round_trip_all_voices(self, rng):
         for _ in range(25):
