@@ -115,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--task", required=True, choices=evaluation.TASKS)
     p.add_argument("--model", required=True,
-                   choices=("random", "unigram", "bigram", "note-unigram",
-                            "chord-unigram"))
+                   choices=list(dict.fromkeys(k for m in evaluation.MODELS.values() for k in m)))
     p.add_argument("--train", help="fit on this manifest instead of the eval one")
     p.add_argument("--table", action="store_true",
                    help="also print a human-readable table to stderr")

@@ -4,12 +4,18 @@ Metrics follow the evaluation protocol the score formats were built for:
 negative log-likelihood in nats per timestep and argmax accuracy, reported
 per category and aggregated (NLL summed, accuracy averaged), both globally
 and restricted to points of interest (POIs) -- timesteps whose value differs
-from the previous one, with t = 0 always counted.
+from the previous one within its song, with each song's first timestep
+always counted.
 
-Baselines are deliberately simple: uniform (random), add-1-smoothed unigram
-and bigram over each category, and for the blended piano-roll task a
-per-pitch independent unigram and a chord unigram with a single smoothed
-bucket for unseen columns.
+Baselines are deliberately simple: add-1-smoothed unigram and bigram over
+each category, and for the blended piano-roll task a per-pitch independent
+unigram and a chord unigram with a single smoothed bucket for unseen columns.
+``random`` is the task's unigram fitted on no timesteps, which is uniform.
+
+A corpus is read as one array: its songs placed end to end, per category one
+array over all timesteps (for blended, one 88-row grid), with a mask of the
+songs' first timesteps.  Each model is fitted, and each metric computed, in
+one pass per category over those arrays.
 """
 
 import json
@@ -29,8 +35,6 @@ from .score import (
     to_blended,
     to_separated,
 )
-
-TASKS = ("separated", "expressive", "blended")
 
 
 def _category(voice: str, field: str) -> tuple[np.ndarray, int]:
@@ -52,8 +56,6 @@ CATEGORIES = {
     },
 }
 
-_START = -1   # bigram context index for t = 0; never equals an alphabet value
-
 
 class EmptyCorpus(ValueError):
     """Learned baselines need a non-empty training corpus."""
@@ -63,13 +65,12 @@ class AlphabetMismatch(ValueError):
     """A corpus value falls outside the model's category alphabet."""
 
 
-def _poi_mask(values: np.ndarray) -> np.ndarray:
-    """Timesteps (the last axis) where the value, or for a grid any of its
-    rows, differs from its predecessor; 0 included."""
+def _poi_mask(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Timesteps (the last axis) that open a song (``first``) or where the
+    value, or for a grid any of its rows, differs from its predecessor."""
     changed = values[..., 1:] != values[..., :-1]
-    mask = np.empty(values.shape[-1], dtype=bool)
-    mask[0] = True
-    mask[1:] = changed.any(axis=0) if values.ndim == 2 else changed
+    mask = first.copy()
+    mask[1:] |= changed.any(axis=0) if values.ndim == 2 else changed
     return mask
 
 
@@ -83,259 +84,188 @@ def _to_indices(values: np.ndarray, alphabet: np.ndarray, category: str) -> np.n
     return idx_c
 
 
-def _category_values(scores, task: str) -> list[dict[str, np.ndarray]]:
-    """Per-score category value sequences (or blended grids)."""
-    out = []
-    for s in scores:
-        if task == "blended":
-            if isinstance(s, ExpressiveScore):
-                s = to_blended(to_separated(s))
-            elif isinstance(s, SeparatedScore):
-                s = to_blended(s)
-            if not isinstance(s, BlendedScore):
-                raise ValueError(f"cannot evaluate {type(s).__name__} on blended task")
-            out.append({"blended": s.grid.astype(np.int64)})
-            continue
-        if isinstance(s, ExpressiveScore):
-            arr = s.to_array().astype(np.int64)
-        elif isinstance(s, SeparatedScore) and task == "separated":
-            arr = np.zeros((s.notes.shape[1], 10), dtype=np.int64)
-            arr[:, sc.NOTE_COLUMNS] = s.notes.T
-        else:
-            raise ValueError(f"cannot evaluate {type(s).__name__} on {task} task")
-        out.append({cat: arr[:, col] for cat, (_a, col) in CATEGORIES[task].items()})
-    return out
+def _frames(s, task: str) -> np.ndarray:
+    if isinstance(s, ExpressiveScore):
+        return s.to_array()
+    if isinstance(s, SeparatedScore) and task == "separated":
+        frames = np.zeros((s.notes.shape[1], 10), dtype=np.int64)
+        frames[:, sc.NOTE_COLUMNS] = s.notes.T
+        return frames
+    raise ValueError(f"cannot evaluate {type(s).__name__} on {task} task")
+
+
+def _grid(s) -> np.ndarray:
+    if isinstance(s, ExpressiveScore):
+        s = to_separated(s)
+    if isinstance(s, SeparatedScore):
+        s = to_blended(s)
+    if not isinstance(s, BlendedScore):
+        raise ValueError(f"cannot evaluate {type(s).__name__} on blended task")
+    return s.grid
+
+
+def _category_values(corpus, task: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The corpus's songs end to end: its category values, and ``first``.
+
+    A separated or expressive category is one (ΣT,) array of indices into its
+    alphabet; the blended task's one category is the 88 x ΣT uint8 grid.
+    ``first`` marks the first timestep of each non-empty song.
+    """
+    if task == "blended":
+        songs = [_grid(s) for s in corpus]
+        lengths = np.array([g.shape[1] for g in songs], np.int64)
+        values = {"blended": np.concatenate(
+            [np.zeros((sc.BLENDED_ROWS, 0), np.uint8), *songs], axis=1)}
+    else:
+        songs = [_frames(s, task) for s in corpus]
+        lengths = np.array([len(f) for f in songs], np.int64)
+        frames = np.concatenate([np.zeros((0, 10), np.int16), *songs])
+        values = {cat: _to_indices(frames[:, col], alphabet, cat)
+                  for cat, (alphabet, col) in CATEGORIES[task].items()}
+    first = np.zeros(lengths.sum(), dtype=bool)
+    first[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    return values, first
 
 
 # ---------------------------------------------------------------------------
-# categorical baselines (separated / expressive)
+# baselines: each is fitted on one category as model(values, first, size)
 
-class _CategoricalBaseline:
-    task: str
-    kind: str
-
-    def __init__(self, task: str):
-        if task not in ("separated", "expressive"):
-            raise ValueError(f"{self.kind} baseline is for separated/expressive tasks")
-        self.task = task
-        self.alphabets = {cat: a for cat, (a, _c) in CATEGORIES[task].items()}
-
-    @property
-    def category_names(self):
-        return list(self.alphabets)
-
-    def log_probs(self, category: str, values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def matches(self, category: str, values: np.ndarray) -> np.ndarray:
-        """Whether the model's argmax prediction equals the actual value."""
-        raise NotImplementedError
+# alphabet size per separated/expressive category; the blended models need none
+_SIZES = {cat: len(alphabet) for categories in CATEGORIES.values()
+          for cat, (alphabet, _col) in categories.items()}
 
 
-class RandomBaseline(_CategoricalBaseline):
-    """Uniform over each category alphabet; predicts the first symbol."""
+class Unigram:
+    """Add-1-smoothed marginal; predicts the most frequent symbol, the first
+    of the alphabet among ties."""
 
-    kind = "random"
+    def __init__(self, idx, first, size):
+        counts = np.bincount(idx, minlength=size)
+        self._logp = np.log((counts + 1) / (counts.sum() + size))
+        self._pred = np.argmax(counts)
 
-    def log_probs(self, category, values):
-        alphabet = self.alphabets[category]
-        _to_indices(values, alphabet, category)
-        return np.full(values.shape[0], -math.log(len(alphabet)))
+    def log_probs(self, idx, first):
+        return self._logp[idx]
 
-    def matches(self, category, values):
-        return values == self.alphabets[category][0]
-
-
-class UnigramBaseline(_CategoricalBaseline):
-    """Add-1-smoothed marginal over each category alphabet."""
-
-    kind = "unigram"
-
-    def __init__(self, task):
-        super().__init__(task)
-        self.counts = {cat: np.zeros(len(a), dtype=np.int64)
-                       for cat, a in self.alphabets.items()}
-        self._logp: dict[str, np.ndarray] = {}
-
-    def observe(self, category, values):
-        idx = _to_indices(values, self.alphabets[category], category)
-        self.counts[category] += np.bincount(idx, minlength=len(self.alphabets[category]))
-
-    def finalize(self):
-        for cat, c in self.counts.items():
-            self._logp[cat] = np.log((c + 1) / (c.sum() + len(c)))
-
-    def log_probs(self, category, values):
-        idx = _to_indices(values, self.alphabets[category], category)
-        return self._logp[category][idx]
-
-    def matches(self, category, values):
-        pred = self.alphabets[category][int(np.argmax(self.counts[category]))]
-        return values == pred
+    def matches(self, idx, first):
+        return idx == self._pred
 
 
-class BigramBaseline(_CategoricalBaseline):
-    """Add-1-smoothed order-1 transitions within each category.
+def _transitions(idx, first, size):
+    """Flat (previous, current) cells; each song's first timestep comes from
+    the start row, ``size``."""
+    prev = np.empty_like(idx)
+    prev[1:] = idx[:-1]
+    prev[first] = size
+    return prev * size + idx
 
-    Likelihoods condition on the previous value (a start row covers t = 0);
-    the argmax prediction is the previous observed value itself, which is
-    what makes accuracy at POIs identically zero.
+
+class Bigram:
+    """Add-1-smoothed order-1 transitions within each song.
+
+    The argmax prediction is the previous value itself, so a timestep is a
+    hit exactly when it is not a POI, and accuracy at POIs is identically 0.
     """
 
-    kind = "bigram"
+    def __init__(self, idx, first, size):
+        counts = np.bincount(_transitions(idx, first, size), minlength=(size + 1) * size)
+        table = counts.reshape(size + 1, size)
+        self._logp = np.log((table + 1) / (table.sum(axis=1, keepdims=True) + size))
 
-    def __init__(self, task):
-        super().__init__(task)
-        self.counts = {cat: np.zeros((len(a) + 1, len(a)), dtype=np.int64)
-                       for cat, a in self.alphabets.items()}
-        self._logp: dict[str, np.ndarray] = {}
+    def log_probs(self, idx, first):
+        return self._logp.ravel()[_transitions(idx, first, self._logp.shape[1])]
 
-    def observe(self, category, values):
-        idx = _to_indices(values, self.alphabets[category], category)
-        table = self.counts[category]
-        table[-1, idx[0]] += 1              # start-of-score row
-        if len(idx) > 1:
-            np.add.at(table, (idx[:-1], idx[1:]), 1)
-
-    def finalize(self):
-        for cat, table in self.counts.items():
-            rows = table.sum(axis=1, keepdims=True)
-            self._logp[cat] = np.log((table + 1) / (rows + table.shape[1]))
-
-    def log_probs(self, category, values):
-        idx = _to_indices(values, self.alphabets[category], category)
-        prev = np.concatenate(([_START], idx[:-1]))
-        return self._logp[category][prev, idx]
-
-    def matches(self, category, values):
-        out = np.zeros(values.shape[0], dtype=bool)
-        out[1:] = values[1:] == values[:-1]   # t = 0 has no previous value
-        return out
+    def matches(self, idx, first):
+        return ~_poi_mask(idx, first)
 
 
-# ---------------------------------------------------------------------------
-# blended baselines
+class NoteUnigram:
+    """Independent add-1-smoothed on-probability per key; predicts each key on
+    where that probability exceeds 1/2."""
 
-class _BlendedBaseline:
-    task = "blended"
-    category_names = ["blended"]
+    def __init__(self, grid, first, size):
+        p_on = (grid.sum(axis=1) + 1) / (grid.shape[1] + 2)
+        self._log_on, self._log_off = np.log(p_on), np.log1p(-p_on)
+        self._pred = p_on > 0.5
 
-    def log_probs(self, category: str, grid: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def log_probs(self, grid, first):
+        logp = np.zeros(grid.shape[1])     # key by key: T floats of temporaries, not 88 x T
+        for on, log_on, log_off in zip(grid, self._log_on, self._log_off):
+            logp += np.where(on, log_on, log_off)
+        return logp
 
-    def matches(self, category: str, grid: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class BlendedRandomBaseline(_BlendedBaseline):
-    """Independent fair coin per key: 88*ln(2) nats per column."""
-
-    kind = "random"
-
-    def log_probs(self, category, grid):
-        return np.full(grid.shape[1], -sc.BLENDED_ROWS * math.log(2.0))
-
-    def matches(self, category, grid):
-        return ~grid.any(axis=0)    # argmax column is all-off
-
-
-class NoteUnigramBaseline(_BlendedBaseline):
-    """Independent smoothed on-probability per key."""
-
-    kind = "note-unigram"
-
-    def __init__(self):
-        self.on_counts = np.zeros(sc.BLENDED_ROWS, dtype=np.int64)
-        self.total = 0
-
-    def observe(self, category, grid):
-        self.on_counts += grid.sum(axis=1)
-        self.total += grid.shape[1]
-
-    def finalize(self):
-        p_on = (self.on_counts + 1) / (self.total + 2)
-        self._log_on = np.log(p_on)
-        self._log_off = np.log1p(-p_on)
-        self._pred = (p_on > 0.5).astype(np.int64)
-
-    def log_probs(self, category, grid):
-        return (self._log_on[:, None] * grid
-                + self._log_off[:, None] * (1 - grid)).sum(axis=0)
-
-    def matches(self, category, grid):
+    def matches(self, grid, first):
         return np.all(grid == self._pred[:, None], axis=0)
 
 
-class ChordUnigramBaseline(_BlendedBaseline):
-    """Distribution over observed 88-bit columns, plus one unseen bucket."""
+def _chords(grid: np.ndarray) -> np.ndarray:
+    """Each grid column as one 11-byte key."""
+    return np.packbits(np.ascontiguousarray(grid.T), axis=1).view("V11")[:, 0]
 
-    kind = "chord-unigram"
 
-    def __init__(self):
-        self.counts: dict[bytes, int] = {}
-        self.total = 0
+class ChordUnigram:
+    """Add-1-smoothed distribution over the observed 88-key columns plus one
+    bucket for every unseen column; predicts the most frequent chord, the
+    first seen among ties."""
 
-    def observe(self, category, grid):
-        for col in np.ascontiguousarray(grid.T.astype(np.uint8)):
-            key = col.tobytes()
-            self.counts[key] = self.counts.get(key, 0) + 1
-        self.total += grid.shape[1]
-
-    def finalize(self):
-        denom = self.total + len(self.counts) + 1
-        self._logp = {k: math.log((c + 1) / denom) for k, c in self.counts.items()}
+    def __init__(self, grid, first, size):
+        chords = _chords(grid)
+        self._keys, index, counts = np.unique(chords, return_index=True, return_counts=True)
+        denom = len(chords) + len(self._keys) + 1
+        self._logp = np.log((counts + 1) / denom)
         self._log_unseen = math.log(1 / denom)
-        self._pred = max(self.counts, key=self.counts.get) if self.counts else None
+        self._pred = chords[index[counts == counts.max()].min()]
 
-    def log_probs(self, category, grid):
-        cols = np.ascontiguousarray(grid.T.astype(np.uint8))
-        return np.array([self._logp.get(col.tobytes(), self._log_unseen)
-                         for col in cols])
+    def log_probs(self, grid, first):
+        chords = _chords(grid)
+        i = np.searchsorted(self._keys, chords).clip(max=len(self._keys) - 1)
+        return np.where(self._keys[i] == chords, self._logp[i], self._log_unseen)
 
-    def matches(self, category, grid):
-        cols = np.ascontiguousarray(grid.T.astype(np.uint8))
-        return np.array([col.tobytes() == self._pred for col in cols])
+    def matches(self, grid, first):
+        return _chords(grid) == self._pred
 
 
 # ---------------------------------------------------------------------------
 # fitting and evaluation
 
-_KINDS = {
-    "separated": ("random", "unigram", "bigram"),
-    "expressive": ("random", "unigram", "bigram"),
-    "blended": ("random", "note-unigram", "chord-unigram"),
+# Per task, its model kinds.  "random" is the task's unigram (for blended, the
+# note-unigram) fitted on no timesteps: its add-1 estimate is uniform, and its
+# argmax is the first symbol (for blended, the all-off column).
+_CATEGORICAL = {"random": Unigram, "unigram": Unigram, "bigram": Bigram}
+MODELS = {
+    "separated": _CATEGORICAL,
+    "expressive": _CATEGORICAL,
+    "blended": {"random": NoteUnigram, "note-unigram": NoteUnigram,
+                "chord-unigram": ChordUnigram},
 }
+TASKS = tuple(MODELS)
 
 
-def fit(kind: str, corpus, task: str):
+@dataclass
+class Baseline:
+    """A fitted baseline: one fitted model per category of its task."""
+
+    task: str
+    kind: str
+    categories: dict
+
+
+def fit(kind: str, corpus, task: str) -> Baseline:
     """Fit a baseline of the given kind on a corpus of scores.
 
-    The random baseline needs no data; learned kinds raise EmptyCorpus when
+    The random baseline reads no data; learned kinds raise EmptyCorpus when
     the corpus holds no timesteps.
     """
-    if task not in TASKS:
+    if task not in MODELS:
         raise ValueError(f"unknown task {task!r}")
-    if kind not in _KINDS[task]:
+    if kind not in MODELS[task]:
         raise ValueError(f"model kind {kind!r} is not defined for the {task} task")
-
-    if kind == "random":
-        return BlendedRandomBaseline() if task == "blended" else RandomBaseline(task)
-
-    if task == "blended":
-        model = NoteUnigramBaseline() if kind == "note-unigram" else ChordUnigramBaseline()
-    else:
-        model = UnigramBaseline(task) if kind == "unigram" else BigramBaseline(task)
-    n = 0
-    for per_score in _category_values(corpus, task):
-        for cat in model.category_names:
-            values = per_score[cat]
-            if values.shape[-1]:
-                model.observe(cat, values)
-        n += next(iter(per_score.values())).shape[-1]
-    if n == 0:
+    values, first = _category_values(() if kind == "random" else corpus, task)
+    if kind != "random" and not len(first):
         raise EmptyCorpus(f"cannot fit {kind} on an empty corpus")
-    model.finalize()
-    return model
+    model = MODELS[task][kind]
+    return Baseline(task, kind, {cat: model(v, first, _SIZES.get(cat))
+                                 for cat, v in values.items()})
 
 
 @dataclass
@@ -376,31 +306,24 @@ class EvalReport:
         return self._agg("acc_all", mean=True)
 
 
-def evaluate(model, corpus, task: str) -> EvalReport:
+def evaluate(model: Baseline, corpus, task: str) -> EvalReport:
     """Score a fitted baseline on a corpus, pooling timesteps (micro-average)."""
     if task != model.task:
         raise ValueError(f"model was fit for {model.task!r}, not {task!r}")
-    sums = {cat: np.zeros(6) for cat in model.category_names}  # nllP nllA hitP hitA nP nA
-    for per_score in _category_values(corpus, task):
-        for cat in model.category_names:
-            values = per_score[cat]
-            n = values.shape[-1]
-            if n == 0:
-                continue
-            mask = _poi_mask(values)
-            logp = model.log_probs(cat, values)
-            hits = model.matches(cat, values)
-            sums[cat] += (-logp[mask].sum(), -logp.sum(),
-                          hits[mask].sum(), hits.sum(), mask.sum(), n)
+    values, first = _category_values(corpus, task)
+    n_a = len(first)
     report = EvalReport(task=task, model=model.kind)
-    for cat in model.category_names:
-        nll_p, nll_a, hit_p, hit_a, n_p, n_a = sums[cat]
+    for cat, m in model.categories.items():
+        poi = _poi_mask(values[cat], first)
+        logp = m.log_probs(values[cat], first)
+        hits = m.matches(values[cat], first)
+        n_p = poi.sum()
         report.categories.append(CategoryResult(
             category=cat,
-            nll_poi=nll_p / n_p if n_p else 0.0,
-            nll_all=nll_a / n_a if n_a else 0.0,
-            acc_poi=hit_p / n_p if n_p else 0.0,
-            acc_all=hit_a / n_a if n_a else 0.0,
+            nll_poi=-logp[poi].sum() / n_p if n_p else 0.0,
+            nll_all=-logp.sum() / n_a if n_a else 0.0,
+            acc_poi=hits[poi].sum() / n_p if n_p else 0.0,
+            acc_all=hits.sum() / n_a if n_a else 0.0,
         ))
     return report
 
@@ -453,27 +376,19 @@ def corpus_stats(corpus) -> CorpusStats:
 
     Average polyphony equals the sum of the per-voice on-probabilities by
     construction (both divide the same on-counts by the same frame total).
-    Notes are counted at onsets: timesteps whose note differs from the
-    previous one and is sounding.
+    Notes are counted at onsets: timesteps that open a song or whose note
+    differs from the previous one, and whose note is sounding.  A note
+    outside its voice's alphabet raises AlphabetMismatch.
     """
     corpus = list(corpus)
-    on_counts = dict.fromkeys(sc.VOICES, 0)
-    total_frames = 0
-    note_count = 0
-    duration = 0.0
-    for s in corpus:
-        arr = s.to_array().astype(np.int64)
-        total_frames += arr.shape[0]
-        duration += len(s) / s.rate_hz
-        if arr.shape[0] == 0:
-            continue
-        for voice, col in zip(sc.VOICES, sc.NOTE_COLUMNS):
-            notes = arr[:, col]
-            on_counts[voice] += int((notes > 0).sum())
-            onsets = _poi_mask(notes) & (notes > 0)
-            note_count += int(onsets.sum())
+    notes, first = _category_values(corpus, "separated")   # index 0 is note 0
+    duration = sum(len(s) / s.rate_hz for s in corpus)
+    total_frames = len(first)
     if total_frames == 0:
         return CorpusStats(len(corpus), 0, duration, dict.fromkeys(sc.VOICES, 0.0), 0.0)
+    on_counts = {v: int(np.count_nonzero(notes[v])) for v in sc.VOICES}
+    note_count = sum(int(np.count_nonzero(_poi_mask(notes[v], first) & (notes[v] > 0)))
+                     for v in sc.VOICES)
     probs = {v: on_counts[v] / total_frames for v in sc.VOICES}
     polyphony = sum(on_counts.values()) / total_frames
     return CorpusStats(len(corpus), note_count, duration, probs, polyphony)
@@ -482,18 +397,36 @@ def corpus_stats(corpus) -> CorpusStats:
 # ---------------------------------------------------------------------------
 # corpus manifests
 
+class BadManifest(ValueError):
+    """A manifest line that cannot be read, named by path and 1-based line."""
+
+    def __init__(self, path, line_number: int, message: str):
+        super().__init__(f"{path}: line {line_number}: {message}")
+        self.line_number = line_number
+
+
+class BadScoreFile(ValueError):
+    """A corpus score that cannot be read, named by path; the reader's error
+    is its ``__cause__``."""
+
+
 def read_manifest(path) -> list[CorpusEntry]:
     """Parse a manifest: one score path per line, optional key=value attrs.
 
         songs/abadox-01.nesscore game=abadox composer=sada
 
     Entries without a composer get a synthetic singleton id so the split
-    invariant (no composer in two subsets) stays well defined.
+    invariant (no composer in two subsets) stays well defined.  Lines end at
+    LF only, so line numbers match what an editor shows.
     """
     entries = []
     base = Path(path).parent
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
+    for number, raw in enumerate(Path(path).read_bytes().split(b"\n"), 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise BadManifest(path, number, f"not UTF-8: byte {raw[exc.start]:#04x} "
+                                            f"at column {exc.start + 1}") from None
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
@@ -501,7 +434,7 @@ def read_manifest(path) -> list[CorpusEntry]:
         attrs = {}
         for token in tokens[1:]:
             if "=" not in token:
-                raise ValueError(f"bad manifest attribute {token!r}")
+                raise BadManifest(path, number, f"bad manifest attribute {token!r}")
             key, value = token.split("=", 1)
             attrs[key] = value
         game = attrs.get("game", Path(ref).stem)
@@ -514,4 +447,10 @@ def read_manifest(path) -> list[CorpusEntry]:
 
 
 def load_corpus(entries) -> list[ExpressiveScore]:
-    return [read_score_text(Path(e.score_ref).read_bytes()) for e in entries]
+    corpus = []
+    for e in entries:
+        try:
+            corpus.append(read_score_text(Path(e.score_ref).read_bytes()))
+        except ValueError as exc:
+            raise BadScoreFile(f"{e.score_ref}: {exc}") from exc
+    return corpus

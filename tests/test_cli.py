@@ -179,6 +179,26 @@ class TestCorpusCommands:
                      "--model", "unigram", "--train", str(manifest)]) == 0
         json.loads(capsys.readouterr().out)
 
+    def test_eval_names_bad_manifest_line(self, manifest, capsys):
+        manifest.write_bytes(manifest.read_bytes() + b"s0.nesscore gameb\n")
+        assert main(["eval", str(manifest), "--task", "separated",
+                     "--model", "random"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {manifest}: line 11: bad manifest attribute 'gameb'\n"
+
+    def test_eval_names_non_utf8_manifest_line(self, manifest, capsys):
+        manifest.write_bytes(b"s0.nesscore\ns\xff.nesscore\n")
+        assert main(["eval", str(manifest), "--task", "separated",
+                     "--model", "random"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: line 2: not UTF-8")
+
+    def test_eval_names_bad_score_file(self, manifest, capsys):
+        bad = manifest.parent / "s3.nesscore"
+        bad.write_bytes(b"NESSCORE 1 24 1\n200 1 0 0 0 0 0 0 0 0\n")
+        assert main(["eval", str(manifest), "--task", "separated",
+                     "--model", "random"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: ")
+
 
 class TestEndToEnd:
     def test_vgm_to_score_to_wav_round_trip(self, tmp_path):

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_evaluation as ref
 from conftest import random_score
 from nesscore import evaluation as ev
 from nesscore.score import (
     SILENCE,
+    BadFieldValue,
     ExpressiveFrame,
     ExpressiveScore,
     to_blended,
     to_separated,
+    write_score_text,
 )
 
 NOTE = ExpressiveFrame(p1_note=69, p1_vel=12, p1_timbre=2, p2_note=45, p2_vel=3,
@@ -24,8 +27,10 @@ NOTE = ExpressiveFrame(p1_note=69, p1_vel=12, p1_timbre=2, p2_note=45, p2_vel=3,
 
 
 def pois(values) -> set[int]:
-    """Timesteps the POI mask marks."""
-    return set(np.flatnonzero(ev._poi_mask(np.asarray(values))).tolist())
+    """Timesteps the POI mask marks in one song."""
+    values = np.asarray(values)
+    first = np.arange(values.shape[-1]) == 0
+    return set(np.flatnonzero(ev._poi_mask(values, first)).tolist())
 
 
 class TestFindPois:
@@ -106,8 +111,8 @@ class TestUnigram:
 
     def test_distributions_sum_to_one(self):
         model = ev.fit("unigram", [random_score(random.Random(4), 60)], "separated")
-        for cat in model.category_names:
-            probs = np.exp(model._logp[cat])
+        for m in model.categories.values():
+            probs = np.exp(m._logp)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert (probs > 0).all()
 
@@ -159,8 +164,8 @@ class TestBigram:
 
     def test_rows_sum_to_one(self):
         model = ev.fit("bigram", [random_score(random.Random(5), 40)], "expressive")
-        for cat in model.category_names:
-            rows = np.exp(model._logp[cat]).sum(axis=1)
+        for m in model.categories.values():
+            rows = np.exp(m._logp).sum(axis=1)
             assert np.allclose(rows, 1.0, atol=1e-9)
 
     def test_nll_uses_transition_structure(self):
@@ -184,22 +189,21 @@ class TestBlendedModels:
 
     def test_chord_unigram_seen_vs_unseen(self):
         corpus = [ExpressiveScore(24.0, [NOTE] * 9 + [SILENCE])]
-        model = ev.fit("chord-unigram", corpus, "blended")
-        grids = ev._category_values(corpus, "blended")[0]["blended"]
-        logp = model.log_probs("blended", grids)
+        model = ev.fit("chord-unigram", corpus, "blended").categories["blended"]
+        grid, first = ev._category_values(corpus, "blended")
+        logp = model.log_probs(grid["blended"], first)
         # 2 distinct chords, 10 columns: p(NOTE chord) = 10/13, p(silence) = 2/13
         assert logp[0] == pytest.approx(math.log(10 / 13))
         assert logp[-1] == pytest.approx(math.log(2 / 13))
         unseen = ExpressiveScore(24.0, [ExpressiveFrame(tr_note=99)])
-        unseen_grid = ev._category_values([unseen], "blended")[0]["blended"]
-        assert model.log_probs("blended", unseen_grid)[0] == pytest.approx(
+        unseen_grid, first = ev._category_values([unseen], "blended")
+        assert model.log_probs(unseen_grid["blended"], first)[0] == pytest.approx(
             math.log(1 / 13))
 
     def test_chord_unigram_total_mass(self):
         corpus = [random_score(random.Random(11), 40)]
-        model = ev.fit("chord-unigram", corpus, "blended")
-        mass = sum(math.exp(lp) for lp in model._logp.values()) \
-            + math.exp(model._log_unseen)
+        model = ev.fit("chord-unigram", corpus, "blended").categories["blended"]
+        mass = np.exp(model._logp).sum() + math.exp(model._log_unseen)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_kind_task_pairing_enforced(self):
@@ -227,6 +231,101 @@ class TestBlendedModels:
         model = ev.fit("random", [], "expressive")
         with pytest.raises(ValueError):
             ev.evaluate(model, [score], "expressive")
+
+
+class TestCorpusBoundaries:
+    """Songs placed end to end stay separate songs."""
+
+    # song 2 opens on song 1's last value in every voice
+    SONGS = [ExpressiveScore(24.0, [SILENCE, NOTE]), ExpressiveScore(24.0, [NOTE, NOTE])]
+
+    def test_song_start_is_a_poi(self):
+        values, first = ev._category_values(self.SONGS, "separated")
+        assert first.tolist() == [True, False, True, False]
+        assert set(np.flatnonzero(ev._poi_mask(values["P1"], first))) == {0, 1, 2}
+        grid, first = ev._category_values(self.SONGS, "blended")
+        assert set(np.flatnonzero(ev._poi_mask(grid["blended"], first))) == {0, 1, 2}
+
+    def test_empty_songs_open_nothing(self):
+        empty = ExpressiveScore(24.0, [])
+        _values, first = ev._category_values([empty, self.SONGS[0], empty, empty,
+                                              self.SONGS[1], empty], "expressive")
+        assert first.tolist() == [True, False, True, False]
+
+    def test_bigram_restarts_at_song_start(self):
+        model = ev.fit("bigram", self.SONGS, "separated").categories["P1"]
+        values, first = ev._category_values(self.SONGS, "separated")
+        a69 = values["P1"][1]
+        table = np.exp(model._logp)
+        size = table.shape[1]
+        # start row: 0 (song 1) and 69 (song 2); row 69: one 69 -> 69, in song 2
+        assert table[-1, a69] == pytest.approx(2 / (2 + size))
+        assert table[a69, a69] == pytest.approx(2 / (1 + size))
+        assert model.log_probs(values["P1"], first)[2] == model._logp[-1, a69]
+        assert not model.matches(values["P1"], first)[2]
+
+    def test_stats_count_song_start_as_onset(self):
+        assert ev.corpus_stats(self.SONGS).note_count == 8  # 4 voices x 2 songs
+
+    def test_chord_unigram_tie_goes_to_first_seen(self):
+        for frames, winner in (([NOTE, SILENCE, SILENCE, NOTE], NOTE),
+                               ([SILENCE, NOTE, NOTE, SILENCE], SILENCE)):
+            model = ev.fit("chord-unigram", [ExpressiveScore(24.0, frames)], "blended")
+            report = ev.evaluate(model, [ExpressiveScore(24.0, [winner])], "blended")
+            assert report.acc_all == 1.0
+
+    def test_unigram_tie_goes_to_first_alphabet_symbol(self):
+        frames = [ExpressiveFrame(p1_note=70, p1_vel=1), ExpressiveFrame(p1_note=69, p1_vel=1)]
+        model = ev.fit("unigram", [ExpressiveScore(24.0, frames)], "separated")
+        report = ev.evaluate(model, [ExpressiveScore(24.0, frames[1:])], "separated")
+        assert report.categories[0].acc_all == 1.0
+
+
+_PAIRS = [(task, kind) for task, models in ev.MODELS.items() for kind in models]
+_FORMS = {"separated": (lambda s: s, to_separated),
+          "expressive": (lambda s: s,),
+          "blended": (lambda s: s, to_separated, lambda s: to_blended(to_separated(s)))}
+
+
+@st.composite
+def corpora(draw, task):
+    """0-5 songs of 0-12 frames, each in a form the task accepts."""
+    songs = []
+    for _ in range(draw(st.integers(0, 5))):
+        score = random_score(random.Random(draw(st.integers(0, 2**32))),
+                             draw(st.sampled_from([0, 1, 2, 12])), hold=0.5)
+        songs.append(draw(st.sampled_from(_FORMS[task]))(score))
+    return songs
+
+
+class TestReferenceDifferential:
+    """The whole-corpus baselines against the per-song ones they replaced."""
+
+    @pytest.mark.parametrize("task,kind", _PAIRS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_reports_match(self, task, kind, data):
+        train, test = data.draw(corpora(task)), data.draw(corpora(task))
+        try:
+            expected = ref.evaluate(ref.fit(kind, train, task), test, task)
+        except ev.EmptyCorpus:
+            with pytest.raises(ev.EmptyCorpus):
+                ev.fit(kind, train, task)
+            return
+        report = ev.evaluate(ev.fit(kind, train, task), test, task)
+        assert report.model == expected.model
+        assert [c.category for c in report.categories] == \
+            [c.category for c in expected.categories]
+        for got, want in zip(report.categories, expected.categories):
+            assert (got.acc_poi, got.acc_all) == (want.acc_poi, want.acc_all)
+            assert math.isclose(got.nll_poi, want.nll_poi, rel_tol=1e-12)
+            assert math.isclose(got.nll_all, want.nll_all, rel_tol=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stats_match(self, data):
+        corpus = data.draw(corpora("expressive"))
+        assert ev.corpus_stats(corpus) == ref.corpus_stats(corpus)
 
 
 class TestAlphabets:
@@ -332,3 +431,34 @@ class TestManifest:
         manifest.write_text("song.nesscore gamealpha\n")
         with pytest.raises(ValueError):
             ev.read_manifest(manifest)
+
+    # a form feed, a file separator and NEL end lines for str.splitlines but
+    # not for the manifest, so they must not shift the line numbers
+    def test_bad_attribute_named_by_path_and_line(self, tmp_path):
+        manifest = tmp_path / "bad.txt"
+        manifest.write_bytes("# a\x0cb\x1cc\x85d\n\nsong.nesscore game=a\nsong.nesscore gameb\n"
+                             .encode("utf-8"))
+        with pytest.raises(ev.BadManifest) as info:
+            ev.read_manifest(manifest)
+        assert info.value.line_number == 4
+        assert str(info.value) == f"{manifest}: line 4: bad manifest attribute 'gameb'"
+
+    def test_non_utf8_line_named_by_path_and_line(self, tmp_path):
+        manifest = tmp_path / "bad.txt"
+        manifest.write_bytes(b"# a\x0cb\nsong.nesscore\nsong\xff.nesscore\n")
+        with pytest.raises(ev.BadManifest) as info:
+            ev.read_manifest(manifest)
+        assert info.value.line_number == 3
+        assert str(info.value).startswith(f"{manifest}: line 3: not UTF-8")
+
+    def test_bad_score_named_by_path(self, tmp_path):
+        good, bad = tmp_path / "good.nesscore", tmp_path / "bad.nesscore"
+        good.write_bytes(write_score_text(random_score(random.Random(5), 3)))
+        bad.write_bytes(b"NESSCORE 1 24 2\n0 0 0 0 0 0 0 0 0 0\n200 1 0 0 0 0 0 0 0 0\n")
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_text("good.nesscore\nbad.nesscore\n")
+        with pytest.raises(ev.BadScoreFile) as info:
+            ev.load_corpus(ev.read_manifest(manifest))
+        assert str(info.value).startswith(f"{bad}: line 3: ")
+        assert isinstance(info.value.__cause__, BadFieldValue)
+        assert info.value.__cause__.line_number == 3
