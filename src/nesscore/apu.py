@@ -20,7 +20,7 @@ No audio is produced here; waveform generation lives in ``synth``.
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -307,20 +307,16 @@ class ApuState:
 # ---------------------------------------------------------------------------
 # pitch mapping
 
-class _PitchTable(NamedTuple):
-    lo: int
-    hi: int
-    notes: list     # note of each 11-bit timer period, None outside [lo, hi]
-    timers: dict    # note -> the timer period midi_to_timer returns for it
-
-
-def _pitch_table(divisor: int, lo: int, hi: int) -> _PitchTable:
-    notes = []
+def _pitch_tables(divisor: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The note of each 11-bit timer period, 0 where it is outside [lo, hi], and
+    per note 0..hi the timer period that sounds it, -1 where none does."""
+    notes = np.zeros(0x800, np.int16)
     for t in range(0x800):
         freq = CPU_HZ / (divisor * (t + 1))
         note = round(69 + 12 * math.log2(freq / 440.0))
-        notes.append(note if lo <= note <= hi else None)
-    timers = {}
+        if lo <= note <= hi:
+            notes[t] = note
+    timers = np.full(hi + 1, -1, np.int16)
     for note in range(lo, hi + 1):
         freq = 440.0 * 2.0 ** ((note - 69) / 12)
         t0 = round(CPU_HZ / (divisor * freq) - 1)
@@ -328,19 +324,21 @@ def _pitch_table(divisor: int, lo: int, hi: int) -> _PitchTable:
             if 0 <= t <= 0x7FF and notes[t] == note:
                 timers[note] = t
                 break
-    return _PitchTable(lo, hi, notes, timers)
+    notes.flags.writeable = timers.flags.writeable = False
+    return notes, timers
 
 
 # Built at import, in about 2 ms.
+PULSE_NOTES, PULSE_TIMERS = _pitch_tables(16, PULSE_NOTE_MIN, PULSE_NOTE_MAX)
+TRIANGLE_NOTES, TRIANGLE_TIMERS = _pitch_tables(32, TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX)
+# kind -> (lowest note, note of each timer period, timer period of each note)
 _PITCH_TABLES = {
-    "pulse": _pitch_table(16, PULSE_NOTE_MIN, PULSE_NOTE_MAX),
-    "triangle": _pitch_table(32, TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX),
+    "pulse": (PULSE_NOTE_MIN, PULSE_NOTES, PULSE_TIMERS),
+    "triangle": (TRIANGLE_NOTE_MIN, TRIANGLE_NOTES, TRIANGLE_TIMERS),
 }
-_PULSE_NOTES = _PITCH_TABLES["pulse"].notes
-_TRIANGLE_NOTES = _PITCH_TABLES["triangle"].notes
 
 
-def _table_for(kind: str) -> _PitchTable:
+def _table_for(kind: str) -> tuple[int, np.ndarray, np.ndarray]:
     try:
         return _PITCH_TABLES[kind]
     except KeyError:
@@ -354,10 +352,10 @@ def pitch_to_midi(timer_period: int, kind: str) -> int | None:
     note = round(69 + 12*log2(f/440)), read from a table built at import.
     Raises ValueError for a period outside 11 bits.
     """
-    notes = _table_for(kind).notes
+    _lo, notes, _timers = _table_for(kind)
     if not 0 <= timer_period <= 0x7FF:
         raise ValueError(f"timer period {timer_period} outside [0,2047]")
-    return notes[timer_period]
+    return int(notes[timer_period]) or None
 
 
 def midi_to_timer(note: int, kind: str) -> int:
@@ -370,12 +368,13 @@ def midi_to_timer(note: int, kind: str) -> int:
     note 33, which would break the exact round trip, so ``score_to_writes``
     refuses it, naming the frame.
     """
-    table = _table_for(kind)
-    if not table.lo <= note <= table.hi:
-        raise NoteOutOfRange(f"note {note} outside [{table.lo},{table.hi}] for {kind}")
-    if note not in table.timers:
+    lo, _notes, timers = _table_for(kind)
+    hi = len(timers) - 1
+    if not lo <= note <= hi:
+        raise NoteOutOfRange(f"note {note} outside [{lo},{hi}] for {kind}")
+    if timers[note] < 0:
         raise NoteOutOfRange(f"note {note} not representable by an 11-bit {kind} timer")
-    return table.timers[note]
+    return int(timers[note])
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +506,6 @@ def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, list]]:
     return zip(starts.tolist(), ends, rows.tolist())
 
 
-# Note of each 11-bit timer period, 0 where the voice has none in range.
-_PULSE_NOTE_ARRAY = np.array([note or 0 for note in _PULSE_NOTES], np.int16)
-_TRIANGLE_NOTE_ARRAY = np.array([note or 0 for note in _TRIANGLE_NOTES], np.int16)
-
-
 def frame_table(rows: np.ndarray) -> np.ndarray:
     """The expressive frames, shape (n, 10) int16, of n replay rows.
 
@@ -521,13 +515,13 @@ def frame_table(rows: np.ndarray) -> np.ndarray:
     """
     frames = np.zeros((len(rows), 10), np.int16)
     for first, timer, duty, volume in ((0, 0, 1, 2), (3, 3, 4, 5)):
-        note = _PULSE_NOTE_ARRAY.take(rows[:, timer])
+        note = PULSE_NOTES.take(rows[:, timer])
         on = (note > 0) & (rows[:, volume] > 0)
         frames[:, first] = note * on
         frames[:, first + 1] = rows[:, volume] * on
         frames[:, first + 2] = rows[:, duty] * on
     timer = rows[:, 6]
-    frames[:, 6] = _TRIANGLE_NOTE_ARRAY.take(timer) * (timer >= 0)
+    frames[:, 6] = TRIANGLE_NOTES.take(timer) * (timer >= 0)
     on = rows[:, 9] > 0
     frames[:, 7] = (NOISE_NOTE_MAX - rows[:, 7]) * on
     frames[:, 8] = rows[:, 9]

@@ -382,7 +382,7 @@ def corpus_stats(corpus) -> CorpusStats:
     """
     corpus = list(corpus)
     notes, first = _category_values(corpus, "separated")   # index 0 is note 0
-    duration = sum(len(s) / s.rate_hz for s in corpus)
+    duration = sum(len(_frames(s, "separated")) / s.rate_hz for s in corpus)
     total_frames = len(first)
     if total_frames == 0:
         return CorpusStats(len(corpus), 0, duration, dict.fromkeys(sc.VOICES, 0.0), 0.0)

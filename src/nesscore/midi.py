@@ -5,7 +5,8 @@ quarter at a fixed 500000 us tempo is exactly 44100 ticks per second.  Four
 note tracks follow the tempo track in voice order P1, P2, TR, NO.  Velocity
 maps to round(v*127/15); mid-note dynamics ride controller 11 so note
 boundaries survive the round trip, and timbre rides controller 12.  Noise
-notes 1-16 are written as MIDI pitches 1-16.
+notes 1-16 are written as MIDI pitches 1-16.  The writer takes each voice's
+events from ``score.voice_changes``, in frame order from ``score.schedule``.
 """
 
 import struct
@@ -23,17 +24,14 @@ from .score import (
     check_rate,
     frame_count,
     frame_position,
+    schedule,
+    voice_changes,
 )
 
 PPQ = 22050
 TEMPO_USPQ = 500000           # 120 BPM; 1 tick = 1/44100 s
 CC_EXPRESSION = 11
 CC_TIMBRE = 12
-
-_EV_NOTE_OFF = 0
-_EV_CONTROL = 1
-_EV_NOTE_ON = 2
-
 
 class NotSmf(ValueError):
     """Input is not a structurally valid Standard MIDI File."""
@@ -56,8 +54,9 @@ def midi_to_velocity(value: int) -> int:
     return min(VELOCITY_MAX, max(1, round(value * VELOCITY_MAX / 127)))
 
 
-# midi_to_velocity of every data byte value
+# midi_to_velocity of every data byte value, and velocity_to_midi of every velocity
 _VELOCITY_OF = np.array([midi_to_velocity(value) for value in range(128)], np.int16)
+_MIDI_VELOCITY = np.array([velocity_to_midi(vel) for vel in range(VELOCITY_MAX + 1)], np.int16)
 
 
 # ---------------------------------------------------------------------------
@@ -72,46 +71,33 @@ def _vlq(value: int) -> bytes:
     return bytes(reversed(out))
 
 
-def _encode_track(events: list[tuple[int, int, bytes]], end_tick: int) -> bytes:
-    events = sorted(events, key=lambda e: (e[0], e[1]))
-    data = bytearray()
-    last = 0
-    for tick, _prio, payload in events:
-        data += _vlq(tick - last)
-        data += payload
-        last = tick
-    data += _vlq(end_tick - last)
-    data += b"\xff\x2f\x00"   # end of track
-    return bytes(data)
+def _encode_track(ticks, payloads: list[bytes], end_tick: int) -> bytes:
+    """An MTrk body: each payload after its delta from the one before, then the
+    end of track.  Events come frame by frame and frame ticks never decrease."""
+    deltas = np.diff(ticks, prepend=0, append=end_tick).tolist()
+    vlq = {delta: _vlq(delta) for delta in set(deltas)}    # a track has few distinct deltas
+    return b"".join(map(bytes.__add__, map(vlq.get, deltas), [*payloads, b"\xff\x2f\x00"]))
 
 
-def _voice_events(frames: list[list[int]], ch: int,
-                  ticks: list[int]) -> list[tuple[int, int, bytes]]:
-    # a voice without velocity and timbre columns (the triangle) sounds at full velocity
-    note_column, *dynamics = VOICE_COLUMNS[VOICES[ch]]
-    events: list[tuple[int, int, bytes]] = []
-    note = vel = timbre = 0
-    for tick, frame in zip(ticks, frames):
-        n = frame[note_column]
-        v, t = ((frame[dynamics[0]], frame[dynamics[1]]) if dynamics
-                else (VELOCITY_MAX if n else 0, 0))
-        if n != note:
-            if note:
-                events.append((tick, _EV_NOTE_OFF, bytes((0x80 | ch, note, 0))))
-            if n:
-                if dynamics:
-                    events.append((tick, _EV_CONTROL, bytes((0xB0 | ch, CC_TIMBRE, t))))
-                events.append((tick, _EV_NOTE_ON, bytes((0x90 | ch, n, velocity_to_midi(v)))))
-        elif n:
-            if v != vel:
-                events.append((tick, _EV_CONTROL,
-                               bytes((0xB0 | ch, CC_EXPRESSION, velocity_to_midi(v)))))
-            if t != timbre:
-                events.append((tick, _EV_CONTROL, bytes((0xB0 | ch, CC_TIMBRE, t))))
-        note, vel, timbre = n, v, t
-    if note:
-        events.append((ticks[-1], _EV_NOTE_OFF, bytes((0x80 | ch, note, 0))))
-    return events
+def _voice_track(values: np.ndarray, ch: int, ticks: np.ndarray) -> bytes:
+    """The MTrk body of voice ``ch``; a note sounding at the end stops at frame T."""
+    changes = voice_changes(values, VOICES[ch])
+    note, *dynamics = changes.now
+    # (frames, status, data 1, data 2) in the order a frame sends them
+    events = [(changes.release, 0x80 | ch, changes.before[0], 0)]
+    if dynamics:
+        vel, timbre = dynamics
+        velocity = _MIDI_VELOCITY.take(vel)
+        events += [(changes.onset, 0xB0 | ch, CC_TIMBRE, timbre),
+                   (changes.onset, 0x90 | ch, note, velocity),
+                   (changes.changed[0], 0xB0 | ch, CC_EXPRESSION, velocity),
+                   (changes.changed[1], 0xB0 | ch, CC_TIMBRE, timbre)]
+    else:   # a voice without velocity and timbre (the triangle) sounds at full velocity
+        events.append((changes.onset, 0x90 | ch, note, _MIDI_VELOCITY[VELOCITY_MAX]))
+    frame, fields = schedule(events, len(ticks))
+    data = fields.T.astype(np.uint8).tobytes()
+    return _encode_track(ticks[frame], [data[i:i + 3] for i in range(0, len(data), 3)],
+                         int(ticks[-1]))
 
 
 def score_to_midi(score: ExpressiveScore) -> bytes:
@@ -122,13 +108,11 @@ def score_to_midi(score: ExpressiveScore) -> bytes:
     """
     check_rate(score.rate_hz, len(score))
     check_frames(score)
-    frames = score.to_array().tolist()
-    ticks = _frame_ticks(len(frames), score.rate_hz).tolist()
-    end_tick = ticks[-1]
-    tempo = [(0, _EV_CONTROL, b"\xff\x51\x03" + struct.pack(">I", TEMPO_USPQ)[1:])]
-    chunks = [_encode_track(tempo, end_tick)]
-    for voice in range(4):
-        chunks.append(_encode_track(_voice_events(frames, voice, ticks), end_tick))
+    values = score.to_array()
+    ticks = _frame_ticks(len(values), score.rate_hz)
+    tempo = b"\xff\x51\x03" + struct.pack(">I", TEMPO_USPQ)[1:]
+    chunks = [_encode_track([0], [tempo], int(ticks[-1]))]
+    chunks += [_voice_track(values, voice, ticks) for voice in range(len(VOICES))]
     out = bytearray()
     out += b"MThd" + struct.pack(">IHHH", 6, 1, len(chunks), PPQ)
     for chunk in chunks:

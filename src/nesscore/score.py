@@ -7,8 +7,9 @@ Three representations of the same material, ordered by information content:
 * blended score    -- 88xT binary piano roll, union of the melodic voices
 
 Plus the frame schema (``SCHEMA``, checked by ``validate`` and, in every
-reader and writer, by ``check_frames``), the 24 Hz downsampling step, the
-NESSCORE text format and the composer-disjoint corpus split.
+reader and writer, by ``check_frames``), the per-voice change rule the score
+writers schedule by (``voice_changes``, ``schedule``), the 24 Hz downsampling
+step, the NESSCORE text format and the composer-disjoint corpus split.
 """
 
 import itertools
@@ -283,6 +284,46 @@ def voice_state_space(voice: str) -> set[tuple]:
     if voice not in SCHEMA:
         raise ValueError(f"unknown voice {voice!r}")
     return {(0,) * len(SCHEMA[voice]), *itertools.product(*SCHEMA[voice])}
+
+
+# ---------------------------------------------------------------------------
+# per-voice changes, the one rule the score writers schedule their events by
+
+class VoiceChanges(NamedTuple):
+    """One voice over frames 0..T of a T-frame score, frame T the silence after it:
+    its fields (rows in ``SCHEMA`` order) in each frame and in the frame before."""
+
+    now: np.ndarray
+    before: np.ndarray
+    onset: np.ndarray       # the note changed to a sounding note
+    release: np.ndarray     # the note changed from a sounding note
+    changed: np.ndarray     # per dynamics field: it changed while the same note held
+
+
+def voice_changes(values: np.ndarray, voice: str) -> VoiceChanges:
+    """The changes of ``voice`` over frames 0..T of a (T, 10) frame array."""
+    now = np.zeros((len(SCHEMA[voice]), len(values) + 1), np.int16)
+    now[:, :-1] = values[:, VOICE_COLUMNS[voice]].T
+    before = np.roll(now, 1, axis=1)    # silent frame T rolls round to precede frame 0
+    new_note = now[0] != before[0]
+    return VoiceChanges(now, before, new_note & (now[0] > 0), new_note & (before[0] > 0),
+                        (now[1:] != before[1:]) & ~new_note)
+
+
+def schedule(events: list[tuple], n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """The events of frames 0..n_frames - 1, frame by frame, in list order within one.
+
+    An event is (mask, *fields), each field a number or an array over the mask's
+    frames.  Returns each event's frame and, one row per field, its values.
+    """
+    masks = np.array([mask for mask, *_fields in events])
+    frame, which = np.nonzero(masks[:, :n_frames].T)
+    fields = np.empty((len(events[0]) - 1, len(frame)), np.int64)
+    for e, (_mask, *values) in enumerate(events):
+        at = which == e     # this event's frames, in increasing order
+        for f, value in enumerate(values):
+            fields[f, at] = value[frame[at]] if isinstance(value, np.ndarray) else value
+    return frame, fields
 
 
 # ---------------------------------------------------------------------------

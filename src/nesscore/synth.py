@@ -12,7 +12,8 @@ naive (no band-limiting), which is exactly how the hardware aliases.
 
 ``score_to_writes`` is the inverse path: it schedules the minimal register
 writes that make an expressive score come out of ``extract_timeline``
-unchanged.
+unchanged.  Each write is a mask over frames from ``score.voice_changes``
+with its register and value, put in frame order by ``score.schedule``.
 """
 
 import functools
@@ -26,12 +27,13 @@ from . import apu
 from .score import (
     NOISE_NOTE_MAX,
     SAMPLE_RATE,
-    SILENCE,
     VOICES,
     ExpressiveScore,
     check_frames,
     check_rate,
     frame_sample_index,
+    schedule,
+    voice_changes,
 )
 from .vgm import TimedWrite, TimedWriteStream
 
@@ -217,73 +219,47 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
     """
     check_rate(score.rate_hz, len(score))
     check_frames(score)
-    frames = score.frames
-    writes: list[TimedWrite] = []
+    values = score.to_array()
     # Frame k's writes land on its sample; the one past the last frame ends the stream.
-    *starts, total = frame_sample_index(np.arange(len(frames) + 1), score.rate_hz).tolist()
+    starts = frame_sample_index(np.arange(len(values) + 1), score.rate_hz)
+    p1, p2, tr, no = changes = [voice_changes(values, voice) for voice in VOICES]
+    pulse_timers = [apu.PULSE_TIMERS.take(c.now[0]) for c in (p1, p2)]
+    unsounded = np.argwhere((np.array([p1.onset, p2.onset]) & (np.array(pulse_timers) < 0)).T)
+    if len(unsounded):
+        k, i = unsounded[0].tolist()
+        raise apu.NoteOutOfRange(f"frame {k}: {VOICES[i]} note {changes[i].now[0, k]} "
+                                 "not representable by an 11-bit pulse timer")
 
-    def emit(sample, reg, value):
-        writes.append(TimedWrite(sample, reg, value))
-
-    prev = SILENCE
-    prev_mask = None
-    sweep_ready = [False, False]
-    for k, (s, f) in enumerate(zip(starts, frames)):
-        mask = ((f.p1_note > 0) | ((f.p2_note > 0) << 1)
-                | ((f.tr_note > 0) << 2) | ((f.no_note > 0) << 3))
-        if mask != prev_mask:
-            emit(s, 0x4015, mask)
-            prev_mask = mask
-
-        for i, (note, vel, timbre, old) in enumerate((
-            (f.p1_note, f.p1_vel, f.p1_timbre, (prev.p1_note, prev.p1_vel, prev.p1_timbre)),
-            (f.p2_note, f.p2_vel, f.p2_timbre, (prev.p2_note, prev.p2_vel, prev.p2_timbre)),
-        )):
-            base = 0x4000 + 4 * i
-            if note == 0:
-                continue
-            if not sweep_ready[i]:
-                emit(s, base + 1, 0x08)
-                sweep_ready[i] = True
-            control = (timbre << 6) | 0x30 | vel
-            if note != old[0]:
-                try:
-                    timer = apu.midi_to_timer(note, "pulse")
-                except apu.NoteOutOfRange as exc:
-                    raise apu.NoteOutOfRange(f"frame {k}: {VOICES[i]} {exc}") from None
-                emit(s, base + 0, control)
-                emit(s, base + 2, timer & 0xFF)
-                emit(s, base + 3, _LENGTH_LOAD_MAX | (timer >> 8))
-            elif (vel, timbre) != old[1:]:
-                emit(s, base + 0, control)
-
-        tr_onset = False
-        if f.tr_note > 0 and f.tr_note != prev.tr_note:
-            timer = apu.midi_to_timer(f.tr_note, "triangle")
-            emit(s, 0x4008, 0xFF)
-            emit(s, 0x400A, timer & 0xFF)
-            emit(s, 0x400B, _LENGTH_LOAD_MAX | (timer >> 8))
-            tr_onset = prev.tr_note == 0
-        elif f.tr_note == 0 and prev.tr_note > 0:
-            emit(s, 0x4008, 0x80)
-
-        if f.no_note > 0:
-            onset = f.no_note != prev.no_note
-            if onset or f.no_vel != prev.no_vel:
-                emit(s, 0x400C, 0x30 | f.no_vel)
-            if onset or f.no_timbre != prev.no_timbre:
-                emit(s, 0x400E, (f.no_timbre << 7) | (NOISE_NOTE_MAX - f.no_note))
-            if onset:
-                emit(s, 0x400F, _LENGTH_LOAD_MAX)
-
-        if tr_onset:
-            # immediate 5-step clock reloads the linear counter at this sample
-            emit(s, 0x4017, 0x80)
-        prev = f
-
-    if not frames:
-        emit(0, 0x4015, 0x00)
-    return TimedWriteStream(writes=writes, total_samples=total)
+    enabled = sum((c.now[0] > 0) << i for i, c in enumerate(changes))
+    # (frames, register, value) in the order a frame writes them; frame 0 sets the mask
+    writes = [(np.diff(enabled, prepend=-1) != 0, 0x4015, enabled)]
+    for base, c, timer in zip((0x4000, 0x4004), (p1, p2), pulse_timers):
+        _note, vel, timbre = c.now
+        writes += [
+            (c.onset & (np.cumsum(c.onset) == 1), base + 1, 0x08),
+            (c.onset | c.changed.any(axis=0), base, (timbre << 6) | 0x30 | vel),
+            (c.onset, base + 2, timer & 0xFF),
+            (c.onset, base + 3, _LENGTH_LOAD_MAX | (timer >> 8)),
+        ]
+    timer = apu.TRIANGLE_TIMERS.take(tr.now[0])
+    note, vel, timbre = no.now
+    writes += [
+        (tr.onset, 0x4008, 0xFF),
+        (tr.onset, 0x400A, timer & 0xFF),
+        (tr.onset, 0x400B, _LENGTH_LOAD_MAX | (timer >> 8)),
+        (tr.release & ~tr.onset, 0x4008, 0x80),
+        (no.onset | no.changed[0], 0x400C, 0x30 | vel),
+        (no.onset | no.changed[1], 0x400E, (timbre << 7) | (NOISE_NOTE_MAX - note)),
+        (no.onset, 0x400F, _LENGTH_LOAD_MAX),
+        # immediate 5-step clock reloads the linear counter at a triangle onset's sample
+        (tr.onset & ~tr.release, 0x4017, 0x80),
+    ]
+    # Frame T, the silence after the score, writes nothing; an empty score's
+    # frame 0 is that frame, and it still sets the mask.
+    frame, (register, value) = schedule(writes, max(len(values), 1))
+    return TimedWriteStream(writes=list(map(TimedWrite, starts[frame].tolist(),
+                                            register.tolist(), value.tolist())),
+                            total_samples=int(starts[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,18 @@ The register state machine itself is the package's.
 from typing import Iterator
 
 from nesscore.apu import (
-    _PULSE_NOTES,
     _TICK_SAMPLES,
-    _TRIANGLE_NOTES,
     ApuState,
     BadWriteOffset,
     PulseChannelState,
+    pitch_to_midi,
 )
 from nesscore.score import NOISE_NOTE_MAX, SILENCE, ExpressiveFrame
 from nesscore.vgm import TimedWriteStream
+
+# The note of each 11-bit timer period, None where it is outside the voice's range.
+_PULSE_NOTES = [pitch_to_midi(t, "pulse") for t in range(0x800)]
+_TRIANGLE_NOTES = [pitch_to_midi(t, "triangle") for t in range(0x800)]
 
 
 def _pulse_fields(ch: PulseChannelState) -> tuple[int, int, int]:

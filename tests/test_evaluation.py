@@ -372,6 +372,12 @@ class TestCorpusStats:
         stats = ev.corpus_stats([ExpressiveScore(24.0, frames)])
         assert stats.note_count == 8  # 4 voices x 2 onsets
 
+    def test_separated_scores_as_their_expressive_ones(self):
+        rng = random.Random(15)
+        corpus = [random_score(rng, n, rate_hz=rate)
+                  for n, rate in ((10, 24.0), (0, 60.0), (7, 29.97))]
+        assert ev.corpus_stats([to_separated(s) for s in corpus]) == ev.corpus_stats(corpus)
+
 
 class TestReports:
     def test_json_schema(self):
