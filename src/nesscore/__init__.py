@@ -33,7 +33,6 @@ from .vgm import (
     write_vgm,
 )
 from .apu import (
-    ApuState,
     Timeline,
     extract_timeline,
     midi_to_timer,

@@ -33,7 +33,8 @@ from .score import (
     TRIANGLE_NOTE_MIN,
     TRIANGLE_NOTE_MAX,
 )
-from .vgm import NES_APU_CLOCK_HZ as CPU_HZ, TimedWriteStream
+from .vgm import NES_APU_CLOCK_HZ as CPU_HZ, TimedWriteStream, check_stream
+from .vgm import BadWriteOffset, RegisterOutOfRange  # re-exported: replay raises them
 
 # Length counter values indexed by the 5-bit load field of $4003/$400B/$400F.
 LENGTH_TABLE = (
@@ -43,19 +44,6 @@ LENGTH_TABLE = (
 
 # Frame sequencer ticks land every 7457.5 CPU cycles; expressed in samples.
 _TICK_SAMPLES = 7457.5 * SAMPLE_RATE / CPU_HZ
-
-
-class RegisterOutOfRange(ValueError):
-    """Write addressed outside $4000-$4017."""
-
-
-class BadWriteOffset(ValueError):
-    """A write offset that breaks the stream's order or lies past its end."""
-
-    def __init__(self, index: int, sample_offset: int, problem: str):
-        super().__init__(f"write {index} at sample {sample_offset} {problem}")
-        self.index = index
-        self.sample_offset = sample_offset
 
 
 class NoteOutOfRange(ValueError):
@@ -210,9 +198,7 @@ class ApuState:
 
     # -- register writes ----------------------------------------------------
 
-    def write(self, register: int, value: int) -> None:
-        if not 0x4000 <= register <= 0x4017:
-            raise RegisterOutOfRange(f"register {register:#06x} outside $4000-$4017")
+    def write(self, register: int, value: int) -> None:    # replay checks the register
         value &= 0xFF
         reg = register - 0x4000
         if reg in (0x00, 0x04):
@@ -428,10 +414,11 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
     immediately.  Tick k after a restart at sample b lands on
     b + int(k * _TICK_SAMPLES).
 
-    Raises BadWriteOffset for a write whose offset is below that of an
-    earlier write, or beyond ``total_samples`` (a write exactly at the end
-    is legal and has no effect).
+    Raises what ``vgm.check_stream`` raises for a stream it rejects, before
+    replaying anything.  A write exactly at ``total_samples`` is legal and
+    has no effect.
     """
+    check_stream(stream)
     state = ApuState()
     p1, p2, tr, no = state.p1, state.p2, state.tr, state.no
     writes = stream.writes
@@ -448,8 +435,6 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
     while cur < total:
         reset = 0
         while next_write <= cur:
-            if next_write < cur:
-                raise BadWriteOffset(wi, next_write, f"is before sample {cur}")
             _offset, register, value = writes[wi]
             state.write(register, value)
             dirty |= _WRITE_DIRTY[register - 0x4000]
@@ -463,7 +448,7 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
                 if value & 0x80:
                     dirty |= state.half_tick()
             wi += 1
-            next_write = writes[wi].sample_offset if wi < n else total
+            next_write = writes[wi][0] if wi < n else total     # [0]: faster than .sample_offset
         # Segments end at every tick, so the next one is never behind cur.
         if next_tick == cur:
             dirty |= _fire_tick(state, tick_index)
@@ -485,12 +470,6 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
         cur = next_write if next_write < next_tick else next_tick
         if cur > total:
             cur = total
-    for i in range(wi, n):      # writes at the very end are never applied
-        offset = writes[i].sample_offset
-        if offset < cur:
-            raise BadWriteOffset(i, offset, f"is before sample {cur}")
-        if offset > total:
-            raise BadWriteOffset(i, offset, f"is beyond the stream end at sample {total}")
     table = np.array(rows, np.int32).reshape(-1, len(ROW_FIELDS))
     held = np.diff(np.array(row_firsts + [len(starts)], np.int64))
     return np.array(starts, np.int64), np.repeat(table, held, axis=0)

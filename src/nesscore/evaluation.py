@@ -128,7 +128,9 @@ def _category_values(corpus, task: str) -> tuple[dict[str, np.ndarray], np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# baselines: each is fitted on one category as model(values, first, size)
+# baselines: each is fitted on one category as model(values, first, size), and
+# model.score(values, first) gives each timestep's log-probability and whether
+# the model's prediction hits it
 
 # alphabet size per separated/expressive category; the blended models need none
 _SIZES = {cat: len(alphabet) for categories in CATEGORIES.values()
@@ -144,11 +146,8 @@ class Unigram:
         self._logp = np.log((counts + 1) / (counts.sum() + size))
         self._pred = np.argmax(counts)
 
-    def log_probs(self, idx, first):
-        return self._logp[idx]
-
-    def matches(self, idx, first):
-        return idx == self._pred
+    def score(self, idx, first):
+        return self._logp[idx], idx == self._pred
 
 
 def _transitions(idx, first, size):
@@ -172,11 +171,9 @@ class Bigram:
         table = counts.reshape(size + 1, size)
         self._logp = np.log((table + 1) / (table.sum(axis=1, keepdims=True) + size))
 
-    def log_probs(self, idx, first):
-        return self._logp.ravel()[_transitions(idx, first, self._logp.shape[1])]
-
-    def matches(self, idx, first):
-        return ~_poi_mask(idx, first)
+    def score(self, idx, first):
+        return (self._logp.ravel()[_transitions(idx, first, self._logp.shape[1])],
+                ~_poi_mask(idx, first))
 
 
 class NoteUnigram:
@@ -188,14 +185,11 @@ class NoteUnigram:
         self._log_on, self._log_off = np.log(p_on), np.log1p(-p_on)
         self._pred = p_on > 0.5
 
-    def log_probs(self, grid, first):
+    def score(self, grid, first):
         logp = np.zeros(grid.shape[1])     # key by key: T floats of temporaries, not 88 x T
         for on, log_on, log_off in zip(grid, self._log_on, self._log_off):
             logp += np.where(on, log_on, log_off)
-        return logp
-
-    def matches(self, grid, first):
-        return np.all(grid == self._pred[:, None], axis=0)
+        return logp, np.all(grid == self._pred[:, None], axis=0)
 
 
 def _chords(grid: np.ndarray) -> np.ndarray:
@@ -216,13 +210,11 @@ class ChordUnigram:
         self._log_unseen = math.log(1 / denom)
         self._pred = chords[index[counts == counts.max()].min()]
 
-    def log_probs(self, grid, first):
+    def score(self, grid, first):
         chords = _chords(grid)
         i = np.searchsorted(self._keys, chords).clip(max=len(self._keys) - 1)
-        return np.where(self._keys[i] == chords, self._logp[i], self._log_unseen)
-
-    def matches(self, grid, first):
-        return _chords(grid) == self._pred
+        return (np.where(self._keys[i] == chords, self._logp[i], self._log_unseen),
+                chords == self._pred)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +307,7 @@ def evaluate(model: Baseline, corpus, task: str) -> EvalReport:
     report = EvalReport(task=task, model=model.kind)
     for cat, m in model.categories.items():
         poi = _poi_mask(values[cat], first)
-        logp = m.log_probs(values[cat], first)
-        hits = m.matches(values[cat], first)
+        logp, hits = m.score(values[cat], first)
         n_p = poi.sum()
         report.categories.append(CategoryResult(
             category=cat,

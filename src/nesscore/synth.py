@@ -35,7 +35,7 @@ from .score import (
     schedule,
     voice_changes,
 )
-from .vgm import TimedWrite, TimedWriteStream
+from .vgm import TimedWrite, TimedWriteStream, check_stream
 
 DUTY_SEQUENCES = (
     (0, 1, 0, 0, 0, 0, 0, 0),   # 12.5%
@@ -156,6 +156,7 @@ def _advance(osc: list[int], period: int, wrap: int, c0: int, c1: int) -> int:
 
 def render_writes(stream: TimedWriteStream) -> PcmBuffer:
     """Render a timed write stream to PCM, one sample per stream sample."""
+    check_stream(stream)    # before np.empty, not by replaying first: that raised peak RSS
     out = np.empty(int(stream.total_samples))
     # [sequence step, cycles spent in it]; noise steps through the cycle of lfsr
     pulse, tri, noise, lfsr = [[0, 0], [0, 0]], [0, 0], [0, 0], 1

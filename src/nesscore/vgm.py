@@ -8,7 +8,9 @@ reached so far.  The commands accepted are the four wait encodings
 (0x61 nn nn, 0x62, 0x63, 0x7n), the APU write, skipped data blocks (0x67)
 and the end-of-data marker (0x66).  Anything else raises a ``VgmError`` that
 names the byte offset rather than being skipped: the corpora this feeds are
-NES-only and corruption should be loud.
+NES-only and corruption should be loud.  So does a wait that carries the
+stream past 2^32 - 1 samples.  ``check_stream`` is the one rule for what a
+``TimedWriteStream`` may hold; replay and ``write_vgm`` apply it.
 
 Gzip-compressed .vgz images are detected by magic and decompressed
 transparently.
@@ -18,9 +20,10 @@ import gzip
 import struct
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
-from .score import SAMPLE_RATE
+from .score import MAX_TOTAL_SAMPLES
 
 MAGIC = b"Vgm "
 GZIP_MAGIC = b"\x1f\x8b"
@@ -66,7 +69,20 @@ class DualChipUnsupported(VgmError):
 
 
 class OffsetOverflow(VgmError):
-    """Sample offset exceeds what 32-bit wait fields can encode."""
+    """A stream total outside what the header's 32-bit field can encode."""
+
+
+class RegisterOutOfRange(ValueError):
+    """Write addressed outside $4000-$4017."""
+
+
+class BadWriteOffset(ValueError):
+    """A write offset that breaks the stream's order or lies past its end."""
+
+    def __init__(self, index: int, sample_offset: int, problem: str):
+        super().__init__(f"write {index} at sample {sample_offset} {problem}")
+        self.index = index
+        self.sample_offset = sample_offset
 
 
 class TimedWrite(NamedTuple):
@@ -81,7 +97,34 @@ class TimedWriteStream:
 
     writes: list[TimedWrite] = field(default_factory=list)
     total_samples: int = 0
-    sample_rate: int = SAMPLE_RATE
+
+
+_APU_REGISTERS = frozenset(range(APU_REGISTER_BASE, APU_REGISTER_LAST + 1))
+
+
+def check_stream(stream: TimedWriteStream) -> None:
+    """Raise OffsetOverflow unless ``total_samples`` is in [0, 2^32 - 1], then,
+    for the first bad write, BadWriteOffset if its offset is below the one
+    before (or 0) or past ``total_samples``, or RegisterOutOfRange if its
+    register is outside $4000-$4017.  Values are read as their low byte.
+    """
+    total = stream.total_samples
+    if not 0 <= total <= MAX_TOTAL_SAMPLES:
+        raise OffsetOverflow(f"total_samples {total} is outside [0, {MAX_TOTAL_SAMPLES}]")
+    writes = stream.writes
+    # A valid stream passes in builtins; it is walked only to name the bad write.
+    offsets = [0, *map(itemgetter(0), writes), total]
+    if offsets == sorted(offsets) and _APU_REGISTERS.issuperset(map(itemgetter(1), writes)):
+        return
+    before = 0
+    for i, (offset, register, _value) in enumerate(writes):
+        if offset < before:
+            raise BadWriteOffset(i, offset, f"is before sample {before}")
+        if offset > total:
+            raise BadWriteOffset(i, offset, f"is beyond the stream end at sample {total}")
+        if register not in _APU_REGISTERS:
+            raise RegisterOutOfRange(f"register {register:#06x} outside $4000-$4017")
+        before = offset
 
 
 @dataclass
@@ -143,11 +186,15 @@ def _decode(data: bytes, pos: int) -> TimedWriteStream:
         wait = wait_samples[op]
         if wait:
             offset += wait
+            if offset > MAX_TOTAL_SAMPLES:
+                raise OffsetOverflow(f"wait at offset {pos:#x} passes {MAX_TOTAL_SAMPLES} samples")
             pos += 1
         elif op == 0x61:
             if pos + 3 > end:
                 raise TruncatedFile(f"wait command truncated at offset {pos:#x}")
             offset += data[pos + 1] | (data[pos + 2] << 8)
+            if offset > MAX_TOTAL_SAMPLES:
+                raise OffsetOverflow(f"wait at offset {pos:#x} passes {MAX_TOTAL_SAMPLES} samples")
             pos += 3
         elif op == 0x66:
             return TimedWriteStream(writes=writes, total_samples=offset)
@@ -184,19 +231,12 @@ def _encode_wait(delta: int, out: bytearray) -> None:
 
 
 def write_vgm(stream: TimedWriteStream) -> bytes:
-    """Emit a minimal valid VGM v1.61 image that round-trips the stream."""
-    if stream.total_samples > 0xFFFFFFFF:
-        raise OffsetOverflow(f"total_samples {stream.total_samples} exceeds 32 bits")
-
+    """Emit a minimal valid VGM v1.61 image that round-trips a stream
+    ``check_stream`` accepts; otherwise raise its error, writing nothing."""
+    check_stream(stream)
     body = bytearray()
     offset = 0
     for w in stream.writes:
-        if w.sample_offset > 0xFFFFFFFF:
-            raise OffsetOverflow(f"write offset {w.sample_offset} exceeds 32 bits")
-        if w.sample_offset < offset:
-            raise ValueError("write offsets must be non-decreasing")
-        if not APU_REGISTER_BASE <= w.register <= APU_REGISTER_LAST:
-            raise ValueError(f"register {w.register:#06x} outside APU range")
         _encode_wait(w.sample_offset - offset, body)
         offset = w.sample_offset
         body += bytes((0xB4, w.register - APU_REGISTER_BASE, w.value & 0xFF))

@@ -4,7 +4,9 @@ Kept as the reference the extraction tests compare against: it replays the
 writes against the live ``ApuState``, projects the whole state onto an
 ExpressiveFrame after every segment with ``snapshot`` (asking each channel
 whether it sounds), and keeps the frames that differ from the one before.
-The register state machine itself is the package's.
+The register state machine itself is the package's; the stream checks are
+this module's own, made as each write is reached, so they are independent
+of ``vgm.check_stream``.
 """
 
 from typing import Iterator
@@ -14,6 +16,7 @@ from nesscore.apu import (
     ApuState,
     BadWriteOffset,
     PulseChannelState,
+    RegisterOutOfRange,
     pitch_to_midi,
 )
 from nesscore.score import NOISE_NOTE_MAX, SILENCE, ExpressiveFrame
@@ -56,6 +59,11 @@ def _fire_tick(state: ApuState, index: int) -> None:
             state.quarter_tick()
 
 
+def _check_register(register: int) -> None:
+    if not 0x4000 <= register <= 0x4017:
+        raise RegisterOutOfRange(f"register {register:#06x} outside $4000-$4017")
+
+
 def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, ApuState, list]]:
     """Replay a write stream, yielding (start, end, live state, writes) spans."""
     state = ApuState()
@@ -72,6 +80,7 @@ def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, ApuState
             if next_write < cur:
                 raise BadWriteOffset(wi, next_write, f"is before sample {cur}")
             _offset, register, value = writes[wi]
+            _check_register(register)
             state.write(register, value)
             applied.append((register, value))
             if register == 0x4017:
@@ -88,12 +97,13 @@ def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, ApuState
         end = min(next_write, next_tick, total)
         yield cur, end, state, applied
         cur = end
-    for i in range(wi, n):
+    for i in range(wi, n):      # writes at the very end are never applied
         offset = writes[i].sample_offset
         if offset < cur:
             raise BadWriteOffset(i, offset, f"is before sample {cur}")
         if offset > total:
             raise BadWriteOffset(i, offset, f"is beyond the stream end at sample {total}")
+        _check_register(writes[i].register)
 
 
 def timeline_changes(stream: TimedWriteStream) -> list[tuple[int, ExpressiveFrame]]:

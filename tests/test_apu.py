@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nesscore.apu import (
@@ -27,10 +27,11 @@ from nesscore.apu import (
     iter_segments,
     midi_to_timer,
     pitch_to_midi,
+    replay,
 )
 from nesscore.score import SILENCE, ExpressiveFrame, validate
 from nesscore.synth import render_writes
-from nesscore.vgm import TimedWrite, TimedWriteStream
+from nesscore.vgm import OffsetOverflow, TimedWrite, TimedWriteStream, parse_vgm, write_vgm
 from nesscore import score as sc
 from conftest import mutate
 from reference_downsample import frame_at
@@ -120,8 +121,10 @@ class TestRegisterWrites:
             assert written(base, (reg, 0xFF)) == base
 
     def test_register_out_of_range(self):
-        with pytest.raises(RegisterOutOfRange):
-            ApuState().write(0x4018, 0)
+        stream = TimedWriteStream([TimedWrite(0, 0x4018, 0)], total_samples=10)
+        with pytest.raises(RegisterOutOfRange) as exc:
+            replay(stream)
+        assert str(exc.value) == "register 0x4018 outside $4000-$4017"
 
 
 class TestFrameSequencer:
@@ -391,6 +394,10 @@ def _stream(total, *writes):
     return TimedWriteStream([TimedWrite(*w) for w in writes], total_samples=total)
 
 
+# Every reader and writer of streams, each of which applies vgm.check_stream first.
+CONSUMERS = (extract_timeline, render_writes, write_vgm)
+
+
 class TestExtractTimeline:
     def test_empty_stream_is_silent(self):
         tl = extract_timeline(TimedWriteStream(total_samples=100))
@@ -471,26 +478,34 @@ class TestExtractTimeline:
     def test_decreasing_offset_rejected(self):
         stream = _stream(2000, (0, 0x4015, 0x01), (700, 0x4002, 0xFD), (700, 0x4003, 0x08),
                          (699, 0x4000, 0xBF), (1500, 0x4000, 0x30))
-        for replay in (extract_timeline, render_writes):
+        for consumer in CONSUMERS:
             with pytest.raises(BadWriteOffset) as exc:
-                replay(stream)
+                consumer(stream)
             assert (exc.value.index, exc.value.sample_offset) == (3, 699)
             assert str(exc.value) == "write 3 at sample 699 is before sample 700"
 
+    def test_negative_offset_rejected(self):
+        stream = _stream(1000, (-1, 0x4015, 0x01))
+        for consumer in CONSUMERS:
+            with pytest.raises(BadWriteOffset) as exc:
+                consumer(stream)
+            assert str(exc.value) == "write 0 at sample -1 is before sample 0"
+
     def test_decrease_after_the_last_segment_rejected(self):
         stream = _stream(1000, (1000, 0x4015, 0x01), (10, 0x4015, 0x00))
-        for replay in (extract_timeline, render_writes):
+        for consumer in CONSUMERS:
             with pytest.raises(BadWriteOffset) as exc:
-                replay(stream)
+                consumer(stream)
             assert (exc.value.index, exc.value.sample_offset) == (1, 10)
+            assert str(exc.value) == "write 1 at sample 10 is before sample 1000"
 
     def test_write_beyond_end_rejected(self):
         stream = _stream(1000, (0, 0x4015, 0x01), (1000, 0x4015, 0x00), (1001, 0x4015, 0x01))
-        for replay in (extract_timeline, render_writes):
+        for consumer in CONSUMERS:
             with pytest.raises(BadWriteOffset) as exc:
-                replay(stream)
+                consumer(stream)
             assert (exc.value.index, exc.value.sample_offset) == (2, 1001)
-            assert "beyond the stream end at sample 1000" in str(exc.value)
+            assert str(exc.value) == "write 2 at sample 1001 is beyond the stream end at sample 1000"
 
     def test_write_at_end_is_legal(self):
         # VGM files end with their last writes at the final sample offset
@@ -502,8 +517,33 @@ class TestExtractTimeline:
 
     def test_propagates_register_errors(self):
         bad = TimedWriteStream([TimedWrite(0, 0x3FFF, 0)], total_samples=10)
-        with pytest.raises(RegisterOutOfRange):
-            extract_timeline(bad)
+        for consumer in CONSUMERS:
+            with pytest.raises(RegisterOutOfRange) as exc:
+                consumer(bad)
+            assert str(exc.value) == "register 0x3fff outside $4000-$4017"
+
+    def test_bad_register_at_the_end_rejected(self):
+        # a write at total_samples is never applied, but it is still checked
+        stream = _stream(1000, (0, 0x4015, 0x01), (1000, 0x4018, 0x00))
+        for consumer in CONSUMERS:
+            with pytest.raises(RegisterOutOfRange) as exc:
+                consumer(stream)
+            assert str(exc.value) == "register 0x4018 outside $4000-$4017"
+
+    def test_first_bad_write_is_named(self):
+        # a bad register before a bad offset, then the reverse
+        for writes, error in ((((5, 0x4018, 0), (4, 0x4015, 0)), RegisterOutOfRange),
+                              (((5, 0x4015, 0), (4, 0x4018, 0)), BadWriteOffset)):
+            for consumer in CONSUMERS:
+                with pytest.raises(error):
+                    consumer(_stream(10, *writes))
+
+    @pytest.mark.parametrize("total", [-1, 0x1_0000_0000])
+    def test_total_outside_32_bits_rejected(self, total):
+        for consumer in CONSUMERS:
+            with pytest.raises(OffsetOverflow) as exc:
+                consumer(TimedWriteStream(total_samples=total))
+            assert str(exc.value) == f"total_samples {total} is outside [0, 4294967295]"
 
 
 def _random_writes(seed, n):
@@ -615,6 +655,11 @@ def table_changes(stream):
     return extract_timeline(stream).changes
 
 
+def vgm_changes(stream):
+    """The change points of the stream that the stream's VGM image reads back to."""
+    return table_changes(parse_vgm(write_vgm(stream)).stream)
+
+
 REGISTERS = st.one_of(st.integers(0, 0x17),
                       st.sampled_from([0x03, 0x07, 0x0B, 0x0F, 0x15, 0x17]))
 
@@ -642,21 +687,26 @@ def _unpacked(data: bytes, total: int) -> TimedWriteStream:
     return TimedWriteStream([TimedWrite(*r) for r in records], total_samples=total)
 
 
+# Byte edits of a packed stream: offsets may then fall, pass the end or hit a
+# register outside $4000-$4017.
+RECORD_EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 400),
+    st.one_of(st.sampled_from(b"\x00\x03\x07\x15\x17\x40\x80\xc0\xff"), st.integers(0, 255)))
+
+
 class TestReplayAgainstReference:
     """The replay table against the per-segment snapshots of reference_replay."""
 
     @given(write_streams())
+    @example(_stream(0, (0, 0x0015, 15)))           # bad registers at the very end
+    @example(_stream(10, (0, 0x4015, 15), (10, 0x4018, 0)))
     @settings(max_examples=150, deadline=None)
     def test_random_streams(self, stream):
         assert outcome(table_changes, stream) == outcome(reference_replay.timeline_changes, stream)
 
-    @given(write_streams(), st.lists(st.tuples(
-        st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 400),
-        st.one_of(st.sampled_from(b"\x00\x03\x07\x15\x17\x40\x80\xc0\xff"), st.integers(0, 255))),
-        min_size=1, max_size=6))
+    @given(write_streams(), st.lists(RECORD_EDITS, min_size=1, max_size=6))
     @settings(derandomize=True, max_examples=150, deadline=None)
     def test_byte_mutations(self, stream, edits):
-        # offsets may now fall, pass the end or hit a register outside $4000-$4017
         mutated = _unpacked(mutate(_packed(stream), edits), stream.total_samples)
         assert (outcome(table_changes, mutated)
                 == outcome(reference_replay.timeline_changes, mutated))
@@ -667,3 +717,13 @@ class TestReplayAgainstReference:
             assert len(items) == sum(1 for _ in reference_replay.iter_segments(stream))
             assert [end for _s, end, _r in items[:-1]] == [s for s, _e, _r in items[1:]]
             assert (items[0][0], items[-1][1]) == (0, stream.total_samples)
+
+
+class TestWriteVgmAgainstReplay:
+    """write_vgm rejects exactly the streams replay rejects, and its images read back."""
+
+    @given(write_streams(), st.lists(RECORD_EDITS, max_size=6))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_byte_mutations(self, stream, edits):
+        mutated = _unpacked(mutate(_packed(stream), edits), stream.total_samples)
+        assert outcome(vgm_changes, mutated) == outcome(table_changes, mutated)

@@ -22,6 +22,24 @@ def song(tmp_path):
     return score, vgm_path
 
 
+@pytest.fixture
+def too_long(tmp_path):
+    """A VGM of 65,538 longest waits: 2^32 + 65,534 samples, past what a stream may span."""
+    path = tmp_path / "too_long.vgm"
+    body = b"\x61\xff\xff" * 65538 + b"\x66"
+    path.write_bytes(vgm.write_vgm(vgm.TimedWriteStream())[:vgm.HEADER_SIZE] + body)
+    return path
+
+
+@pytest.mark.parametrize("command", ["vgm2score", "render"])
+def test_stream_past_32_bits_fails_fast(too_long, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, str(too_long), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: wait at offset 0x300c3") and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestVgm2Score:
     def test_extracts_score(self, song, tmp_path):
         score, vgm_path = song

@@ -191,13 +191,13 @@ class TestBlendedModels:
         corpus = [ExpressiveScore(24.0, [NOTE] * 9 + [SILENCE])]
         model = ev.fit("chord-unigram", corpus, "blended").categories["blended"]
         grid, first = ev._category_values(corpus, "blended")
-        logp = model.log_probs(grid["blended"], first)
+        logp, _hits = model.score(grid["blended"], first)
         # 2 distinct chords, 10 columns: p(NOTE chord) = 10/13, p(silence) = 2/13
         assert logp[0] == pytest.approx(math.log(10 / 13))
         assert logp[-1] == pytest.approx(math.log(2 / 13))
         unseen = ExpressiveScore(24.0, [ExpressiveFrame(tr_note=99)])
         unseen_grid, first = ev._category_values([unseen], "blended")
-        assert model.log_probs(unseen_grid["blended"], first)[0] == pytest.approx(
+        assert model.score(unseen_grid["blended"], first)[0][0] == pytest.approx(
             math.log(1 / 13))
 
     def test_chord_unigram_total_mass(self):
@@ -261,8 +261,9 @@ class TestCorpusBoundaries:
         # start row: 0 (song 1) and 69 (song 2); row 69: one 69 -> 69, in song 2
         assert table[-1, a69] == pytest.approx(2 / (2 + size))
         assert table[a69, a69] == pytest.approx(2 / (1 + size))
-        assert model.log_probs(values["P1"], first)[2] == model._logp[-1, a69]
-        assert not model.matches(values["P1"], first)[2]
+        logp, hits = model.score(values["P1"], first)
+        assert logp[2] == model._logp[-1, a69]
+        assert not hits[2]
 
     def test_stats_count_song_start_as_onset(self):
         assert ev.corpus_stats(self.SONGS).note_count == 8  # 4 voices x 2 songs

@@ -29,7 +29,13 @@ from nesscore.synth import (
     score_to_writes,
     write_wav,
 )
-from nesscore.vgm import TimedWrite, TimedWriteStream
+from nesscore.vgm import (
+    BadWriteOffset,
+    OffsetOverflow,
+    RegisterOutOfRange,
+    TimedWrite,
+    TimedWriteStream,
+)
 
 A440 = ExpressiveFrame(p1_note=69, p1_vel=15, p1_timbre=2)
 TRI220 = ExpressiveFrame(tr_note=57)
@@ -230,6 +236,20 @@ class TestRender:
         two = render_writes(score_to_writes(ExpressiveScore(24.0, [A440] * 8)))
         n = len(one.samples)
         assert np.array_equal(one.samples, two.samples[:n])
+
+    @pytest.mark.parametrize("stream, error", [
+        (TimedWriteStream(total_samples=2 ** 32), OffsetOverflow),
+        (TimedWriteStream([TimedWrite(44_100_001, 0x4015, 0)], total_samples=44_100_000),
+         BadWriteOffset),
+        (TimedWriteStream([TimedWrite(44_100_000, 0x4018, 0)], total_samples=44_100_000),
+         RegisterOutOfRange),
+    ], ids=["total past 32 bits", "write past the end", "register past $4017"])
+    def test_rejected_stream_allocates_nothing(self, monkeypatch, stream, error):
+        def allocate(*args, **kwargs):
+            raise AssertionError("the output was allocated before the stream was checked")
+        monkeypatch.setattr(synth.np, "empty", allocate)
+        with pytest.raises(error):
+            render_writes(stream)
 
 
 def estimate_fundamental(samples: np.ndarray, lo_hz=20.0, hi_hz=2000.0) -> float:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import reference_vgm
 from conftest import mutate
 from nesscore import vgm
+from nesscore.score import MAX_TOTAL_SAMPLES
 from nesscore.vgm import (
     HEADER_SIZE,
     BadMagic,
@@ -183,6 +184,37 @@ class TestWrite:
         stream = TimedWriteStream([TimedWrite(200_000, 0x4002, 7)],
                                   total_samples=200_000)
         assert flatten_to_writes(parse_vgm(write_vgm(stream))) == stream
+
+    def test_longest_stream_round_trips(self):
+        stream = TimedWriteStream([TimedWrite(MAX_TOTAL_SAMPLES, 0x4015, 0)],
+                                  total_samples=MAX_TOTAL_SAMPLES)
+        assert flatten_to_writes(parse_vgm(write_vgm(stream))) == stream
+
+
+# 65,537 of the longest 16-bit wait span 2^32 - 1 samples, the most a stream may.
+LONGEST_WAITS = b"\x61\xff\xff" * 65537
+
+
+class TestTotalBound:
+    def test_longest_waits_parse(self):
+        stream = parse_vgm(make_vgm(LONGEST_WAITS + b"\x66")).stream
+        assert stream.total_samples == MAX_TOTAL_SAMPLES == 2 ** 32 - 1
+
+    @pytest.mark.parametrize("wait", [b"\x61\xff\xff", b"\x61\x01\x00", b"\x70"],
+                             ids=["longest", "one sample, 0x61", "one sample, 0x70"])
+    def test_one_more_wait_overflows(self, wait):
+        # the first command past the longest waits sits at 0xc0 + 3 * 65537
+        with pytest.raises(OffsetOverflow) as exc:
+            parse_vgm(make_vgm(LONGEST_WAITS + wait + b"\x66"))
+        assert str(exc.value) == "wait at offset 0x300c3 passes 4294967295 samples"
+
+    def test_overflow_raises_before_later_faults(self):
+        with pytest.raises(OffsetOverflow):
+            parse_vgm(make_vgm(LONGEST_WAITS + b"\x62\x51"))
+
+    def test_zero_wait_at_the_bound(self):
+        stream = parse_vgm(make_vgm(LONGEST_WAITS + b"\x61\x00\x00\xb4\x15\x01\x66")).stream
+        assert stream.writes == [TimedWrite(MAX_TOTAL_SAMPLES, 0x4015, 1)]
 
 
 @st.composite
