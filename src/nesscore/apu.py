@@ -1,16 +1,15 @@
-"""Register-accurate state machine for the 2A03's four scored voices.
+"""Register-accurate replay of the 2A03's four scored voices, and pitch maps.
 
-Tracks exactly the state that determines what a voice contributes to a
-score frame or to the audio: duty/volume/envelope, sweep, length and linear
-counters, noise mode and period.
-
-``replay`` runs a timed write stream against this state, clocking the frame
-sequencer at its ~240 Hz cadence.  It cuts the stream into segments of
-constant state and returns one integer row per segment: the parameters each
-voice sounds with (see ``ROW_FIELDS``).  A channel's part of the row is
-recomputed only after a write to its registers or a sequencer clock that
-changed something the row reads; the clock methods report that.  Both
-consumers read the same rows: ``extract_timeline`` turns them into
+``replay`` cuts a timed write stream into segments of constant state and
+returns one integer row per segment: the parameters each voice sounds with
+(see ``ROW_FIELDS``), as set by duty, volume and envelope, sweep, length and
+linear counters, noise mode and period, with the frame sequencer clocking
+at its ~240 Hz cadence.  The rows are whole-array programs over the writes
+and the sequencer clocks (``_Program``): a register field is a gather of
+its last write, a length or linear counter is its last load less the
+clocks since, and the envelope and sweep units have closed forms between
+the few events that change them; Python steps only over those events.
+Both consumers read the same rows: ``extract_timeline`` turns them into
 expressive frames with whole-array gathers and keeps the rows where the
 frame changes, and ``synth.render_writes`` drives its oscillators from them.
 
@@ -19,7 +18,7 @@ No audio is produced here; waveform generation lives in ``synth``.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -48,246 +47,6 @@ _TICK_SAMPLES = 7457.5 * SAMPLE_RATE / CPU_HZ
 
 class NoteOutOfRange(ValueError):
     """MIDI note not representable on the requested oscillator."""
-
-
-@dataclass
-class Envelope:
-    start: bool = False
-    divider: int = 0
-    decay_level: int = 0
-
-    def clock(self, period: int, loop: bool) -> bool:
-        """One quarter-frame clock; True when it changed ``decay_level``."""
-        before = self.decay_level
-        if self.start:
-            self.start = False
-            self.decay_level = 15
-            self.divider = period
-        elif self.divider > 0:
-            self.divider -= 1
-        else:
-            self.divider = period
-            if self.decay_level > 0:
-                self.decay_level -= 1
-            elif loop:
-                self.decay_level = 15
-        return self.decay_level != before
-
-
-@dataclass
-class Sweep:
-    enabled: bool = False
-    period: int = 0
-    negate: bool = False
-    shift: int = 0
-    reload: bool = False
-    divider: int = 0
-
-
-@dataclass
-class _EnvelopeChannel:
-    """The volume, envelope and length counter the pulses and the noise share."""
-
-    length_halt: bool = False       # shared bit: halts length, loops envelope
-    constant_volume: bool = False
-    volume: int = 0                 # constant level, doubles as envelope period
-    length_counter: int = 0
-    envelope: Envelope = field(default_factory=Envelope)
-    enabled: bool = False
-
-    def output_volume(self) -> int:
-        return self.volume if self.constant_volume else self.envelope.decay_level
-
-    def clock_length(self) -> bool:
-        """One half-frame length clock; True when the counter reached 0."""
-        if not self.length_halt and self.length_counter > 0:
-            self.length_counter -= 1
-            return self.length_counter == 0
-        return False
-
-
-@dataclass
-class PulseChannelState(_EnvelopeChannel):
-    duty: int = 0
-    sweep: Sweep = field(default_factory=Sweep)
-    timer_period: int = 0
-    ones_complement_sweep: bool = False  # pulse 1 negates with an extra -1
-
-    def sounding(self) -> bool:
-        return (self.enabled and self.length_counter > 0 and self.output_volume() > 0
-                and not self.sweep_muted())
-
-    def sweep_target(self) -> int:
-        change = self.timer_period >> self.sweep.shift
-        if not self.sweep.negate:
-            return self.timer_period + change
-        return self.timer_period - change - (1 if self.ones_complement_sweep else 0)
-
-    def sweep_muted(self) -> bool:
-        # The target comparison applies even with the sweep disabled.
-        return self.timer_period < 8 or self.sweep_target() > 0x7FF
-
-    def clock_sweep(self) -> bool:
-        """One half-frame sweep clock; True when it changed ``timer_period``."""
-        s = self.sweep
-        before = self.timer_period
-        if s.divider == 0 and s.enabled and s.shift > 0 and not self.sweep_muted():
-            self.timer_period = max(self.sweep_target(), 0)
-        if s.divider == 0 or s.reload:
-            s.divider = s.period
-            s.reload = False
-        else:
-            s.divider -= 1
-        return self.timer_period != before
-
-
-@dataclass
-class TriangleChannelState:
-    linear_control: bool = False    # halts length, keeps linear reload armed
-    linear_reload_value: int = 0
-    linear_counter: int = 0
-    linear_reload: bool = False
-    timer_period: int = 0
-    length_counter: int = 0
-    enabled: bool = False
-
-    def sounding(self) -> bool:
-        # a gated sequencer also freezes the waveform phase
-        return (self.enabled and self.length_counter > 0 and self.linear_counter > 0
-                and self.timer_period >= 2)
-
-    def clock_linear(self) -> bool:
-        """One quarter-frame clock; True when the counter went to or from 0."""
-        was_zero = self.linear_counter == 0
-        if self.linear_reload:
-            self.linear_counter = self.linear_reload_value
-        elif self.linear_counter > 0:
-            self.linear_counter -= 1
-        if not self.linear_control:
-            self.linear_reload = False
-        return was_zero != (self.linear_counter == 0)
-
-    def clock_length(self) -> bool:
-        """One half-frame length clock; True when the counter reached 0."""
-        if not self.linear_control and self.length_counter > 0:
-            self.length_counter -= 1
-            return self.length_counter == 0
-        return False
-
-
-@dataclass
-class NoiseChannelState(_EnvelopeChannel):
-    mode: int = 0
-    period_index: int = 0
-
-    def sounding(self) -> bool:
-        # the LFSR only advances while this holds
-        return self.enabled and self.length_counter > 0 and self.output_volume() > 0
-
-
-@dataclass
-class ApuState:
-    """Full register-derived state of the four scored channels."""
-
-    p1: PulseChannelState = field(
-        default_factory=lambda: PulseChannelState(ones_complement_sweep=True))
-    p2: PulseChannelState = field(default_factory=PulseChannelState)
-    tr: TriangleChannelState = field(default_factory=TriangleChannelState)
-    no: NoiseChannelState = field(default_factory=NoiseChannelState)
-    frame_mode: int = 4             # 4-step or 5-step sequencer
-
-    # -- register writes ----------------------------------------------------
-
-    def write(self, register: int, value: int) -> None:    # replay checks the register
-        value &= 0xFF
-        reg = register - 0x4000
-        if reg in (0x00, 0x04):
-            ch = self.p1 if reg == 0x00 else self.p2
-            ch.duty = (value >> 6) & 3
-            ch.length_halt = bool(value & 0x20)
-            ch.constant_volume = bool(value & 0x10)
-            ch.volume = value & 0x0F
-        elif reg in (0x01, 0x05):
-            ch = self.p1 if reg == 0x01 else self.p2
-            ch.sweep.enabled = bool(value & 0x80)
-            ch.sweep.period = (value >> 4) & 7
-            ch.sweep.negate = bool(value & 0x08)
-            ch.sweep.shift = value & 7
-            ch.sweep.reload = True
-        elif reg in (0x02, 0x06):
-            ch = self.p1 if reg == 0x02 else self.p2
-            ch.timer_period = (ch.timer_period & 0x700) | value
-        elif reg in (0x03, 0x07):
-            ch = self.p1 if reg == 0x03 else self.p2
-            ch.timer_period = (ch.timer_period & 0xFF) | ((value & 7) << 8)
-            if ch.enabled:
-                ch.length_counter = LENGTH_TABLE[value >> 3]
-            ch.envelope.start = True
-            # the oscillator phase reset lives in the renderer
-        elif reg == 0x08:
-            self.tr.linear_control = bool(value & 0x80)
-            self.tr.linear_reload_value = value & 0x7F
-        elif reg == 0x0A:
-            self.tr.timer_period = (self.tr.timer_period & 0x700) | value
-        elif reg == 0x0B:
-            self.tr.timer_period = (self.tr.timer_period & 0xFF) | ((value & 7) << 8)
-            if self.tr.enabled:
-                self.tr.length_counter = LENGTH_TABLE[value >> 3]
-            self.tr.linear_reload = True
-        elif reg == 0x0C:
-            self.no.length_halt = bool(value & 0x20)
-            self.no.constant_volume = bool(value & 0x10)
-            self.no.volume = value & 0x0F
-        elif reg == 0x0E:
-            self.no.mode = (value >> 7) & 1
-            self.no.period_index = value & 0x0F
-        elif reg == 0x0F:
-            if self.no.enabled:
-                self.no.length_counter = LENGTH_TABLE[value >> 3]
-            self.no.envelope.start = True
-        elif reg == 0x15:
-            for bit, ch in enumerate((self.p1, self.p2, self.tr, self.no)):
-                ch.enabled = bool(value >> bit & 1)
-                if not ch.enabled:
-                    ch.length_counter = 0
-        elif reg == 0x17:
-            self.frame_mode = 5 if value & 0x80 else 4
-        # 0x09, 0x0D, 0x10-0x14 (sampler), 0x16: no-ops
-
-    # -- frame sequencer ticks ----------------------------------------------
-
-    def quarter_tick(self) -> int:
-        """Clock the envelopes and the linear counter.
-
-        Returns the channels whose replay row the clock may have changed, as
-        a mask: 1 pulse 1, 2 pulse 2, 4 triangle, 8 noise.  A decay step
-        counts only for a channel that plays its envelope.
-        """
-        p1, p2, no = self.p1, self.p2, self.no
-        dirty = 0
-        if p1.envelope.clock(p1.volume, p1.length_halt) and not p1.constant_volume:
-            dirty = 1
-        if p2.envelope.clock(p2.volume, p2.length_halt) and not p2.constant_volume:
-            dirty |= 2
-        if no.envelope.clock(no.volume, no.length_halt) and not no.constant_volume:
-            dirty |= 8
-        if self.tr.clock_linear():
-            dirty |= 4
-        return dirty
-
-    def half_tick(self) -> int:
-        """A quarter tick, then the length counters and sweeps; returns the mask."""
-        dirty = self.quarter_tick()
-        # | and not `or`: both units must clock
-        if self.p1.clock_length() | self.p1.clock_sweep():
-            dirty |= 1
-        if self.p2.clock_length() | self.p2.clock_sweep():
-            dirty |= 2
-        if self.tr.clock_length():
-            dirty |= 4
-        if self.no.clock_length():
-            dirty |= 8
-        return dirty
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +121,6 @@ def midi_to_timer(note: int, kind: str) -> int:
         raise NoteOutOfRange(f"note {note} not representable by an 11-bit {kind} timer")
     return int(timers[note])
 
-
 # ---------------------------------------------------------------------------
 # stream replay
 
@@ -374,33 +132,269 @@ def midi_to_timer(note: int, kind: str) -> int:
 ROW_FIELDS = ("p1_timer", "p1_duty", "p1_volume", "p2_timer", "p2_duty", "p2_volume",
               "tr_timer", "no_period", "no_mode", "no_volume", "phase_reset")
 
-# Channels (as in ``ApuState.quarter_tick``) whose row a write to $4000 + i
-# may change; $4015 touches all four.
-_WRITE_DIRTY = (1,) * 4 + (2,) * 4 + (4,) * 4 + (8,) * 4 + (0,) * 5 + (15, 0, 0)
+_LENGTHS = np.array(LENGTH_TABLE, np.int64)
+# What steps 1-5 of the 5-step sequence clock: 1 quarter, 2 half (a quarter
+# clock, then the length counters and sweeps), 0 nothing.
+_FIVE_STEP = np.array([1, 2, 1, 0, 2], np.int64)
 
 
-def _pulse_row(ch: PulseChannelState) -> tuple[int, int, int]:
-    return ch.timer_period, ch.duty, ch.output_volume() if ch.sounding() else 0
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique(x), by a sort, which here is many times faster than its hashing."""
+    x = np.sort(x)
+    keep = np.ones(len(x), bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
-def _triangle_row(ch: TriangleChannelState) -> tuple[int]:
-    return (ch.timer_period if ch.sounding() else -1,)
+def _envelope(m, divider, decay, period, loop):
+    """(divider, decay level) of an envelope m clocks after it held (divider,
+    decay), with no start flag and the period and loop flag fixed; for ints
+    or arrays alike."""
+    steps = (m - divider - 1) // (period + 1) + 1       # divider reloads, each a decay step
+    past = steps > 0
+    steps = steps * past
+    # the divider counts down to 0, then runs period..0 over and over
+    divider = divider - m + past * (period - (m - divider - 1) % (period + 1) - divider + m)
+    return divider, ((decay - steps) & 15) * (loop | (steps <= decay))
 
 
-def _noise_row(ch: NoiseChannelState) -> tuple[int, int, int]:
-    return ch.period_index, ch.mode, ch.output_volume() if ch.sounding() else 0
+class _Program:
+    """A stream's applied writes, sequencer clocks and segment starts, as columns.
 
+    Clock c runs after the first ``clock_w[c]`` writes; ``half[c]`` marks a
+    half clock.  At segment start ``starts[p]`` the state is the one after
+    the first ``W[p]`` writes and the first ``C[p]`` clocks.
+    """
 
-def _fire_tick(state: ApuState, index: int) -> int:
-    """Clock sequencer position ``index``; returns the tick's dirty mask."""
-    if state.frame_mode == 4:
-        return state.half_tick() if index % 2 == 0 else state.quarter_tick()
-    step = (index - 1) % 5 + 1
-    if step in (2, 5):
-        return state.half_tick()
-    if step in (1, 3):
-        return state.quarter_tick()
-    return 0    # step 4 of the 5-step pattern is silent
+    def __init__(self, stream: TimedWriteStream):
+        n = len(stream.writes)
+        cols = np.fromiter(itertools.chain.from_iterable(stream.writes), np.int64, 3 * n)
+        cols = cols.reshape(n, 3)
+        total = int(stream.total_samples)
+        n = int(cols[:, 0].searchsorted(total))    # writes at the very end are never applied
+        self.offsets, self.vals = cols[:n, 0].copy(), cols[:n, 2] & 0xFF
+        regs = (cols[:n, 1] - 0x4000).astype(np.int8)
+        del cols
+        # Per register: the indices of its writes, and after a -1 (a 0) for
+        # "not yet written" the same indices (their values).
+        order = np.argsort(regs, kind="stable")
+        bounds = regs[order].searchsorted(np.arange(0x19))
+        last = np.insert(order, bounds[:-1], -1)
+        held = np.insert(self.vals[order], bounds[:-1], 0)
+        spans = list(enumerate(zip(bounds.tolist(), bounds[1:].tolist())))
+        self._writes = [order[a:b] for _r, (a, b) in spans]
+        self._last = [last[a + r:b + r + 1] for r, (a, b) in spans]
+        self._held = [held[a + r:b + r + 1] for r, (a, b) in spans]
+
+        # Sequencer runs start at sample 0 (4-step) and at each $4017 write;
+        # tick k >= 1 of a run from b lands at b + int(k * _TICK_SAMPLES),
+        # before the next run starts.
+        resets = self.writes_to(0x4017)
+        five = self.vals[resets] >= 0x80
+        bases = np.concatenate(([0], self.offsets[resets]))
+        ends = np.concatenate((self.offsets[resets], [total]))
+        count = ((ends - bases) / _TICK_SAMPLES).astype(np.int64) + 1
+        run = np.repeat(np.arange(len(bases)), count)
+        k = np.arange(1, len(run) + 1) - np.repeat(np.cumsum(count) - count, count)
+        ticks = bases[run] + (k * _TICK_SAMPLES).astype(np.int64)
+        keep = ticks < ends[run]
+        run, k, ticks = run[keep], k[keep], ticks[keep]
+        kind = np.where(np.concatenate(([False], five))[run], _FIVE_STEP[(k - 1) % 5], 2 - k % 2)
+        del run, k, keep
+        starts = np.concatenate(([0], _sorted_unique(self.offsets), ticks))
+        self.starts = _sorted_unique(starts) if total else ticks
+
+        # A 5-step $4017 write clocks a half clock right after itself; a tick
+        # runs after every write at its sample.  No tick shares a sample with
+        # a $4017 write, whose run starts there.
+        now = resets[five]
+        clocked = kind > 0
+        at = np.concatenate((self.offsets[now], ticks[clocked]))
+        w = np.concatenate((now + 1, self.offsets.searchsorted(ticks[clocked], "right")))
+        half = np.concatenate((np.ones(len(now), bool), kind[clocked] == 2))
+        order = np.argsort(at, kind="stable")
+        self.clock_w, self.half = w[order], half[order]
+        self.W = self.offsets.searchsorted(self.starts, "right")
+        self.C = at[order].searchsorted(self.starts, "right")
+
+    def writes_to(self, register: int) -> np.ndarray:
+        """Indices of the writes to ``register``, ascending."""
+        return self._writes[register - 0x4000]
+
+    def held(self, register: int, w: np.ndarray) -> np.ndarray:
+        """The value ``register`` holds after the first ``w`` writes (0 before any)."""
+        r = register - 0x4000
+        return self._held[r][self._writes[r].searchsorted(w)]
+
+    def last_write(self, register: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index (-1 for none) and value of the last write to ``register``
+        among the first ``w`` writes."""
+        r = register - 0x4000
+        j = self._writes[r].searchsorted(w)
+        return self._last[r][j], self._held[r][j]
+
+    def length_on(self, load: int, bit: int, halted: np.ndarray) -> np.ndarray:
+        """Where a length counter is above 0 at each start.  It holds its last
+        load (a ``load`` write while enabled, or 0 from a $4015 write that
+        clears ``bit``) less the half clocks since that ``halted`` (per
+        clock) does not halt, floored at 0."""
+        loads = self.writes_to(load)
+        loads = loads[self.held(0x4015, loads) >> bit & 1 == 1]
+        clears = self.writes_to(0x4015)
+        clears = clears[self.vals[clears] >> bit & 1 == 0]
+        events = np.concatenate((loads, clears))
+        order = np.argsort(events)
+        events = events[order]
+        unhalted = np.concatenate(([0], np.cumsum(self.half & ~halted)))
+        left = np.concatenate((_LENGTHS[self.vals[loads] >> 3], 0 * clears))[order]
+        left += unhalted[self.clock_w.searchsorted(events, "right")]
+        return np.concatenate(([0], left))[events.searchsorted(self.W)] > unhalted[self.C]
+
+    def linear_on(self) -> np.ndarray:
+        """Where the triangle's linear counter is above 0 at each start.  It
+        holds the reload value of the last clock that ran with the reload
+        flag set, less the clocks since.  A $400B write sets the flag; a
+        clock with the control bit clear clears it after running."""
+        reloads = self.writes_to(0x400B)
+        if not len(reloads):
+            return np.zeros(len(self.starts), bool)
+        control = self.held(0x4008, self.clock_w)
+        last = reloads.searchsorted(self.clock_w) - 1       # last $400B write before a clock
+        first = self.clock_w.searchsorted(reloads, "right")  # first clock after a write
+        cleared = np.concatenate(([0], np.cumsum(control < 0x80)))
+        flagged = np.flatnonzero((last >= 0) & (cleared[:-1] == cleared[first[last]]))
+        # value - (C - 1 - clock) > 0
+        end = np.concatenate(([-1], (control[flagged] & 0x7F) + flagged))
+        return end[flagged.searchsorted(self.C)] >= self.C
+
+    def decay(self, control: int, start: int, at: np.ndarray) -> np.ndarray:
+        """An envelope's decay level at the starts ``at`` (indices, ascending).
+
+        A ``start`` write sets the start flag, so the next clock sets decay
+        15 and the divider to the period.  Epochs begin at those clocks and
+        wherever the period or loop flag of ``control`` changes; within one,
+        the state has a closed form (``_envelope``).  Python carries the
+        state from epoch to epoch only along the start-to-start chains that
+        ``at`` reads.
+        """
+        restarts = self.clock_w.searchsorted(self.writes_to(start), "right")
+        first = _sorted_unique(np.concatenate(
+            ([0], restarts, self.clock_w.searchsorted(self.writes_to(control), "right"))))
+        first = first[first < len(self.clock_w)]
+        setting = self.held(control, self.clock_w[first]) & 0x2F
+        restart = np.isin(first, restarts)
+        keep = restart | (setting != self.held(control, self.clock_w[first - 1]) & 0x2F)
+        keep[:1] = True
+        first, restart, setting = first[keep], restart[keep], setting[keep]
+        # Epoch 0 stands for the state before the first clock: divider 0, decay 0.
+        is_restart = np.concatenate(([False], restart))
+        period, loop = np.concatenate(([0], setting & 15)), np.concatenate(([0], setting >> 5))
+        base = np.concatenate(([-1], first - ~restart))     # the clock m counts from
+        divider = np.where(is_restart, period, 0)
+        level = np.where(is_restart, 15, 0)
+        last = self.C[at] - 1                               # the last clock before each start
+        epoch = first.searchsorted(last, "right")
+        chain = np.cumsum(is_restart)
+        needed = np.zeros(chain[-1] + 1, bool)
+        needed[chain[epoch]] = True
+        carry = ~is_restart & needed[chain]
+        carry[0] = False
+        carry = np.flatnonzero(carry)
+        if len(carry):
+            d, lv, p, lp, b = (a.tolist() for a in (divider, level, period, loop, base))
+            for e, end in zip(carry.tolist(), first[carry - 1].tolist()):
+                d[e], lv[e] = _envelope(end - 1 - b[e - 1], d[e - 1], lv[e - 1],
+                                        p[e - 1], lp[e - 1])
+            divider, level = np.array(d), np.array(lv)
+        return _envelope(last - base[epoch], divider[epoch], level[epoch],
+                         period[epoch], loop[epoch])[1]
+
+    def sweep_fires(self, base: int, ones: int) -> tuple[list, list, list]:
+        """The clocks where the sweep of the pulse at ``base`` sets its timer,
+        with the writes before each and the timer after it.
+
+        The divider reloads at the first half clock after a sweep write; it
+        is due there if the old period + 1 divides the half clocks since the
+        last reload, and then every period + 1 half clocks.  A due clock
+        with the unit enabled and a nonzero shift fires unless the timer
+        mutes it.  Python steps those clocks, rebuilding the timer from the
+        last fire and the timer writes since.  ``ones`` is pulse 1's extra
+        -1 on negate.
+        """
+        halves = np.flatnonzero(self.half)
+        hw = self.clock_w[halves]
+        reload = _sorted_unique(hw.searchsorted(self.writes_to(base + 1), "right"))
+        reload = reload[reload < len(halves)]
+        anchor = np.concatenate(([-1], reload))
+        period = np.concatenate(([0], self.held(base + 1, hw[reload]) >> 4 & 7))
+        h = np.arange(len(halves))
+        r = anchor.searchsorted(h) - 1
+        sweep = self.held(base + 1, hw)
+        due = np.flatnonzero(((h - anchor[r]) % (period[r] + 1) == 0)
+                             & (sweep >= 0x80) & (sweep & 7 > 0))
+        fired, after, timers = [], [], []
+        w, sweep = hw[due], sweep[due]
+        columns = (halves[due], w, *self.last_write(base + 2, w), *self.last_write(base + 3, w),
+                   sweep & 7, sweep & 8)
+        timer, last = 0, 0      # the timer after the last fire, and the writes before it
+        for c, before, lo_i, lo, hi_i, hi, shift, negate in zip(*(a.tolist() for a in columns)):
+            t = ((hi & 7 if hi_i >= last else timer >> 8) << 8
+                 | (lo if lo_i >= last else timer & 0xFF))
+            target = t - (t >> shift) - ones if negate else t + (t >> shift)
+            if t >= 8 and target <= 0x7FF:
+                timer, last = max(target, 0), before
+                fired.append(c)
+                after.append(before)
+                timers.append(timer)
+        return fired, after, timers
+
+    def pulse_timer(self, base: int, ones: int) -> tuple[np.ndarray, np.ndarray]:
+        """The timer of the pulse at ``base`` at each start, and where its
+        sweep unit does not mute it.
+
+        Both change only at writes to the sweep and timer registers and at
+        sweep fires, so they are computed once per such event, in order, and
+        gathered: the events before a start are the writes before it and
+        the fires among its clocks.
+        """
+        fired, after, timers = (np.array(a, np.int64) for a in self.sweep_fires(base, ones))
+        parts = [self.writes_to(base + r) for r in (1, 2, 3)]
+        written = np.concatenate(parts)
+        # A fire runs after the writes before its clock, and fires keep their
+        # order.  Kinds: 0 a fire, 1-3 a sweep, low or high timer write.
+        order = np.argsort(np.concatenate((2 * written + 1, 2 * after)), kind="stable")
+        kind = np.concatenate((np.repeat([1, 2, 3], [len(p) for p in parts]), 0 * fired))[order]
+        value = np.concatenate((self.vals[written], timers))[order]
+        step = np.arange(1, len(kind) + 1)
+        sources = (((kind == 0) | (kind == 2), np.where(kind, value, value & 0xFF)),
+                   ((kind == 0) | (kind == 3), np.where(kind, value & 7, value >> 8)),
+                   (kind == 1, value))
+        low, high, sweep = (np.concatenate(([0], setting))[np.maximum.accumulate(step * sets)]
+                            for sets, setting in sources)
+        timer = np.concatenate(([0], high << 8 | low))
+        change = timer >> np.concatenate(([0], sweep & 7))
+        target = np.where(np.concatenate(([0], sweep & 8)), timer - change - ones, timer + change)
+        audible = (timer >= 8) & (target <= 0x7FF)
+        k = np.searchsorted(np.sort(written), self.W) + fired.searchsorted(self.C)
+        return timer[k], audible[k]
+
+    def volume(self, control: int, load: int, bit: int, audible=True) -> np.ndarray:
+        """The output volume at each start of the pulse or noise at
+        ``control``: its constant level or its envelope's, 0 where the length
+        counter has run out or not ``audible``."""
+        on = self.length_on(load, bit, self.held(control, self.clock_w) & 0x20 > 0) & audible
+        ctl = self.held(control, self.W)
+        volume = ctl & 15
+        reads = np.flatnonzero((ctl & 0x10 == 0) & on)
+        if len(reads):
+            volume[reads] = self.decay(control, load, reads)
+        return volume * on
+
+    def triangle_timer(self) -> np.ndarray:
+        """The triangle's timer at each start, -1 where it does not sound."""
+        timer = self.held(0x400A, self.W) | (self.held(0x400B, self.W) & 7) << 8
+        on = self.length_on(0x400B, 2, self.held(0x4008, self.clock_w) >= 0x80)
+        return np.where(on & self.linear_on() & (timer >= 2), timer, -1)
 
 
 def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
@@ -409,80 +403,49 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
     The starts are an int64 array; segment i spans [starts[i], starts[i + 1])
     and the last one ends at ``total_samples``.  The rows are an (n, 11)
     int32 array laid out as ``ROW_FIELDS``: what each segment sounds with,
-    after the writes and the sequencer tick at its start.  A $4017 write
-    restarts the sequencer phase and, in 5-step mode, clocks quarter+half
-    immediately.  Tick k after a restart at sample b lands on
-    b + int(k * _TICK_SAMPLES).
+    after everything that happens at its start sample, in this order: the
+    writes there, in stream order, each 5-step $4017 write followed at once
+    by its quarter+half clock; then the sequencer tick there, if any.  A
+    $4017 write restarts the sequencer; tick k after a restart at sample b
+    lands on b + int(k * _TICK_SAMPLES), and a tick that would land on or
+    after the next restart never runs.
+
+    Every column is a whole-array program over the writes and the clocks
+    (see ``_Program``); Python steps only the envelope epochs a sounding
+    voice reads and the due sweep clocks.
 
     Raises what ``vgm.check_stream`` raises for a stream it rejects, before
     replaying anything.  A write exactly at ``total_samples`` is legal and
     has no effect.
     """
     check_stream(stream)
-    state = ApuState()
-    p1, p2, tr, no = state.p1, state.p2, state.tr, state.no
-    writes = stream.writes
-    total = int(stream.total_samples)
-    wi, n = 0, len(writes)
-    next_write = writes[0].sample_offset if n else total
-    tick_base, tick_index = 0, 1
-    next_tick = int(_TICK_SAMPLES)
-    starts: list[int] = []
-    rows: list[tuple] = []          # every row built, once per run of segments
-    row_firsts: list[int] = []      # that hold it, and the first of those segments
-    dirty, row_reset = 15, 0        # all four dirty: the first row builds every part
-    cur = 0
-    while cur < total:
-        reset = 0
-        while next_write <= cur:
-            _offset, register, value = writes[wi]
-            state.write(register, value)
-            dirty |= _WRITE_DIRTY[register - 0x4000]
-            if register == 0x4003:
-                reset |= 1
-            elif register == 0x4007:
-                reset |= 2
-            elif register == 0x4017:
-                tick_base, tick_index = cur, 1
-                next_tick = cur + int(_TICK_SAMPLES)
-                if value & 0x80:
-                    dirty |= state.half_tick()
-            wi += 1
-            next_write = writes[wi][0] if wi < n else total     # [0]: faster than .sample_offset
-        # Segments end at every tick, so the next one is never behind cur.
-        if next_tick == cur:
-            dirty |= _fire_tick(state, tick_index)
-            tick_index += 1
-            next_tick = tick_base + int(tick_index * _TICK_SAMPLES)
-        if dirty or reset != row_reset:
-            if dirty & 1:
-                r1 = _pulse_row(p1)
-            if dirty & 2:
-                r2 = _pulse_row(p2)
-            if dirty & 4:
-                rt = _triangle_row(tr)
-            if dirty & 8:
-                rn = _noise_row(no)
-            row_firsts.append(len(starts))
-            rows.append(r1 + r2 + rt + rn + (reset,))
-            dirty, row_reset = 0, reset
-        starts.append(cur)
-        cur = next_write if next_write < next_tick else next_tick
-        if cur > total:
-            cur = total
-    table = np.array(rows, np.int32).reshape(-1, len(ROW_FIELDS))
-    held = np.diff(np.array(row_firsts + [len(starts)], np.int64))
-    return np.array(starts, np.int64), np.repeat(table, held, axis=0)
+    prog = _Program(stream)
+    rows = np.empty((len(prog.starts), len(ROW_FIELDS)), np.int32)
+    for col, base, bit in ((0, 0x4000, 0), (3, 0x4004, 1)):
+        rows[:, col], audible = prog.pulse_timer(base, ones=1 - bit)
+        rows[:, col + 1] = prog.held(base, prog.W) >> 6
+        rows[:, col + 2] = prog.volume(base, base + 3, bit, audible)
+    rows[:, 6] = prog.triangle_timer()
+    noise = prog.held(0x400E, prog.W)
+    rows[:, 7] = noise & 15
+    rows[:, 8] = noise >> 7
+    rows[:, 9] = prog.volume(0x400C, 0x400F, 3)
+    rows[:, 10] = 0
+    for bit, register in ((1, 0x4003), (2, 0x4007)):
+        rows[prog.starts.searchsorted(prog.offsets[prog.writes_to(register)]), 10] |= bit
+    return prog.starts, rows
 
 
 def iter_segments(stream: TimedWriteStream) -> Iterator[tuple[int, int, list]]:
     """(start, end, row) of each replay segment, the row a list as in ``replay``.
 
     The whole stream is replayed first, so a bad write offset raises here.
+    Each row becomes a list only when it is reached, so a consumer holds
+    one at a time.
     """
     starts, rows = replay(stream)
     ends = starts[1:].tolist() + [int(stream.total_samples)]
-    return zip(starts.tolist(), ends, rows.tolist())
+    return zip(starts.tolist(), ends, map(np.ndarray.tolist, rows))
 
 
 def frame_table(rows: np.ndarray) -> np.ndarray:

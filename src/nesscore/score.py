@@ -403,19 +403,20 @@ def read_score_text(data: bytes) -> ExpressiveScore:
     if n_frames < 0:
         raise MalformedHeader(f"frame count {n_frames} out of range")
     check_rate(rate_hz, n_frames, MalformedHeader)
-    n_lines = body.count(b"\n")
     if body and not body.endswith(b"\n"):
         body += b"\n"
-        n_lines += 1
+    newline = np.frombuffer(body, np.uint8) == 10
+    n_lines = int(np.count_nonzero(newline))
     if n_lines != n_frames:
         raise MalformedHeader(f"expected {n_frames} frame lines, found {n_lines}")
-    score = ExpressiveScore(rate_hz, _read_body(body, n_lines))
+    score = ExpressiveScore(rate_hz, _read_body(body, newline, n_lines))
     check_frames(score, lambda d: BadFieldValue(d.frame_index + 2, f"{d.voice} {d.message}"))
     return score
 
 
-def _read_body(body: bytes, n_lines: int) -> np.ndarray:
-    """Field values, shape (n_lines, 10), of frame lines that each end in "\\n".
+def _read_body(body: bytes, newline: np.ndarray, n_lines: int) -> np.ndarray:
+    """Field values, shape (n_lines, 10), of frame lines that each end in "\\n";
+    ``newline`` marks the body's newline bytes.
 
     Whole-array passes find the separators, build each value from its last
     three digits and flag every line with a wrong field count, an empty
@@ -424,15 +425,16 @@ def _read_body(body: bytes, n_lines: int) -> np.ndarray:
     ``_line_error`` so the error names the line and field.
     """
     b = np.frombuffer(body, dtype=np.uint8)
-    sep = (b == 32) | (b == 10)
+    sep = (b == 32) | newline
     ends = np.flatnonzero(sep)          # one past the last byte of each field
     newlines = ends[9::10]
-    if len(ends) != 10 * n_lines or not (b[newlines] == 10).all():
+    if len(ends) != 10 * n_lines or not newline[newlines].all():
         # A line without 10 fields: report a bad field on an earlier line first.
-        newlines = np.flatnonzero(b == 10)
+        newlines = np.flatnonzero(newline)
         fields = np.diff(np.searchsorted(ends, newlines, side="right"), prepend=0)
         k = int(np.argmax(fields != 10))
-        _read_body(body[:newlines[k - 1] + 1 if k else 0], k)
+        end = newlines[k - 1] + 1 if k else 0
+        _read_body(body[:end], newline[:end], k)
         raise _line_error(body, k)
 
     digit = b - np.uint8(48)            # bytes below "0" wrap above 9

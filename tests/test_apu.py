@@ -13,15 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nesscore.apu import (
-    ApuState,
     BadWriteOffset,
     CPU_HZ,
     LENGTH_TABLE,
     NoteOutOfRange,
+    ROW_FIELDS,
     RegisterOutOfRange,
-    _noise_row,
-    _pulse_row,
-    _triangle_row,
     extract_timeline,
     frame_table,
     iter_segments,
@@ -36,6 +33,7 @@ from nesscore import score as sc
 from conftest import mutate
 from reference_downsample import frame_at
 import reference_replay
+from reference_replay import ApuState, _fire_tick, _noise_row, _pulse_row, _triangle_row
 
 
 def formula_midi(timer: int, divisor: int) -> int:
@@ -226,8 +224,6 @@ class TestFrameSequencer:
         assert ticked(s, "half").p1.timer_period == 0x700
 
     def test_five_step_pattern_rates(self):
-        from nesscore.apu import _fire_tick
-
         # 4-step: a half tick every 2nd position -> 5 length clocks per 10
         s4 = ApuState()
         s4.p1.length_counter = 100
@@ -660,8 +656,8 @@ def vgm_changes(stream):
     return table_changes(parse_vgm(write_vgm(stream)).stream)
 
 
-REGISTERS = st.one_of(st.integers(0, 0x17),
-                      st.sampled_from([0x03, 0x07, 0x0B, 0x0F, 0x15, 0x17]))
+LOADS_AND_RESETS = [0x03, 0x07, 0x0B, 0x0F, 0x15, 0x17]
+REGISTERS = st.one_of(st.integers(0, 0x17), st.sampled_from(LOADS_AND_RESETS))
 
 
 @st.composite
@@ -717,6 +713,145 @@ class TestReplayAgainstReference:
             assert len(items) == sum(1 for _ in reference_replay.iter_segments(stream))
             assert [end for _s, end, _r in items[:-1]] == [s for s, _e, _r in items[1:]]
             assert (items[0][0], items[-1][1]) == (0, stream.total_samples)
+
+
+def replayed(replay_fn, stream):
+    """A replay's starts and rows as lists, once their dtypes and shapes are checked."""
+    starts, rows = replay_fn(stream)
+    assert starts.dtype == np.int64 and rows.dtype == np.int32
+    assert rows.shape == (len(starts), len(ROW_FIELDS))
+    return starts.tolist(), rows.tolist()
+
+
+def array_rows(stream):
+    return replayed(replay, stream)
+
+
+def loop_rows(stream):
+    return replayed(reference_replay.replay, stream)
+
+
+@st.composite
+def dense_streams(draw):
+    """Up to 200 writes, often several at one sample or a few samples apart,
+    and totals far past the last write.  A Random seeded by Hypothesis
+    makes them, which is many times faster than drawing each write."""
+    rng = draw(st.randoms(use_true_random=True))
+    writes = [(0, 0x4015, rng.choice([0x0F, 0x0F, 0x05, 0x00]))]
+    offset = 0
+    for _ in range(rng.randint(0, 200)):
+        offset += rng.choice([0, 1, 2, 90, 183, 184, 367, 735, 2000])
+        register = rng.choice([rng.randint(0, 0x17), rng.choice(LOADS_AND_RESETS)])
+        writes.append((offset, 0x4000 + register, rng.randint(0, 255)))
+    return _stream(offset + rng.randint(0, 20000), *writes)
+
+
+class TestReplayAgainstLoop:
+    """The array replay against the state-machine loop of reference_replay:
+    the same starts and every row column, silent voices' timers and the
+    phase resets included, or the same error."""
+
+    @given(write_streams())
+    @example(_stream(0, (0, 0x0015, 15)))
+    @example(_stream(0))
+    @settings(max_examples=10, deadline=None)
+    def test_random_streams(self, stream):
+        assert outcome(array_rows, stream) == outcome(loop_rows, stream)
+
+    @given(write_streams(), st.lists(RECORD_EDITS, min_size=1, max_size=6))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    def test_byte_mutations(self, stream, edits):
+        mutated = _unpacked(mutate(_packed(stream), edits), stream.total_samples)
+        assert outcome(array_rows, mutated) == outcome(loop_rows, mutated)
+
+    @given(dense_streams())
+    @settings(max_examples=80, deadline=None)
+    def test_dense_streams(self, stream):
+        assert outcome(array_rows, stream) == outcome(loop_rows, stream)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+    def test_pinned_streams(self, name):
+        assert array_rows(PINNED_STREAMS[name]) == loop_rows(PINNED_STREAMS[name])
+
+
+def rows_by_start(stream):
+    """{start: row as a dict of ROW_FIELDS} of the array replay, once it
+    matches the loop's."""
+    starts, rows = array_rows(stream)
+    assert (starts, rows) == loop_rows(stream)
+    return {start: dict(zip(ROW_FIELDS, row)) for start, row in zip(starts, rows)}
+
+
+# Pulse 1 enabled at constant volume 15, its length counter halted, timer 253.
+P1_HELD = ((0, 0x4015, 0x0F), (0, 0x4000, 0x3F), (0, 0x4002, 0xFD), (0, 0x4003, 0x08))
+
+
+class TestReplayEdgeCases:
+    """Orderings and limits where a closed form could drift from the loop."""
+
+    def test_4017_reset_off_the_tick_grid(self):
+        rows = rows_by_start(_stream(3000, *P1_HELD, (1000, 0x4017, 0x00)))
+        # the old grid's 1102 is dropped; the new one counts from 1000
+        assert 918 in rows and 1102 not in rows
+        assert [s for s in rows if s > 1000][:3] == [1183, 1367, 1551]
+
+    def test_five_step_clock_then_more_writes_at_its_sample(self):
+        # envelope period 0, started at sample 0; at 400 a 5-step write clocks
+        # a decay step at once, then a period change and a new start flag
+        # follow at the same sample and wait for the next clock, at 583
+        rows = rows_by_start(_stream(
+            3000, (0, 0x4015, 0x0F), (0, 0x4000, 0x00), (0, 0x4002, 0xFD), (0, 0x4003, 0x08),
+            (0, 0x4008, 0x04), (0, 0x400A, 0x40), (0, 0x400B, 0x08),
+            (400, 0x4017, 0x80), (400, 0x4000, 0x05), (400, 0x4003, 0x08), (400, 0x400B, 0x08)))
+        assert [rows[s]["p1_volume"] for s in (183, 367, 400, 583)] == [15, 14, 13, 15]
+
+    def test_two_4017_writes_at_one_sample(self):
+        # length 2 (load field 3); two 5-step writes clock two halves at once
+        rows = rows_by_start(_stream(
+            2000, (0, 0x4015, 0x01), (0, 0x4000, 0x1F), (0, 0x4002, 0xFD), (0, 0x4003, 0x18),
+            (300, 0x4017, 0x80), (300, 0x4017, 0x80)))
+        assert rows[183]["p1_volume"] == 15 and rows[300]["p1_volume"] == 0
+
+    def test_add_sweep_into_the_target_mute(self):
+        # 0x300 -> 0x480 -> 0x6C0, whose target 0xA20 mutes it and stops the sweep
+        rows = rows_by_start(_stream(
+            4000, *P1_HELD[:2], (0, 0x4001, 0x81), (0, 0x4002, 0x00), (0, 0x4003, 0x03)))
+        timers = [row["p1_timer"] for row in rows.values()]
+        assert sorted(set(timers)) == [0x300, 0x480, 0x6C0]
+        assert rows[max(rows)] == dict(rows[max(rows)], p1_timer=0x6C0, p1_volume=0)
+
+    def test_negate_sweep_into_a_timer_below_8(self):
+        # pulse 2 halves its timer 64 -> 32 -> 16 -> 8 -> 4, then mutes
+        rows = rows_by_start(_stream(
+            4000, (0, 0x4015, 0x02), (0, 0x4004, 0x3F), (0, 0x4005, 0x89),
+            (0, 0x4006, 0x40), (0, 0x4007, 0x00)))
+        assert sorted({row["p2_timer"] for row in rows.values()}) == [4, 8, 16, 32, 64]
+        assert rows[max(rows)]["p2_volume"] == 0
+
+    def test_length_reload_on_the_sample_it_expires(self):
+        # length 2 runs out on the half clock at 735; a reload there comes first
+        expiring = (*P1_HELD[:2], (0, 0x4000, 0x1F), (0, 0x4002, 0xFD), (0, 0x4003, 0x18))
+        assert rows_by_start(_stream(1000, *expiring))[735]["p1_volume"] == 0
+        rows = rows_by_start(_stream(1000, *expiring, (735, 0x4003, 0x18)))
+        assert rows[735]["p1_volume"] == 15
+
+    def test_envelope_period_change_and_loop_flip(self):
+        # decay with period 3, then period 0 mid-decay, then looping, then not
+        rows = rows_by_start(_stream(
+            20000, (0, 0x4015, 0x0F), (0, 0x4000, 0x03), (0, 0x4002, 0xFD), (0, 0x4003, 0x08),
+            (2000, 0x4000, 0x00), (4000, 0x4000, 0x20), (9000, 0x4000, 0x00)))
+        levels = [row["p1_volume"] for start, row in rows.items() if start < 9000]
+        assert levels.index(0) < len(levels) - 1 - levels[::-1].index(15)  # it looped
+        assert rows[max(rows)]["p1_volume"] == 0
+
+    def test_400b_write_while_the_control_bit_toggles(self):
+        # reload value 3: held while control is set, counting down once it clears
+        rows = rows_by_start(_stream(
+            5000, (0, 0x4015, 0x04), (0, 0x4008, 0x83), (0, 0x400A, 0x40),
+            (100, 0x400B, 0x08), (1000, 0x4008, 0x03), (1100, 0x400B, 0x08),
+            (1200, 0x4008, 0x83), (1300, 0x4008, 0x03), (1400, 0x400B, 0x08)))
+        sounding = [start for start, row in rows.items() if row["tr_timer"] >= 0]
+        assert sounding[0] == 183 and max(sounding) < 5000 - 184
 
 
 class TestWriteVgmAgainstReplay:
