@@ -4,11 +4,13 @@
 returns one integer row per segment: the parameters each voice sounds with
 (see ``ROW_FIELDS``), as set by duty, volume and envelope, sweep, length and
 linear counters, noise mode and period, with the frame sequencer clocking
-at its ~240 Hz cadence.  The rows are whole-array programs over the writes
-and the sequencer clocks (``_Program``): a register field is a gather of
-its last write, a length or linear counter is its last load less the
-clocks since, and the envelope and sweep units have closed forms between
-the few events that change them; Python steps only over those events.
+at its ~240 Hz cadence.  The rows are whole-array programs over the
+stream's offset, register and value columns and the sequencer clocks
+(``_Program``), with no Python object per write: a register field is a
+gather of its last write, a length or linear counter is its last load less
+the clocks since, and the envelope and sweep units have closed forms
+between the few events that change them; Python steps only over those
+events.
 Both consumers read the same rows: ``extract_timeline`` turns them into
 expressive frames with whole-array gathers and keeps the rows where the
 frame changes, and ``synth.render_writes`` drives its oscillators from them.
@@ -33,7 +35,7 @@ from .score import (
     TRIANGLE_NOTE_MAX,
 )
 from .vgm import NES_APU_CLOCK_HZ as CPU_HZ, TimedWriteStream, check_stream
-from .vgm import BadWriteOffset, RegisterOutOfRange  # re-exported: replay raises them
+from .vgm import BadWriteOffset, BadWriteValue, RegisterOutOfRange  # re-exported for replay
 
 # Length counter values indexed by the 5-bit load field of $4003/$400B/$400F.
 LENGTH_TABLE = (
@@ -161,20 +163,19 @@ def _envelope(m, divider, decay, period, loop):
 class _Program:
     """A stream's applied writes, sequencer clocks and segment starts, as columns.
 
-    Clock c runs after the first ``clock_w[c]`` writes; ``half[c]`` marks a
-    half clock.  At segment start ``starts[p]`` the state is the one after
-    the first ``W[p]`` writes and the first ``C[p]`` clocks.
+    ``offsets`` and ``vals`` are views of the stream's offset and value
+    columns, cut before the writes at ``total_samples`` (which are never
+    applied); the register column is read once, to group the write indices
+    by register.  Clock c runs after the first ``clock_w[c]`` writes;
+    ``half[c]`` marks a half clock.  At segment start ``starts[p]`` the state
+    is the one after the first ``W[p]`` writes and the first ``C[p]`` clocks.
     """
 
     def __init__(self, stream: TimedWriteStream):
-        n = len(stream.writes)
-        cols = np.fromiter(itertools.chain.from_iterable(stream.writes), np.int64, 3 * n)
-        cols = cols.reshape(n, 3)
         total = int(stream.total_samples)
-        n = int(cols[:, 0].searchsorted(total))    # writes at the very end are never applied
-        self.offsets, self.vals = cols[:n, 0].copy(), cols[:n, 2] & 0xFF
-        regs = (cols[:n, 1] - 0x4000).astype(np.int8)
-        del cols
+        n = int(stream.offsets.searchsorted(total))
+        self.offsets, self.vals = stream.offsets[:n], stream.values[:n]
+        regs = (stream.registers[:n] - 0x4000).astype(np.int8)
         # Per register: the indices of its writes, and after a -1 (a 0) for
         # "not yet written" the same indices (their values).
         order = np.argsort(regs, kind="stable")

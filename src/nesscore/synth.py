@@ -13,7 +13,8 @@ naive (no band-limiting), which is exactly how the hardware aliases.
 ``score_to_writes`` is the inverse path: it schedules the minimal register
 writes that make an expressive score come out of ``extract_timeline``
 unchanged.  Each write is a mask over frames from ``score.voice_changes``
-with its register and value, put in frame order by ``score.schedule``.
+with its register and value, put in frame order by ``score.schedule``,
+whose arrays become the stream's columns.
 """
 
 import functools
@@ -35,7 +36,7 @@ from .score import (
     schedule,
     voice_changes,
 )
-from .vgm import TimedWrite, TimedWriteStream, check_stream
+from .vgm import TimedWriteStream, check_stream
 
 DUTY_SEQUENCES = (
     (0, 1, 0, 0, 0, 0, 0, 0),   # 12.5%
@@ -258,9 +259,7 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
     # Frame T, the silence after the score, writes nothing; an empty score's
     # frame 0 is that frame, and it still sets the mask.
     frame, (register, value) = schedule(writes, max(len(values), 1))
-    return TimedWriteStream(writes=list(map(TimedWrite, starts[frame].tolist(),
-                                            register.tolist(), value.tolist())),
-                            total_samples=int(starts[-1]))
+    return TimedWriteStream.from_columns(starts[frame], register, value, int(starts[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""The two-pass VGM decoder that the one-pass ``parse_vgm`` replaced.
+"""The two-pass VGM decoder that ``parse_vgm`` replaced, and the write-stream
+check that walked a list of writes.
 
-Kept as the reference the decoder tests compare against: it parses the
-command stream into one dataclass per command, then ``flatten_to_writes``
-walks that list a second time to add up the waits.  Both decoders share the
-header layout, the error types and the offsets named in error messages.
+Kept as the references the decoder and stream-check tests compare against.
+``parse_commands`` parses the command stream into one dataclass per command,
+then ``flatten_to_writes`` walks that list a second time to add up the
+waits; both decoders share the header layout, the error types and the
+offsets named in error messages.  ``check_stream`` states the write-stream
+rule one write at a time, in stream order, over ``stream.writes``.
 """
 
 import gzip
 import struct
 import zlib
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Union
 
+from nesscore.score import MAX_TOTAL_SAMPLES
 from nesscore.vgm import (
     APU_REGISTER_BASE,
     GZIP_MAGIC,
@@ -19,8 +24,12 @@ from nesscore.vgm import (
     WAIT_NTSC_FRAME,
     WAIT_PAL_FRAME,
     BadMagic,
+    BadWriteOffset,
+    BadWriteValue,
     CorruptGzip,
     DualChipUnsupported,
+    OffsetOverflow,
+    RegisterOutOfRange,
     TimedWrite,
     TimedWriteStream,
     TruncatedFile,
@@ -155,3 +164,26 @@ def flatten_to_writes(doc: CommandDocument) -> TimedWriteStream:
                                      cmd.value))
         # DataBlock / EndOfData contribute nothing
     return TimedWriteStream(writes=writes, total_samples=offset)
+
+
+def check_stream(stream: TimedWriteStream) -> None:
+    """The write-stream rule, one write at a time: the total first, then each
+    write's offset, register and value, raising for the first bad one."""
+    total = stream.total_samples
+    if not 0 <= total <= MAX_TOTAL_SAMPLES:
+        raise OffsetOverflow(f"total_samples {total} is outside [0, {MAX_TOTAL_SAMPLES}]")
+    before = 0
+    for i, (offset, register, value) in enumerate(stream.writes):
+        if not isinstance(offset, Integral):
+            raise BadWriteOffset(i, offset, "is not an int")
+        if offset < before:
+            raise BadWriteOffset(i, offset, f"is before sample {before}")
+        if offset > total:
+            raise BadWriteOffset(i, offset, f"is beyond the stream end at sample {total}")
+        if not isinstance(register, Integral):
+            raise RegisterOutOfRange(f"register {register!r} is not an int")
+        if not 0x4000 <= register <= 0x4017:
+            raise RegisterOutOfRange(f"register {register:#06x} outside $4000-$4017")
+        if not (isinstance(value, Integral) and 0 <= value <= 0xFF):
+            raise BadWriteValue(i, value)
+        before = offset

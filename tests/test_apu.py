@@ -28,7 +28,14 @@ from nesscore.apu import (
 )
 from nesscore.score import SILENCE, ExpressiveFrame, validate
 from nesscore.synth import render_writes
-from nesscore.vgm import OffsetOverflow, TimedWrite, TimedWriteStream, parse_vgm, write_vgm
+from nesscore.vgm import (
+    BadWriteValue,
+    OffsetOverflow,
+    TimedWrite,
+    TimedWriteStream,
+    parse_vgm,
+    write_vgm,
+)
 from nesscore import score as sc
 from conftest import mutate
 from reference_downsample import frame_at
@@ -505,8 +512,7 @@ class TestExtractTimeline:
 
     def test_write_at_end_is_legal(self):
         # VGM files end with their last writes at the final sample offset
-        tail = p1_note_stream(total=5000)
-        tail.writes.append(TimedWrite(5000, 0x4015, 0x00))
+        tail = _stream(5000, *p1_note_stream(total=5000).writes, (5000, 0x4015, 0x00))
         assert extract_timeline(tail).changes == extract_timeline(p1_note_stream(5000)).changes
         pcm = render_writes(tail).samples
         assert pcm.any() and np.array_equal(pcm, render_writes(p1_note_stream(5000)).samples)
@@ -533,6 +539,17 @@ class TestExtractTimeline:
             for consumer in CONSUMERS:
                 with pytest.raises(error):
                     consumer(_stream(10, *writes))
+
+    @pytest.mark.parametrize("value", [1.5, 2 ** 64 + 3, -1, 256])
+    def test_value_outside_a_byte_rejected(self, value):
+        # replay read such values through int64 columns: 1.5 as 1, 2^64 + 3 as an
+        # OverflowError; write_vgm kept the low byte, which parse_vgm reads back
+        stream = _stream(1000, (0, 0x4015, 0x01), (10, 0x4000, value), (20, 0x4018, 0))
+        for consumer in (replay, *CONSUMERS):
+            with pytest.raises(BadWriteValue) as exc:
+                consumer(stream)
+            assert (exc.value.index, exc.value.value) == (1, value)
+            assert str(exc.value) == f"write 1 value {value!r} is not an int in [0, 255]"
 
     @pytest.mark.parametrize("total", [-1, 0x1_0000_0000])
     def test_total_outside_32_bits_rejected(self, total):

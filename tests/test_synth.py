@@ -31,6 +31,7 @@ from nesscore.synth import (
 )
 from nesscore.vgm import (
     BadWriteOffset,
+    BadWriteValue,
     OffsetOverflow,
     RegisterOutOfRange,
     TimedWrite,
@@ -243,7 +244,10 @@ class TestRender:
          BadWriteOffset),
         (TimedWriteStream([TimedWrite(44_100_000, 0x4018, 0)], total_samples=44_100_000),
          RegisterOutOfRange),
-    ], ids=["total past 32 bits", "write past the end", "register past $4017"])
+        (TimedWriteStream([TimedWrite(44_100_000, 0x4015, 256)], total_samples=44_100_000),
+         BadWriteValue),
+    ], ids=["total past 32 bits", "write past the end", "register past $4017",
+            "value past a byte"])
     def test_rejected_stream_allocates_nothing(self, monkeypatch, stream, error):
         def allocate(*args, **kwargs):
             raise AssertionError("the output was allocated before the stream was checked")

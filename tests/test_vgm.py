@@ -3,8 +3,9 @@
 import gzip
 import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_vgm
@@ -14,13 +15,17 @@ from nesscore.score import MAX_TOTAL_SAMPLES
 from nesscore.vgm import (
     HEADER_SIZE,
     BadMagic,
+    BadWriteOffset,
+    BadWriteValue,
     CorruptGzip,
     DualChipUnsupported,
     OffsetOverflow,
+    RegisterOutOfRange,
     TimedWrite,
     TimedWriteStream,
     TruncatedFile,
     UnsupportedCommand,
+    check_stream,
     flatten_to_writes,
     parse_vgm,
     write_vgm,
@@ -307,6 +312,34 @@ class TestDecoderAgainstReference:
             assert got == outcome(decode_reference, data)
             assert issubclass(got[0], vgm.VgmError)
 
+    @pytest.mark.parametrize("body, writes, total", [
+        (bytes((0xB4, 0x15, 0x66, 0x66)), [(0, 0x4015, 0x66)], 0),      # 0x66 as a value
+        (bytes((0xB4, 0x15, 0x66)), None, None),                        # ... and no end
+        (bytes((0x61, 0x66, 0x00, 0x66)), [], 0x66),                    # 0x66 as a wait byte
+        (bytes((0x61, 0x66, 0x00)), None, None),                        # ... and no end
+        (bytes((0x67, 0x66, 0x00, 0x03, 0, 0, 0, 0x51, 0xB4, 0x66, 0xB4, 0x00, 0x01, 0x66)),
+         [(0, 0x4000, 0x01)], 0),                                       # 51 B4 66 in a payload
+        (bytes((0x62, 0x67, 0x66, 0x00, 0x02, 0, 0, 0, 0xAA, 0xBB)), None, None),  # block at EOF
+        (b"", None, None),                                              # empty command stream
+    ], ids=["value 0x66", "value 0x66, no end", "wait byte 0x66", "wait byte 0x66, no end",
+            "payload 51 b4 66", "block ends at EOF", "empty"])
+    def test_command_bytes_inside_operands(self, body, writes, total):
+        for data in (make_vgm(body), gzip.compress(make_vgm(body), mtime=0)):
+            got = outcome(decode_new, data)
+            assert got == outcome(decode_reference, data)
+            if writes is None:
+                assert got == (TruncatedFile, "command stream missing end-of-data (0x66)")
+            else:
+                assert got[3] == TimedWriteStream([TimedWrite(*w) for w in writes], total)
+
+    @pytest.mark.parametrize("data_offset", [0xC0 + 1, 0xC0 + 2, 0x1000, 0x34 + 0xFFFFFFFF])
+    def test_data_offset_past_the_end(self, data_offset):
+        image = bytearray(make_vgm(b""))
+        struct.pack_into("<I", image, 0x34, data_offset - 0x34)
+        got = outcome(decode_new, bytes(image))
+        assert got == outcome(decode_reference, bytes(image))
+        assert got == (TruncatedFile, "command stream missing end-of-data (0x66)")
+
     @given(vgm_images(), st.lists(VGM_EDIT, min_size=1, max_size=4),
            st.sampled_from(["vgm", "vgz of mutated vgm", "mutated vgz"]))
     @settings(derandomize=True, max_examples=400)
@@ -319,3 +352,121 @@ class TestDecoderAgainstReference:
             data = mutate(gzip.compress(image, mtime=0), edits)
         # outcome lets any error other than a VgmError escape and fail the test
         assert outcome(decode_new, data) == outcome(decode_reference, data)
+
+
+class TestStreamColumns:
+    WRITES = [TimedWrite(0, 0x4015, 0x0F), TimedWrite(0, 0x4000, 0xBF), TimedWrite(735, 0x4002, 0)]
+
+    def test_list_and_columns_build_the_same_stream(self):
+        offsets, registers, values = zip(*self.WRITES)
+        from_list = TimedWriteStream(self.WRITES, total_samples=800)
+        from_columns = TimedWriteStream.from_columns(
+            np.array(offsets), np.array(registers, np.int32), np.array(values, np.uint8), 800)
+        assert from_list == from_columns
+        assert from_list != TimedWriteStream(self.WRITES, total_samples=801)
+        assert from_list != TimedWriteStream(self.WRITES[:2], total_samples=800)
+        for stream in (from_list, from_columns):
+            assert [c.dtype for c in (stream.offsets, stream.registers, stream.values)] == \
+                [np.int64] * 3
+
+    def test_writes_gives_back_the_tuples(self):
+        stream = TimedWriteStream(self.WRITES, total_samples=800)
+        assert stream.writes == self.WRITES
+        assert all(type(w) is TimedWrite and type(w.value) is int for w in stream.writes)
+        assert stream.writes is not stream.writes   # built when read
+        assert TimedWriteStream().writes == []
+
+    def test_columns_are_read_only_copies(self):
+        offsets = np.array([0, 10])
+        stream = TimedWriteStream.from_columns(offsets, [0x4015, 0x4015], [1, 0], 10)
+        offsets[1] = 5
+        assert stream.offsets.tolist() == [0, 10]
+        for column in (stream.offsets, stream.registers, stream.values):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert parse_vgm(write_vgm(stream)).stream.offsets.flags.writeable is False
+
+    def test_items_that_are_not_ints_are_kept_as_given(self):
+        stream = TimedWriteStream([TimedWrite(0, 0x4015, 1), TimedWrite(1, 0x4000, 1.5)], 10)
+        assert stream.values.tolist() == [1, 1.5]
+        assert [type(v) for v in stream.values.tolist()] == [int, float]
+        huge = TimedWriteStream([TimedWrite(0, 0x4015, 2 ** 64 + 3)], 10)
+        assert huge.writes == [TimedWrite(0, 0x4015, 2 ** 64 + 3)]
+        # ints that numpy cannot type together are still ints
+        mixed = TimedWriteStream([TimedWrite(0, 0x4015, np.uint64(5)),
+                                  TimedWrite(1, 0x4015, 3)], 5)
+        assert mixed.values.dtype == np.int64 and mixed.values.tolist() == [5, 3]
+        check_stream(mixed)
+
+
+# Items that break one rule of check_stream each.
+BAD_VALUES = (1.5, 2 ** 64 + 3, -1, 256, 2.0, "1")
+BAD_OFFSETS = (-1, 1.5, 2 ** 70, -(2 ** 70))
+BAD_REGISTERS = (0x3FFF, 0x4018, -1, 0x4000 + 0.5, 2 ** 64)
+BAD_TOTALS = (-1, MAX_TOTAL_SAMPLES + 1, 2 ** 70)
+
+
+@st.composite
+def faulty_streams(draw):
+    """streams() with some writes given a decreasing offset, an offset past the
+    end, or a bad register or value, and now and then a bad total."""
+    stream = draw(streams())
+    writes = [list(w) for w in stream.writes]
+    total = stream.total_samples
+    for _ in range(draw(st.integers(0, 3)) if writes else 0):
+        w = writes[draw(st.integers(0, len(writes) - 1))]
+        fault = draw(st.sampled_from(["decrease", "past the end", "offset", "register", "value"]))
+        if fault == "decrease":
+            w[0] -= draw(st.integers(1, 1000))
+        elif fault == "past the end":
+            w[0] = total + draw(st.integers(1, 1000))
+        elif fault == "offset":
+            w[0] = draw(st.sampled_from(BAD_OFFSETS))
+        elif fault == "register":
+            w[1] = draw(st.sampled_from(BAD_REGISTERS))
+        else:
+            w[2] = draw(st.sampled_from(BAD_VALUES))
+    if draw(st.integers(0, 7)) == 0:
+        total = draw(st.sampled_from(BAD_TOTALS))
+    return TimedWriteStream([TimedWrite(*w) for w in writes], total_samples=total)
+
+
+def check_outcome(check, stream):
+    """None, or the type, message and named write of the error ``check`` raises."""
+    try:
+        check(stream)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    return None
+
+
+class TestCheckAgainstReference:
+    """check_stream's array reductions against the one-write-at-a-time loop."""
+
+    @given(faulty_streams())
+    @settings(max_examples=150)
+    @example(TimedWriteStream([TimedWrite(0, 0x4015, 1), TimedWrite(-5, 0x4018, 256)], 10))
+    @example(TimedWriteStream([TimedWrite(5, 0x4018, 1.5), TimedWrite(4, 0x4015, 0)], 10))
+    @example(TimedWriteStream([TimedWrite(11, 0x4015, 0)], -1))
+    @example(TimedWriteStream([TimedWrite(1.5, 0x4000, 2 ** 64 + 3)], 10))
+    @example(TimedWriteStream([TimedWrite(0, 0x4015, 1), TimedWrite(0.5, 0x4015, 1),
+                               TimedWrite(2, 0x4015, 256)], 10))
+    def test_same_error_for_the_same_write(self, stream):
+        assert check_outcome(check_stream, stream) == check_outcome(reference_vgm.check_stream,
+                                                                    stream)
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_bad_value_names_write_and_value(self, value):
+        stream = TimedWriteStream([TimedWrite(0, 0x4015, 1), TimedWrite(3, 0x4000, value)], 10)
+        with pytest.raises(BadWriteValue) as exc:
+            check_stream(stream)
+        assert (exc.value.index, exc.value.value) == (1, value)
+        assert str(exc.value) == f"write 1 value {value!r} is not an int in [0, 255]"
+
+    def test_offset_and_register_that_are_not_ints(self):
+        with pytest.raises(BadWriteOffset) as exc:
+            check_stream(TimedWriteStream([TimedWrite(1.5, 0x4015, 0)], 10))
+        assert str(exc.value) == "write 0 at sample 1.5 is not an int"
+        with pytest.raises(RegisterOutOfRange) as exc:
+            check_stream(TimedWriteStream([TimedWrite(1, 0x4000 + 0.5, 0)], 10))
+        assert str(exc.value) == "register 16384.5 is not an int"
