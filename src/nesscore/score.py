@@ -342,19 +342,26 @@ _FRAME_LINE = " ".join(["%d"] * len(_FIELD_BOUNDS))
 
 # The most samples a stream may span: write_vgm encodes offsets in 32 bits.
 MAX_TOTAL_SAMPLES = 0xFFFFFFFF
+# The most frames a score may hold: 320 MiB as a (T, 10) int16 array, 8 days
+# at 24 Hz, 380 s at 44.1 kHz, and far below the 1.4e9 frames from which two
+# frames just below 44.1 kHz can round to one MIDI tick.
+MAX_FRAMES = 1 << 24
 
 
 def check_rate(rate_hz: float, n_frames: int = 0, error: type = ValueError) -> None:
-    """Raise ``error`` unless 0 < rate_hz <= 44100 and n_frames frames at it
-    span at most 2^32 - 1 samples (the default 0 frames checks the rate
-    alone).  A frame shorter than a sample would only repeat samples.
+    """Raise ``error`` unless 0 < rate_hz <= 44100, n_frames <= ``MAX_FRAMES``
+    and n_frames frames at rate_hz span at most 2^32 - 1 samples (the default
+    0 frames checks the rate alone).  A frame shorter than a sample would only
+    repeat samples.  Readers check before they allocate frames.
     """
     if not 0 < rate_hz <= SAMPLE_RATE:
         raise error(f"rate {rate_hz} Hz is not a number in (0, {SAMPLE_RATE}]")
     # The count is bounded as an integer first, so no count too big for a float
-    # reaches the division; floor(x) > 2^32 - 1 exactly when x >= 2^32, x = inf too.
-    if (n_frames > MAX_TOTAL_SAMPLES
-            or frame_position(n_frames, rate_hz) >= MAX_TOTAL_SAMPLES + 1):
+    # reaches the division.
+    if n_frames > MAX_FRAMES:
+        raise error(f"{n_frames} frames are more than the {MAX_FRAMES} a score may hold")
+    # floor(x) > 2^32 - 1 exactly when x >= 2^32, x = inf too
+    if frame_position(n_frames, rate_hz) >= MAX_TOTAL_SAMPLES + 1:
         raise error(f"{n_frames} frames at {rate_hz} Hz span more than "
                     f"{MAX_TOTAL_SAMPLES} samples")
 

@@ -1,14 +1,17 @@
 """Waveform synthesis: timed register writes -> 44.1 kHz PCM.
 
-The renderer reads the replay rows of ``apu.iter_segments``, the same rows
-extraction derives its frames from, so a voice sounds exactly where it is
-scored.  It works in two stages.  A Python pass carries each oscillator
-(duty sequencer, triangle staircase, noise LFSR) across segments in whole
-CPU cycles, with the period, volume and phase resets its replay row gives,
-and records one parameter row per segment; once rows cover ``_BLOCK``
-samples, ``_render_block`` turns them into PCM with integer numpy ops,
-table lookups and the console's nonlinear mixer.  Waveforms are
-naive (no band-limiting), which is exactly how the hardware aliases.
+The renderer reads the arrays of ``apu.replay``, the same rows extraction
+derives its frames from, so a voice sounds exactly where it is scored.
+An oscillator's phase (duty sequencer, triangle staircase, noise LFSR)
+carries in whole CPU cycles, and the carry only changes at a break: a new
+period or a pulse's phase reset, the triangle gated or re-opened, the
+noise's mode switched or its volume going to or from 0.  Masks over the
+rows find the breaks; Python steps once per run between them, keeping one
+absolute cycle offset per run, and no loop runs over rows.  Blocks of
+``_BLOCK`` samples are then filled with integer numpy ops over each run's
+piece of the block, table lookups and the console's nonlinear mixer,
+skipping a voice that is silent for the whole block.  Waveforms are naive
+(no band-limiting), which is exactly how the hardware aliases.
 
 ``score_to_writes`` is the inverse path: it schedules the minimal register
 writes that make an expressive score come out of ``extract_timeline``
@@ -21,10 +24,12 @@ import functools
 import io
 import wave
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import apu
+from .apu import _sorted_unique
 from .score import (
     NOISE_NOTE_MAX,
     SAMPLE_RATE,
@@ -54,9 +59,9 @@ NOISE_PERIODS = (
 
 _BLOCK = 1 << 13   # samples per whole-block numpy pass; bounds the temporaries
 
-# Pulse output level at (duty * 16 + volume) * 8 + step: one gather per sample.
-_PULSE_WAVE = np.array([level * volume for duty in DUTY_SEQUENCES
-                        for volume in range(16) for level in duty])
+# Pulse output level times 256 at (duty * 16 + volume) * 8 + step: one gather per sample.
+_PULSE_WAVE = 256 * np.array([level * volume for duty in DUTY_SEQUENCES
+                              for volume in range(16) for level in duty])
 # Triangle level times 16 at gate * 32 + step; the gated row is silent.
 _TRI_WAVE = 16 * np.array((0,) * 32 + TRIANGLE_SEQUENCE)
 
@@ -83,6 +88,8 @@ def mix(p1: int, p2: int, t: int, n: int) -> float:
 # ``mix`` of each group alone, which never reaches the clamp: by p1 + p2, by t * 16 + n.
 _PULSE_MIX = np.array([mix(s, 0, 0, 0) for s in range(31)])
 _TND_MIX = np.array([mix(0, 0, t, n) for t in range(16) for n in range(16)])
+# Their sum, clamped as ``mix`` is, at (p1 + p2) * 256 + t * 16 + n: one gather per sample.
+_MIX = np.clip(np.add.outer(_PULSE_MIX, _TND_MIX), -1.0, 1.0).ravel()
 
 
 @functools.cache
@@ -130,72 +137,192 @@ def _cycles(sample):
     return sample * apu.CPU_HZ // SAMPLE_RATE
 
 
-def _render_block(out: np.ndarray, first: int, rows: list, bits: np.ndarray) -> None:
-    """Fill ``out`` from sample ``first`` on with the segments in ``rows``.
+@functools.cache
+def _cycle_table(block: int) -> np.ndarray:
+    """``_cycles`` of samples 0 .. 44100 + block - 1, as int32.  CPU_HZ is an
+    integer, so sample q * 44100 + r comes q * CPU_HZ cycles after sample r."""
+    return _cycles(np.arange(SAMPLE_RATE + block)).astype(np.int32)
 
-    A row holds the segment's end, then per voice a period, an offset and table
-    parameters: ``cycles`` after ``first``, it is at step (offset + cycles) // period.
+
+def _runs(key: np.ndarray, restart=False) -> np.ndarray:
+    """Where a run starts: at segment 0, where ``key`` changes, and where ``restart`` is set."""
+    start = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=start[1:])
+    return start | restart
+
+
+def _carry(cycles: list, periods: list, restart: list, wrap: int) -> list:
+    """The offset of a duty or triangle sequencer over each of its runs.
+
+    Run r starts ``cycles[r]`` cycles after sample 0 and steps every
+    ``periods[r]`` cycles, 0 for a frozen one; a restart puts it back at its
+    step 0.  Over run r it is at step (offset + cycles) // period, modulo
+    ``wrap``.  Only the step and the cycles spent in it carry from run to run.
     """
-    table = np.array(rows, dtype=np.int32)
-    last = int(table[-1, 0])
-    seg = np.repeat(table[:, 1:].T, np.diff(table[:, 0], prepend=first), axis=1)
-    cycles = (_cycles(np.arange(first, last)) - _cycles(first)).astype(np.int32)
-    p1, p2, tr, no = [(seg[k + 1] + cycles) // seg[k] for k in (0, 3, 6, 9)]
-    pulses = _PULSE_WAVE.take(seg[2] + (p1 & 7)) + _PULSE_WAVE.take(seg[5] + (p2 & 7))
-    noise = (bits.take(seg[11] + no % seg[12]) ^ 1) * seg[13]
-    tnd = _TRI_WAVE.take(seg[8] + (tr & 31)) + noise
-    np.add(_PULSE_MIX.take(pulses), _TND_MIX.take(tnd), out=out[first:last])
+    step = spent = offset = period = 0
+    offsets = []
+    for c, p, r in zip(cycles, periods, restart):
+        if r:
+            step = spent = 0
+        elif period:
+            step, spent = divmod(offset + c, period)
+            step %= wrap
+        offset = step * p + spent - c
+        period = p
+        offsets.append(offset)
+    return offsets
 
 
-def _advance(osc: list[int], period: int, wrap: int, c0: int, c1: int) -> int:
-    """Row offset of oscillator [step, spent] over cycles [c0, c1); moves it to c1."""
-    offset = osc[0] * period + osc[1] - c0
-    step, osc[1] = divmod(offset + c1, period)
-    osc[0] = step % wrap
-    return offset
+def _noise_carry(cycles: list, periods: list, modes: list) -> tuple[list, list, list]:
+    """The offset, cycle base and cycle length of the noise LFSR over each of its runs.
+
+    Run r starts ``cycles[r]`` cycles after sample 0 and shifts every
+    ``periods[r]`` cycles in mode ``modes[r]``, period 0 for a silent run,
+    over which the LFSR holds.  Over run r its state is the one at ``base +
+    (offset + cycles) // period % length`` of the cycle tables.
+    """
+    cycle_base, cycle_pos, cycle_len, cycle_state, _bit = _lfsr_cycle_tables()
+    lfsr, spent, offset, period, base, length = 1, 0, 0, 0, 0, 1
+    offsets, bases, lengths = [], [], []
+    for c, p, m in zip(cycles, periods, modes):
+        if period:
+            k, spent = divmod(offset + c, period)
+            lfsr = cycle_state.item(base + k % length)
+        if p:
+            base, length = cycle_base.item(m, lfsr), cycle_len.item(m, lfsr)
+            offset = cycle_pos.item(m, lfsr) * p + spent - c
+        period = p
+        offsets.append(offset)
+        bases.append(base)
+        lengths.append(length)
+    return offsets, bases, lengths
+
+
+class _Voice(NamedTuple):
+    """One oscillator of a stream, block by block.
+
+    Its runs, cut again at every ``_BLOCK`` samples, are ``pieces``: (first,
+    end, offset, period, length, base), with first and end counted from the
+    block's first sample.  Over a piece it is at step (offset + cycles) //
+    period, ``cycles`` being ``_cycle_table`` from the block's first sample
+    on; a piece of period 0 is frozen and silent.  The pieces of block b are
+    ``bounds[b]`` to ``bounds[b + 1] - 1``.  A duty or triangle sequencer
+    sounds ``wave[param + (step & mask)]``, ``mask`` being its steps less 1;
+    the noise LFSR (``mask`` 0) sounds ``wave[base + step % length] *
+    param``, ``param`` being its volume.  ``param`` is per segment piece.
+    ``sounds[b]`` says whether the voice sounds in block b at all.
+    """
+
+    wave: np.ndarray
+    mask: int
+    pieces: list
+    bounds: list
+    param: np.ndarray
+    sounds: list
+
+    def levels(self, b: int, segments: slice, counts: np.ndarray,
+               cycles: np.ndarray) -> np.ndarray:
+        """The output level at each sample of block b, whose segment pieces
+        are ``segments``, ``counts`` samples each."""
+        step = np.zeros(len(cycles), np.int32)
+        for first, end, offset, period, length, base in self.pieces[self.bounds[b]:
+                                                                    self.bounds[b + 1]]:
+            if period:
+                run = step[first:end]
+                np.add(cycles[first:end], offset, out=run)
+                run //= period
+                if not self.mask:
+                    run -= run // length * length - base    # a scalar // is faster than %
+        if self.mask:
+            step &= self.mask
+            step += self.param[segments].repeat(counts)
+            return self.wave.take(step, mode="clip")
+        level = self.wave.take(step, mode="clip")
+        level *= self.param[segments].repeat(counts)
+        return level
+
+
+def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
+            bounds: np.ndarray) -> list[_Voice]:
+    """P1, P2, TR and NO of replay's ``starts`` and ``rows`` over a stream of
+    ``total`` samples, whose segment piece j lies in segment ``seg[j]`` and
+    whose block b holds pieces ``bounds[b]`` to ``bounds[b + 1] - 1``."""
+    cycles = _cycles(starts)
+    block_starts = np.arange(0, total, _BLOCK)
+
+    def voice(wave, mask, opens, runs, param, sounding):
+        """The voice whose runs open at segments ``opens`` and hold the
+        offsets, periods, cycle lengths and bases ``runs``, and which sounds
+        in the segments ``sounding``."""
+        cut = _sorted_unique(np.concatenate((starts[opens], block_starts)))
+        run = starts[opens].searchsorted(cut, "right") - 1
+        offsets, periods, lengths, bases = (np.asarray(c, np.int64)[run] for c in runs)
+        block_first = cut // _BLOCK * _BLOCK
+        # Sample q * 44100 + r comes q * CPU_HZ cycles after sample r: fold
+        # those into the offset, which stays below 2^27 modulo a cycle.
+        offsets += block_first // SAMPLE_RATE * apu.CPU_HZ
+        offsets %= lengths * np.maximum(periods, 1)
+        pieces = zip(*(c.tolist() for c in (cut - block_first,
+                                            np.append(cut[1:], total) - block_first,
+                                            offsets, periods, lengths, bases)))
+        heard = np.concatenate(([0], np.cumsum(sounding[seg])))
+        return _Voice(wave, mask, list(pieces),
+                      np.append(cut.searchsorted(block_starts), len(cut)).tolist(),
+                      param[seg].astype(np.int32),
+                      (heard[bounds[1:]] > heard[bounds[:-1]]).tolist())
+
+    voices = []
+    for col, bit in ((0, 1), (3, 2)):
+        timer, duty, volume = rows[:, col], rows[:, col + 1], rows[:, col + 2]
+        reset = rows[:, 10] & bit
+        opens = np.flatnonzero(_runs(timer, reset > 0))
+        periods = (2 * (timer[opens] + 1)).tolist()     # duty steps take 2(t+1) cycles
+        offsets = _carry(cycles[opens].tolist(), periods, reset[opens].tolist(), 8)
+        runs = (offsets, periods, [8] * len(opens), [0] * len(opens))
+        voices.append(voice(_PULSE_WAVE, 7, opens, runs, (duty * 16 + volume) * 8, volume > 0))
+    timer = rows[:, 6]      # -1 where gated: the phase holds, the voice is silent
+    opens = np.flatnonzero(_runs(timer))
+    periods = (timer[opens] + 1).tolist()
+    offsets = _carry(cycles[opens].tolist(), periods, [0] * len(opens), 32)
+    runs = (offsets, periods, [32] * len(opens), [0] * len(opens))
+    on = timer >= 0
+    voices.append(voice(_TRI_WAVE, 31, opens, runs, 32 * on, on))
+    volume = rows[:, 9]     # 0 where silent: the LFSR holds
+    opens = np.flatnonzero(_runs(np.where(volume > 0, rows[:, 7] * 2 + rows[:, 8], -1)))
+    periods = (np.array(NOISE_PERIODS)[rows[opens, 7]] * (volume[opens] > 0)).tolist()
+    offsets, bases, lengths = _noise_carry(cycles[opens].tolist(), periods,
+                                           rows[opens, 8].tolist())
+    voices.append(voice(_lfsr_cycle_tables()[4] ^ 1, 0, opens,
+                        (offsets, periods, lengths, bases), volume, volume > 0))
+    return voices
 
 
 def render_writes(stream: TimedWriteStream) -> PcmBuffer:
     """Render a timed write stream to PCM, one sample per stream sample."""
-    check_stream(stream)    # before np.empty, not by replaying first: that raised peak RSS
-    out = np.empty(int(stream.total_samples))
-    # [sequence step, cycles spent in it]; noise steps through the cycle of lfsr
-    pulse, tri, noise, lfsr = [[0, 0], [0, 0]], [0, 0], [0, 0], 1
-    rows, first, c1 = [], 0, 0
-    cycle_base, cycle_pos, cycle_len, cycle_state, cycle_bit = _lfsr_cycle_tables()
-    for _start, end, segment in apu.iter_segments(stream):
-        (p1_timer, p1_duty, p1_volume, p2_timer, p2_duty, p2_volume,
-         tr_timer, no_period, no_mode, no_volume, phase_reset) = segment
-        # cycles counted from the block's first sample keep the rows small
-        c0, c1 = c1, _cycles(end) - _cycles(first)
-        if phase_reset & 1:
-            pulse[0] = [0, 0]
-        if phase_reset & 2:
-            pulse[1] = [0, 0]
-        row = [end]
-        for osc, timer, duty, volume in ((pulse[0], p1_timer, p1_duty, p1_volume),
-                                         (pulse[1], p2_timer, p2_duty, p2_volume)):
-            period = 2 * (timer + 1)    # duty steps take 2(t+1) cycles
-            # a silent pulse has volume 0, whose table rows are all 0
-            row += (period, _advance(osc, period, 8, c0, c1), (duty * 16 + volume) * 8)
-        if tr_timer >= 0:
-            period = tr_timer + 1
-            row += (period, _advance(tri, period, 32, c0, c1), 32)
+    check_stream(stream)    # before np.empty
+    total = int(stream.total_samples)
+    # Allocated before replay: after it, out raised peak RSS by 0.4 MB on
+    # vgm-render and 1.1 MB on score-render (seeds 5, 11, 23).
+    out = np.empty(total)
+    starts, rows = apu.replay(stream)
+    # The segment pieces: the segments, cut again at every _BLOCK samples.
+    begin = _sorted_unique(np.concatenate((starts, np.arange(0, total, _BLOCK))))
+    bounds = np.append(begin.searchsorted(np.arange(0, total, _BLOCK)), len(begin))
+    voices = _voices(starts, rows, total, starts.searchsorted(begin, "right") - 1, bounds)
+    counts = np.diff(begin, append=total)
+    del starts, rows, begin
+    cycle_table = _cycle_table(_BLOCK)
+    for b, (j0, j1) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        first = b * _BLOCK
+        last = min(first + _BLOCK, total)
+        cycles = cycle_table[first % SAMPLE_RATE:][:last - first]
+        p1, p2, tr, no = (v.levels(b, slice(j0, j1), counts[j0:j1], cycles) if v.sounds[b]
+                          else 0 for v in voices)
+        index = p1 + p2 + tr + no
+        if isinstance(index, int):
+            out[first:last] = _MIX[index]
         else:
-            row += (1, 0, 0)    # gated: phase frozen, silent row
-        if no_volume:
-            period = NOISE_PERIODS[no_period]
-            base, length = cycle_base.item(no_mode, lfsr), cycle_len.item(no_mode, lfsr)
-            noise[0] = cycle_pos.item(no_mode, lfsr)
-            row += (period, _advance(noise, period, length, c0, c1), base, length, no_volume)
-            lfsr = cycle_state.item(base + noise[0])
-        else:
-            row += (1, 0, 0, 1, 0)  # the LFSR only advances while audible
-        rows.append(row)
-        if end - first >= _BLOCK or end == len(out):
-            _render_block(out, first, rows, cycle_bit)
-            first, c1, rows = end, 0, []
-    np.clip(out, -1.0, 1.0, out=out)
+            _MIX.take(index, out=out[first:last], mode="clip")
     return PcmBuffer(samples=out)
 
 
@@ -267,7 +394,9 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
 
 def write_wav(buffer: PcmBuffer) -> bytes:
     """Encode as RIFF/WAVE, PCM signed 16-bit little-endian, mono."""
-    quantized = np.clip(np.rint(buffer.samples * 32767.0), -32767, 32767)
+    quantized = buffer.samples * 32767.0    # one temporary, rounded and clipped in place
+    np.rint(quantized, out=quantized)
+    np.clip(quantized, -32767, 32767, out=quantized)
     pcm = quantized.astype("<i2").tobytes()
     bio = io.BytesIO()
     with wave.open(bio, "wb") as wav:

@@ -1,9 +1,11 @@
 import random
+import struct
 
 import numpy as np
 import pytest
 
 from nesscore.apu import Timeline
+from nesscore.midi import PPQ
 from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore
 
 
@@ -44,6 +46,16 @@ def random_score(rng: random.Random, n_frames: int, rate_hz: float = 24.0,
             current = random_synthesizable_frame(rng)
         frames.append(current)
     return ExpressiveScore(rate_hz=rate_hz, frames=frames)
+
+
+def five_track_file(track1_body: bytes) -> bytes:
+    """Hand-rolled MIDI file: tempo track + a custom voice track + 3 empty voices."""
+    def track(body):
+        return b"MTrk" + struct.pack(">I", len(body)) + body
+    eot = b"\x00\xff\x2f\x00"
+    tempo = b"\x00\xff\x51\x03\x07\xa1\x20" + eot
+    chunks = [track(tempo), track(track1_body + eot)] + [track(eot)] * 3
+    return b"MThd" + struct.pack(">IHHH", 6, 1, 5, PPQ) + b"".join(chunks)
 
 
 def mutate(data: bytes, edits) -> bytes:

@@ -2,14 +2,25 @@
 
 import gzip
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import random_score
+import nesscore
+from conftest import five_track_file, random_score
 from nesscore import midi, synth, vgm
 from nesscore.cli import main
-from nesscore.score import ExpressiveFrame, ExpressiveScore, read_score_text, write_score_text
+from nesscore.score import (
+    MAX_FRAMES,
+    ExpressiveFrame,
+    ExpressiveScore,
+    read_score_text,
+    write_score_text,
+)
 
 A440 = ExpressiveFrame(p1_note=69, p1_vel=15, p1_timbre=2)
 
@@ -38,6 +49,47 @@ def test_stream_past_32_bits_fails_fast(too_long, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: wait at offset 0x300c3") and "Traceback" not in err
     assert not out.exists()
+
+
+# Run in a child process that caps its own address space at what it holds
+# after its imports plus 256 MiB, then runs each command line of argv[1].
+CAPPED = """
+import json, resource, sys
+from nesscore.cli import main
+with open("/proc/self/status") as status:
+    held = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+_soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (held + (256 << 20), hard))
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc, caps RLIMIT_AS")
+def test_inputs_past_the_frame_bound_fail_typed_under_a_memory_cap(tmp_path):
+    # Each asks for more than MAX_FRAMES frames, which would need GBs, in a few bytes.
+    midi_path = tmp_path / "late_note.mid"   # 2^28 - 1 ticks, one sample each
+    midi_path.write_bytes(five_track_file(b"\xff\xff\xff\x7f\x90\x45\x7f"))
+    text_path = tmp_path / "huge_count.nesscore"
+    text_path.write_bytes(b"NESSCORE 1 44100 4294967295\n")
+    vgm_path = tmp_path / "long_wait.vgm"   # 257 longest waits: 16,842,495 samples
+    header = vgm.write_vgm(vgm.TimedWriteStream())[:vgm.HEADER_SIZE]
+    vgm_path.write_bytes(header + b"\x61\xff\xff" * 257 + b"\x66")
+    assert 257 * 0xFFFF > MAX_FRAMES and len(midi_path.read_bytes()) < 100
+    out = str(tmp_path / "out")
+    runs = [["midi2score", str(midi_path), out, "--rate", "44100"],
+            ["render", str(text_path), out],
+            ["vgm2score", str(vgm_path), out, "--rate", "44100"]]
+    src = str(Path(nesscore.__file__).resolve().parent.parent)
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    child = subprocess.run([sys.executable, "-c", CAPPED, json.dumps(runs)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [1, 1, 1]
+    errors = child.stderr.splitlines()
+    assert len(errors) == 3 and all(e.startswith("error: ") for e in errors), errors
+    assert all("more than the 16777216" in e for e in errors), errors
+    assert not Path(out).exists()
 
 
 class TestVgm2Score:

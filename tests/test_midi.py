@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate, random_score
+from conftest import five_track_file, mutate, random_score
 from nesscore.midi import (
     PPQ,
     NotSmf,
@@ -158,16 +158,6 @@ class TestRoundTrip:
         for rate in (12.0, 24.0, 48.0):
             score = random_score(rng, 20, rate_hz=rate)
             assert midi_to_score(score_to_midi(score), rate) == score
-
-
-def five_track_file(track1_body: bytes) -> bytes:
-    """Hand-rolled file: tempo track + a custom voice track + 3 empty voices."""
-    def track(body):
-        return b"MTrk" + struct.pack(">I", len(body)) + body
-    eot = b"\x00\xff\x2f\x00"
-    tempo = b"\x00\xff\x51\x03\x07\xa1\x20" + eot
-    chunks = [track(tempo), track(track1_body + eot)] + [track(eot)] * 3
-    return b"MThd" + struct.pack(">IHHH", 6, 1, 5, PPQ) + b"".join(chunks)
 
 
 class TestImportErrors:

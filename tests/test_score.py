@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import mutate, random_score, timeline_of
 from nesscore.midi import _frame_ticks, score_to_midi
 from nesscore.score import (
+    MAX_FRAMES,
     MAX_TOTAL_SAMPLES,
     SAMPLE_RATE,
     SCHEMA,
@@ -533,12 +534,19 @@ class TestFrameArithmetic:
 
 
 class TestRateBound:
-    """check_rate: 0 < rate <= 44100, and every frame within 2^32 - 1 samples."""
+    """check_rate: 0 < rate <= 44100, at most MAX_FRAMES frames, and every
+    frame within 2^32 - 1 samples."""
 
     def test_rate_of_a_sample_accepted(self):
-        check_rate(44100.0, MAX_TOTAL_SAMPLES)
+        check_rate(44100.0, MAX_FRAMES)
         score = read_score_text(b"NESSCORE 1 44100 1\n0 0 0 0 0 0 0 0 0 0\n")
         assert score.rate_hz == 44100.0
+
+    @pytest.mark.parametrize("rate", [44100.0, 24.0, 0.5])
+    def test_frames_past_the_bound_rejected(self, rate):
+        # at 24 Hz MAX_FRAMES frames span 3.1e10 samples: the frame bound is checked first
+        with pytest.raises(MalformedHeader, match=f"^{MAX_FRAMES + 1} frames are more than"):
+            check_rate(rate, MAX_FRAMES + 1, MalformedHeader)
 
     def test_huge_rate_covering_count_rejected(self):
         # 10^12 frames for one second of input used to pass
@@ -584,7 +592,8 @@ def last_frame(rate_hz: float) -> int:
 
 class TestFrameClockAgainstReference:
     """The one float64 frame clock against the two-branch scalar one in
-    reference_frames, over every frame check_rate allows."""
+    reference_frames, over every frame within 2^32 - 1 samples; check_rate
+    allows those up to MAX_FRAMES."""
 
     def test_every_integer_rate_at_both_ends(self):
         for rate in range(1, SAMPLE_RATE + 1):
@@ -595,9 +604,10 @@ class TestFrameClockAgainstReference:
             want = [ref.frame_sample_index(k, rate) for k in ks]
             assert frame_sample_index(np.array(ks), float(rate)).tolist() == want
             assert frame_sample_index(kmax, float(rate)) == want[-1]
-            check_rate(float(rate), kmax)
+            allowed = min(kmax, MAX_FRAMES)
+            check_rate(float(rate), allowed)
             with pytest.raises(ValueError):
-                check_rate(float(rate), kmax + 1)
+                check_rate(float(rate), allowed + 1)
             for total in (0, 1, MAX_TOTAL_SAMPLES - 1, MAX_TOTAL_SAMPLES):
                 assert frame_count(total, float(rate)) == ref.frame_count(total, rate)
 
@@ -609,9 +619,10 @@ class TestFrameClockAgainstReference:
         assert [frame_sample_index(k, rate) for k in ks] == want
         ticks = np.rint(frame_position(np.array(ks), rate)).astype(np.int64).tolist()
         assert ticks == [ref.frame_tick(k, rate) for k in ks]
-        check_rate(rate, kmax)
+        allowed = min(kmax, MAX_FRAMES)
+        check_rate(rate, allowed)
         with pytest.raises(ValueError):
-            check_rate(rate, kmax + 1)
+            check_rate(rate, allowed + 1)
 
     @pytest.mark.parametrize("rate", [29.97, 12.5, 0.0000103, 0.5, 59.94, 44099.9])
     def test_fractional_rates(self, rate):

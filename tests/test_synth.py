@@ -8,7 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import reference_render
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_score
@@ -433,3 +434,112 @@ class TestRenderMatchesExtraction:
                 pitch = edge_pitch(frame) if note and pitched else None
                 if pitch is not None:
                     assert round(pitch) == note, (voice, k, pitch)
+
+
+def _gated(stream: TimedWriteStream, *voices: int) -> TimedWriteStream:
+    """The stream with $4015 writes that turn ``voices`` off at 2000 and on again at 2600."""
+    mask = sum(1 << v for v in voices)
+    writes = [*stream.writes, (2000, 0x4015, 0x0F & ~mask), (2600, 0x4015, 0x0F)]
+    return _stream(stream.total_samples, *sorted(writes, key=lambda w: w[0]))
+
+
+# Streams that break a carry in each way the renderer tells apart, near the
+# block edges of the sizes TestRenderAgainstLoop renders them at (128, 700,
+# 8192); replay cuts a segment at least every 184 samples.
+BREAK_STREAMS = {
+    # $4003/$4007 rewrites keep the timer and restart the duty sequence
+    "phase_reset_inside_a_run": _stream(
+        9500, (0, 0x4015, 0x03), (0, 0x4001, 0x08), (0, 0x4005, 0x08),
+        (0, 0x4000, 0xBF), (0, 0x4002, 0x6B), (0, 0x4003, 0x09),
+        (0, 0x4004, 0x3F), (0, 0x4006, 0x11), (0, 0x4007, 0x08),
+        (333, 0x4003, 0x09), (700, 0x4003, 0x09), (1400, 0x4007, 0x08),
+        (1401, 0x4003, 0x09), (8192, 0x4003, 0x09), (8193, 0x4007, 0x08),
+        (9000, 0x4000, 0x7F), (9001, 0x4003, 0x09)),
+    # a period set inside a segment that runs over a block edge, every voice
+    "period_change_across_a_block": _stream(
+        9000, (0, 0x4015, 0x0F), (0, 0x4001, 0x08), (0, 0x4005, 0x08),
+        (0, 0x4000, 0xB9), (0, 0x4002, 0x40), (0, 0x4003, 0x08),
+        (0, 0x4004, 0x7C), (0, 0x4006, 0x80), (0, 0x4007, 0x08),
+        (0, 0x4008, 0xFF), (0, 0x400A, 0x30), (0, 0x400B, 0x08),
+        (0, 0x400C, 0x3C), (0, 0x400E, 0x06), (0, 0x400F, 0x08),
+        (690, 0x4002, 0x41), (691, 0x400A, 0x31), (695, 0x400E, 0x03),
+        (8000, 0x4006, 0x81), (8100, 0x400A, 0x29), (8150, 0x400E, 0x0A),
+        (8190, 0x4002, 0x10), (8191, 0x4006, 0x82)),
+    # the linear counter runs out, a $4008 write holds it off, then $400B reloads it
+    "triangle_gated_and_reopened": _gated(_stream(
+        6000, (0, 0x4015, 0x04), (0, 0x4008, 0x08), (0, 0x400A, 0x55),
+        (0, 0x400B, 0x08), (900, 0x4008, 0xFF), (900, 0x400B, 0x08),
+        (1300, 0x4008, 0x00), (1700, 0x4008, 0xFF), (1701, 0x400B, 0x09),
+        (3300, 0x400A, 0x02), (3301, 0x400B, 0x08), (4000, 0x400A, 0x01),
+        (4800, 0x400A, 0x66), (4800, 0x400B, 0x08)), 2),
+    "noise_mode_switch_while_audible": _stream(
+        9000, (0, 0x4015, 0x08), (0, 0x400C, 0x3F), (0, 0x400E, 0x00),
+        (0, 0x400F, 0x08), (500, 0x400E, 0x80), (700, 0x400E, 0x00),
+        (1200, 0x400E, 0x8D), (1400, 0x400E, 0x0D), (2222, 0x400E, 0x84),
+        (8191, 0x400E, 0x04), (8300, 0x400E, 0x8F)),
+    # the LFSR holds through volume 0, a $4015 clear and a decayed envelope
+    "noise_silent_gaps": _gated(_stream(
+        9000, (0, 0x4015, 0x08), (0, 0x400C, 0x38), (0, 0x400E, 0x82),
+        (0, 0x400F, 0x08), (300, 0x400C, 0x30), (1000, 0x400C, 0x3B),
+        (3000, 0x400C, 0x00), (3000, 0x400F, 0x00), (8000, 0x400C, 0x37),
+        (8000, 0x400F, 0x08)), 3),
+    # a timer below 8 and a sweep target past $7FF mute a pulse; its phase runs on
+    "sweep_muted_pulse": _stream(
+        7000, (0, 0x4015, 0x03), (0, 0x4001, 0x08), (0, 0x4000, 0xBF),
+        (0, 0x4002, 0x06), (0, 0x4003, 0x08), (0, 0x4004, 0xBF),
+        (0, 0x4005, 0x01), (0, 0x4006, 0x00), (0, 0x4007, 0x0C),
+        (1100, 0x4002, 0x09), (2100, 0x4005, 0x08), (3000, 0x4005, 0xF1),
+        (3000, 0x4006, 0xFF), (3001, 0x4007, 0x0F), (5000, 0x4001, 0x00)),
+}
+
+
+def loop_pcm(stream):
+    return reference_render.render_writes(stream).samples
+
+
+@st.composite
+def render_streams(draw):
+    """Up to 40 writes a few to a few hundred samples apart, all four voices
+    enabled at first, and totals past the last write."""
+    rng = draw(st.randoms(use_true_random=True))
+    writes = [(0, 0x4015, 0x0F)]
+    offset = 0
+    for _ in range(rng.randint(0, 40)):
+        offset += rng.choice([0, 1, 90, 183, 184, 367, 700, 2000])
+        register = rng.choice([rng.randint(0, 0x17), 0x03, 0x07, 0x0B, 0x0F, 0x15])
+        writes.append((offset, 0x4000 + register, rng.randint(0, 255)))
+    return _stream(offset + rng.randint(0, 3000), *writes)
+
+
+class TestRenderAgainstLoop:
+    """The renderer against the per-segment loop of reference_render, bit for
+    bit.  At block size 1, and at 128 (replay's segments run up to 184
+    samples), one segment spans several blocks."""
+
+    @pytest.mark.parametrize("block", (1, 128, 700, synth._BLOCK))
+    @pytest.mark.parametrize("name", sorted(BREAK_STREAMS))
+    def test_break_streams(self, monkeypatch, block, name):
+        stream = BREAK_STREAMS[name]
+        expected = loop_pcm(stream)
+        assert expected.any()
+        monkeypatch.setattr(synth, "_BLOCK", block)
+        assert np.array_equal(render_writes(stream).samples, expected)
+
+    @pytest.mark.parametrize("block", (128, 700, synth._BLOCK))
+    def test_pinned_streams(self, monkeypatch, block):
+        expected = {name: loop_pcm(stream) for name, stream in PINNED_STREAMS.items()}
+        monkeypatch.setattr(synth, "_BLOCK", block)
+        for name, stream in PINNED_STREAMS.items():
+            assert np.array_equal(render_writes(stream).samples, expected[name]), name
+
+    @given(render_streams(), st.sampled_from((128, 700, synth._BLOCK)))
+    @example(_stream(0), 700)
+    @example(_stream(1, (0, 0x4015, 0x0F)), 128)
+    @settings(max_examples=60, deadline=None)
+    def test_random_streams(self, stream, block):
+        expected = loop_pcm(stream)
+        saved, synth._BLOCK = synth._BLOCK, block
+        try:
+            assert np.array_equal(render_writes(stream).samples, expected)
+        finally:
+            synth._BLOCK = saved
