@@ -14,7 +14,7 @@ from . import apu, evaluation, midi, score, synth, vgm
 
 
 def _read_stream(path: str) -> vgm.TimedWriteStream:
-    return vgm.flatten_to_writes(vgm.parse_vgm(Path(path).read_bytes()))
+    return vgm.parse_vgm(Path(path).read_bytes()).stream
 
 
 def cmd_vgm2score(args) -> int:
@@ -40,7 +40,7 @@ def cmd_midi2score(args) -> int:
 def cmd_render(args) -> int:
     data = Path(args.input).read_bytes()
     if data[:2] == vgm.GZIP_MAGIC or data[:4] == vgm.MAGIC:
-        stream = vgm.flatten_to_writes(vgm.parse_vgm(data))
+        stream = vgm.parse_vgm(data).stream
     elif data.startswith(b"NESSCORE"):
         stream = synth.score_to_writes(score.read_score_text(data))
     else:
@@ -78,6 +78,9 @@ def cmd_split(args) -> int:
     return 0
 
 
+_RATE_HELP = "score frame rate in Hz (default %(default)s)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nesscore",
@@ -88,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vgm2score", help="extract a NESSCORE file from a .vgm/.vgz log")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--rate", type=float, default=24.0, help="frame rate in Hz")
+    p.add_argument("--rate", type=float, default=score.DEFAULT_RATE_HZ, help=_RATE_HELP)
     p.set_defaults(func=cmd_vgm2score)
 
     p = sub.add_parser("score2midi", help="export a score as a Standard MIDI File")
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("midi2score", help="import a profile MIDI file as a score")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--rate", type=float, default=24.0)
+    p.add_argument("--rate", type=float, default=score.DEFAULT_RATE_HZ, help=_RATE_HELP)
     p.set_defaults(func=cmd_midi2score)
 
     p = sub.add_parser("render", help="render a score or VGM log to WAV")

@@ -2,16 +2,19 @@
 
 The renderer reads the arrays of ``apu.replay``, the same rows extraction
 derives its frames from, so a voice sounds exactly where it is scored.
-An oscillator's phase (duty sequencer, triangle staircase, noise LFSR)
-carries in whole CPU cycles, and the carry only changes at a break: a new
-period or a pulse's phase reset, the triangle gated or re-opened, the
-noise's mode switched or its volume going to or from 0.  Masks over the
-rows find the breaks; Python steps once per run between them, keeping one
-absolute cycle offset per run, and no loop runs over rows.  Blocks of
-``_BLOCK`` samples are then filled with integer numpy ops over each run's
-piece of the block, table lookups and the console's nonlinear mixer,
-skipping a voice that is silent for the whole block.  Waveforms are naive
-(no band-limiting), which is exactly how the hardware aliases.
+Every oscillator walks a cycle of states, one step every ``period`` CPU
+cycles: a duty sequencer ``_ring(8)``, the triangle ``_ring(32)``, the
+noise the LFSR cycles of ``_lfsr_cycle_tables``.  Its phase only changes at
+a break: a new period or a pulse's phase reset, the triangle gated or
+re-opened, the noise's mode switched or its volume going to or from 0.
+Masks over the rows find the breaks, and one carry (``_carry``) steps once
+per run between them, keeping the position in the cycle and the cycles
+spent there; it reads the tables only where the oscillator (re)starts and
+where its mode changes.  One cut (``_cut``) splits the segments and each
+voice's runs at every ``_BLOCK`` samples, and the blocks are filled with
+integer numpy ops over each run's piece, table lookups and the console's
+nonlinear mixer, skipping a voice silent for the whole block.  Waveforms
+are naive (no band-limiting), which is exactly how the hardware aliases.
 
 ``score_to_writes`` is the inverse path: it schedules the minimal register
 writes that make an expressive score come out of ``extract_timeline``
@@ -129,7 +132,14 @@ class PcmBuffer:
     """Mono float PCM at 44.1 kHz, samples within [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
+
+
+@functools.cache
+def _ring(n: int) -> tuple:
+    """Cycle tables (base, pos, length, states, as ``_lfsr_cycle_tables``) of
+    a sequencer that steps s to (s + 1) % n: one mode, one n-state cycle."""
+    s = np.arange(n)
+    return np.zeros((1, n), int), s[None], np.full((1, n), n), s
 
 
 def _cycles(sample):
@@ -144,53 +154,51 @@ def _cycle_table(block: int) -> np.ndarray:
     return _cycles(np.arange(SAMPLE_RATE + block)).astype(np.int32)
 
 
-def _runs(key: np.ndarray, restart=False) -> np.ndarray:
+def _runs(key: np.ndarray, restart: np.ndarray | bool) -> np.ndarray:
     """Where a run starts: at segment 0, where ``key`` changes, and where ``restart`` is set."""
     start = np.ones(len(key), bool)
     np.not_equal(key[1:], key[:-1], out=start[1:])
     return start | restart
 
 
-def _carry(cycles: list, periods: list, restart: list, wrap: int) -> list:
-    """The offset of a duty or triangle sequencer over each of its runs.
+def _cut(starts: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``starts`` (from 0 on) cut again at every ``_BLOCK`` samples of a
+    ``total``-sample stream: the pieces' first samples, the start each piece
+    lies in, and block b's first piece at [b], the piece count last."""
+    blocks = np.arange(0, total, _BLOCK)
+    pieces = _sorted_unique(np.concatenate((starts, blocks)))
+    return (pieces, starts.searchsorted(pieces, "right") - 1,
+            np.append(pieces.searchsorted(blocks), len(pieces)))
 
-    Run r starts ``cycles[r]`` cycles after sample 0 and steps every
-    ``periods[r]`` cycles, 0 for a frozen one; a restart puts it back at its
-    step 0.  Over run r it is at step (offset + cycles) // period, modulo
-    ``wrap``.  Only the step and the cycles spent in it carry from run to run.
+
+def _carry(cycles: list, periods: list, modes: list, restarts: list, tables: tuple,
+           first: int) -> tuple[list, list, list]:
+    """The offset, cycle base and cycle length of an oscillator over each of its runs.
+
+    The oscillator walks a cycle of ``tables`` (``_ring`` or
+    ``_lfsr_cycle_tables``), starting at state ``first``.  Run r starts
+    ``cycles[r]`` cycles after sample 0 and steps every ``periods[r]`` cycles
+    in mode ``modes[r]``; over a run of period 0 it holds, and a restart puts
+    it back at ``first``.  Over run r its state is the one at ``base +
+    (offset + cycles) // period % length`` of the cycle tables.  Only the
+    position in the cycle and the cycles spent there carry from run to run;
+    the tables are read where it (re)starts and where its mode changes.
     """
-    step = spent = offset = period = 0
-    offsets = []
-    for c, p, r in zip(cycles, periods, restart):
-        if r:
-            step = spent = 0
-        elif period:
-            step, spent = divmod(offset + c, period)
-            step %= wrap
-        offset = step * p + spent - c
-        period = p
-        offsets.append(offset)
-    return offsets
-
-
-def _noise_carry(cycles: list, periods: list, modes: list) -> tuple[list, list, list]:
-    """The offset, cycle base and cycle length of the noise LFSR over each of its runs.
-
-    Run r starts ``cycles[r]`` cycles after sample 0 and shifts every
-    ``periods[r]`` cycles in mode ``modes[r]``, period 0 for a silent run,
-    over which the LFSR holds.  Over run r its state is the one at ``base +
-    (offset + cycles) // period % length`` of the cycle tables.
-    """
-    cycle_base, cycle_pos, cycle_len, cycle_state, _bit = _lfsr_cycle_tables()
-    lfsr, spent, offset, period, base, length = 1, 0, 0, 0, 0, 1
+    cycle_base, cycle_pos, cycle_len, cycle_state = tables[:4]
+    pos = spent = offset = period = base = 0
+    mode, length = None, 1      # mode None: at ``first``, its cycle not read yet
     offsets, bases, lengths = [], [], []
-    for c, p, m in zip(cycles, periods, modes):
-        if period:
-            k, spent = divmod(offset + c, period)
-            lfsr = cycle_state.item(base + k % length)
-        if p:
-            base, length = cycle_base.item(m, lfsr), cycle_len.item(m, lfsr)
-            offset = cycle_pos.item(m, lfsr) * p + spent - c
+    for c, p, m, r in zip(cycles, periods, modes, restarts):
+        if r:
+            mode, spent = None, 0
+        elif period:
+            pos, spent = divmod(offset + c, period)
+            pos %= length
+        if p and m != mode:
+            state = first if mode is None else cycle_state.item(base + pos)
+            base, pos = cycle_base.item(m, state), cycle_pos.item(m, state)
+            length, mode = cycle_len.item(m, state), m
+        offset = pos * p + spent - c
         period = p
         offsets.append(offset)
         bases.append(base)
@@ -248,15 +256,27 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
     ``total`` samples, whose segment piece j lies in segment ``seg[j]`` and
     whose block b holds pieces ``bounds[b]`` to ``bounds[b + 1] - 1``."""
     cycles = _cycles(starts)
-    block_starts = np.arange(0, total, _BLOCK)
-
-    def voice(wave, mask, opens, runs, param, sounding):
-        """The voice whose runs open at segments ``opens`` and hold the
-        offsets, periods, cycle lengths and bases ``runs``, and which sounds
-        in the segments ``sounding``."""
-        cut = _sorted_unique(np.concatenate((starts[opens], block_starts)))
-        run = starts[opens].searchsorted(cut, "right") - 1
-        offsets, periods, lengths, bases = (np.asarray(c, np.int64)[run] for c in runs)
+    volume = rows[:, 9]     # noise: 0 where silent, over which the LFSR holds
+    p1, p2, tr, no = (np.flatnonzero(_runs(key, restart > 0)) for key, restart in (
+        (rows[:, 0], rows[:, 10] & 1), (rows[:, 3], rows[:, 10] & 2), (rows[:, 6], 0),
+        (np.where(volume > 0, rows[:, 7] * 2 + rows[:, 8], -1), 0)))
+    gate = rows[:, 6] >= 0  # the triangle's timer is -1 where gated: its phase holds
+    # wave, mask, run starts, then period, mode and restart at them, tables, first state,
+    # param, sounding.  A duty step takes 2(t + 1) cycles, a triangle step t + 1.
+    spec = [(_PULSE_WAVE, 7, opens, 2 * (rows[opens, col] + 1), 0 * opens, rows[opens, 10] & bit,
+             _ring(8), 0, (rows[:, col + 1] * 16 + rows[:, col + 2]) * 8, rows[:, col + 2] > 0)
+            for opens, col, bit in ((p1, 0, 1), (p2, 3, 2))]
+    spec += [(_TRI_WAVE, 31, tr, rows[tr, 6] + 1, 0 * tr, 0 * tr, _ring(32), 0, 32 * gate, gate),
+             (_lfsr_cycle_tables()[4] ^ 1, 0, no,
+              np.array(NOISE_PERIODS)[rows[no, 7]] * (volume[no] > 0), rows[no, 8], 0 * no,
+              _lfsr_cycle_tables(), 1, volume, volume > 0)]
+    voices = []
+    for wave, mask, opens, periods, modes, restarts, tables, first, param, sounding in spec:
+        cut, run, block_first_piece = _cut(starts[opens], total)
+        carried = _carry(*(a.tolist() for a in (cycles[opens], periods, modes, restarts)),
+                         tables, first)
+        offsets, bases, lengths = (np.asarray(c, np.int64)[run] for c in carried)
+        periods = periods[run]
         block_first = cut // _BLOCK * _BLOCK
         # Sample q * 44100 + r comes q * CPU_HZ cycles after sample r: fold
         # those into the offset, which stays below 2^27 modulo a cycle.
@@ -266,34 +286,9 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
                                             np.append(cut[1:], total) - block_first,
                                             offsets, periods, lengths, bases)))
         heard = np.concatenate(([0], np.cumsum(sounding[seg])))
-        return _Voice(wave, mask, list(pieces),
-                      np.append(cut.searchsorted(block_starts), len(cut)).tolist(),
-                      param[seg].astype(np.int32),
-                      (heard[bounds[1:]] > heard[bounds[:-1]]).tolist())
-
-    voices = []
-    for col, bit in ((0, 1), (3, 2)):
-        timer, duty, volume = rows[:, col], rows[:, col + 1], rows[:, col + 2]
-        reset = rows[:, 10] & bit
-        opens = np.flatnonzero(_runs(timer, reset > 0))
-        periods = (2 * (timer[opens] + 1)).tolist()     # duty steps take 2(t+1) cycles
-        offsets = _carry(cycles[opens].tolist(), periods, reset[opens].tolist(), 8)
-        runs = (offsets, periods, [8] * len(opens), [0] * len(opens))
-        voices.append(voice(_PULSE_WAVE, 7, opens, runs, (duty * 16 + volume) * 8, volume > 0))
-    timer = rows[:, 6]      # -1 where gated: the phase holds, the voice is silent
-    opens = np.flatnonzero(_runs(timer))
-    periods = (timer[opens] + 1).tolist()
-    offsets = _carry(cycles[opens].tolist(), periods, [0] * len(opens), 32)
-    runs = (offsets, periods, [32] * len(opens), [0] * len(opens))
-    on = timer >= 0
-    voices.append(voice(_TRI_WAVE, 31, opens, runs, 32 * on, on))
-    volume = rows[:, 9]     # 0 where silent: the LFSR holds
-    opens = np.flatnonzero(_runs(np.where(volume > 0, rows[:, 7] * 2 + rows[:, 8], -1)))
-    periods = (np.array(NOISE_PERIODS)[rows[opens, 7]] * (volume[opens] > 0)).tolist()
-    offsets, bases, lengths = _noise_carry(cycles[opens].tolist(), periods,
-                                           rows[opens, 8].tolist())
-    voices.append(voice(_lfsr_cycle_tables()[4] ^ 1, 0, opens,
-                        (offsets, periods, lengths, bases), volume, volume > 0))
+        voices.append(_Voice(wave, mask, list(pieces), block_first_piece.tolist(),
+                             param[seg].astype(np.int32),
+                             (heard[bounds[1:]] > heard[bounds[:-1]]).tolist()))
     return voices
 
 
@@ -305,10 +300,8 @@ def render_writes(stream: TimedWriteStream) -> PcmBuffer:
     # vgm-render and 1.1 MB on score-render (seeds 5, 11, 23).
     out = np.empty(total)
     starts, rows = apu.replay(stream)
-    # The segment pieces: the segments, cut again at every _BLOCK samples.
-    begin = _sorted_unique(np.concatenate((starts, np.arange(0, total, _BLOCK))))
-    bounds = np.append(begin.searchsorted(np.arange(0, total, _BLOCK)), len(begin))
-    voices = _voices(starts, rows, total, starts.searchsorted(begin, "right") - 1, bounds)
+    begin, seg, bounds = _cut(starts, total)    # the segment pieces
+    voices = _voices(starts, rows, total, seg, bounds)
     counts = np.diff(begin, append=total)
     del starts, rows, begin
     cycle_table = _cycle_table(_BLOCK)
@@ -402,6 +395,6 @@ def write_wav(buffer: PcmBuffer) -> bytes:
     with wave.open(bio, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(buffer.sample_rate)
+        wav.setframerate(SAMPLE_RATE)
         wav.writeframes(pcm)
     return bio.getvalue()

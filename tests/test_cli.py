@@ -13,8 +13,9 @@ import pytest
 import nesscore
 from conftest import five_track_file, random_score
 from nesscore import midi, synth, vgm
-from nesscore.cli import main
+from nesscore.cli import build_parser, main
 from nesscore.score import (
+    DEFAULT_RATE_HZ,
     MAX_FRAMES,
     ExpressiveFrame,
     ExpressiveScore,
@@ -183,6 +184,16 @@ class TestMidi2Score:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+
+
+def test_both_rate_options_default_to_the_score_rate():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices
+    rates = [next(a for a in sub[name]._actions if a.dest == "rate")
+             for name in ("vgm2score", "midi2score")]
+    assert rates[0].help == rates[1].help
+    for name in ("vgm2score", "midi2score"):
+        assert parser.parse_args([name, "in", "out"]).rate == DEFAULT_RATE_HZ
 
 
 class TestMidiCommands:

@@ -189,6 +189,77 @@ class TestLfsrTables:
         assert sum(t.nbytes for t in tables) < 1 << 20
 
 
+# name: (tables, one step of state s in mode m, the states ``first`` is drawn from)
+OSCILLATORS = {
+    "duty": (synth._ring(8), lambda s, m: (s + 1) % 8, st.integers(0, 7)),
+    "triangle": (synth._ring(32), lambda s, m: (s + 1) % 32, st.integers(0, 31)),
+    "noise": (synth._lfsr_cycle_tables(), lfsr_step,
+              st.sampled_from((1, 0)) | st.integers(1, (1 << 15) - 1)),
+}
+
+
+def stepped(runs, end, step, first):
+    """The state at each cycle from the first run's start to ``end``, stepping
+    one period at a time; None where the oscillator holds (period 0).  A run
+    is (start cycle, period, mode, restart)."""
+    states, state, spent = [], first, 0
+    for (c, p, m, r), c_next in zip(runs, [run[0] for run in runs[1:]] + [end]):
+        if r:
+            state, spent = first, 0
+        if not p:
+            states += [None] * (c_next - c)
+            continue
+        last = c - spent    # the cycle it last stepped at
+        for x in range(c, c_next + 1):
+            while last + p <= x:
+                state, last = step(state, m), last + p
+            states.append(state)
+        states.pop()        # cycle c_next is the next run's
+        spent = c_next - last
+    return states
+
+
+@st.composite
+def oscillator_runs(draw):
+    """An oscillator, its first state, and up to 12 runs of up to 300 cycles,
+    some silent, some restarting, the noise's in either mode."""
+    name = draw(st.sampled_from(sorted(OSCILLATORS)))
+    tables, step, firsts = OSCILLATORS[name]
+    modes = st.integers(0, len(tables[0]) - 1)
+    periods = st.sampled_from((0, 1, 2, 7, 8, 254)) | st.integers(0, 60)
+    runs, c = [], draw(st.integers(0, 1 << 40))
+    for length, p, m, r in draw(st.lists(st.tuples(st.integers(1, 300), periods, modes,
+                                                   st.booleans()), min_size=1, max_size=12)):
+        runs.append((c, p, m, r))
+        c += length
+    return tables, step, draw(firsts), runs, c
+
+
+class TestCarry:
+    """``_carry`` over the rings and the LFSR cycles against an oscillator
+    stepped one period at a time, at every cycle of every sounding run."""
+
+    @given(oscillator_runs())
+    @example((synth._ring(8), OSCILLATORS["duty"][1], 0,
+              [(0, 10, 0, False), (25, 3, 0, False), (31, 3, 0, True), (40, 0, 0, False),
+               (47, 6, 0, False)], 90))
+    @example((synth._lfsr_cycle_tables(), lfsr_step, 1,
+              [(0, 0, 1, False), (5, 4, 1, False), (100, 0, 0, False), (130, 8, 0, False),
+               (180, 8, 1, False), (250, 2, 1, False)], 400))
+    @settings(max_examples=150, deadline=None)
+    def test_against_stepping(self, case):
+        tables, step, first, runs, end = case
+        offsets, bases, lengths = synth._carry(*map(list, zip(*runs)), tables, first)
+        expected = stepped(runs, end, step, first)
+        cycle_state = tables[3]
+        got = []
+        for (c, p, _m, _r), c_next, offset, base, length in zip(
+                runs, [run[0] for run in runs[1:]] + [end], offsets, bases, lengths):
+            got += [int(cycle_state[base + (offset + x) // p % length]) if p else None
+                    for x in range(c, c_next)]
+        assert got == expected
+
+
 class TestRender:
     def test_silence_renders_exact_zeros(self):
         buf = render_writes(TimedWriteStream(total_samples=4410))
