@@ -40,7 +40,6 @@ from .apu import (
 )
 from .midi import midi_to_score, score_to_midi
 from .synth import (
-    PcmBuffer,
     mix,
     render_writes,
     score_to_writes,

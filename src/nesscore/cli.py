@@ -13,12 +13,8 @@ from pathlib import Path
 from . import apu, evaluation, midi, score, synth, vgm
 
 
-def _read_stream(path: str) -> vgm.TimedWriteStream:
-    return vgm.parse_vgm(Path(path).read_bytes()).stream
-
-
 def cmd_vgm2score(args) -> int:
-    stream = _read_stream(args.input)
+    stream = vgm.parse_vgm(Path(args.input).read_bytes()).stream
     timeline = apu.extract_timeline(stream)
     out = score.downsample(timeline, args.rate)
     Path(args.output).write_bytes(score.write_score_text(out))
@@ -45,8 +41,7 @@ def cmd_render(args) -> int:
         stream = synth.score_to_writes(score.read_score_text(data))
     else:
         raise ValueError(f"{args.input}: neither a VGM image nor a NESSCORE file")
-    buffer = synth.render_writes(stream)
-    Path(args.output).write_bytes(synth.write_wav(buffer))
+    Path(args.output).write_bytes(synth.write_wav(synth.render_writes(stream)))
     return 0
 
 

@@ -115,7 +115,7 @@ class ExpressiveScore:
         return self.rate_hz == other.rate_hz and np.array_equal(self._values, other._values)
 
     def __repr__(self) -> str:
-        return f"ExpressiveScore(rate_hz={self.rate_hz!r}, frames={self.frames!r})"
+        return f"ExpressiveScore(rate_hz={self.rate_hz!r}, frames={self._values!r})"
 
     def to_array(self) -> np.ndarray:
         """Frames as a read-only (T, 10) int16 array in frame-field order."""

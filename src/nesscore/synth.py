@@ -13,8 +13,9 @@ spent there; it reads the tables only where the oscillator (re)starts and
 where its mode changes.  One cut (``_cut``) splits the segments and each
 voice's runs at every ``_BLOCK`` samples, and the blocks are filled with
 integer numpy ops over each run's piece, table lookups and the console's
-nonlinear mixer, skipping a voice silent for the whole block.  Waveforms
-are naive (no band-limiting), which is exactly how the hardware aliases.
+nonlinear mixer, skipping a voice silent for the whole block.  The mixer's
+table is quantised to 16-bit PCM once, so the output is the WAV's samples.
+Waveforms are naive (no band-limiting), exactly how the hardware aliases.
 
 ``score_to_writes`` is the inverse path: it schedules the minimal register
 writes that make an expressive score come out of ``extract_timeline``
@@ -24,9 +25,7 @@ whose arrays become the stream's columns.
 """
 
 import functools
-import io
-import wave
-from dataclasses import dataclass
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +33,7 @@ import numpy as np
 from . import apu
 from .apu import _sorted_unique
 from .score import (
+    MAX_TOTAL_SAMPLES,
     NOISE_NOTE_MAX,
     SAMPLE_RATE,
     VOICES,
@@ -91,8 +91,18 @@ def mix(p1: int, p2: int, t: int, n: int) -> float:
 # ``mix`` of each group alone, which never reaches the clamp: by p1 + p2, by t * 16 + n.
 _PULSE_MIX = np.array([mix(s, 0, 0, 0) for s in range(31)])
 _TND_MIX = np.array([mix(0, 0, t, n) for t in range(16) for n in range(16)])
-# Their sum, clamped as ``mix`` is, at (p1 + p2) * 256 + t * 16 + n: one gather per sample.
-_MIX = np.clip(np.add.outer(_PULSE_MIX, _TND_MIX), -1.0, 1.0).ravel()
+# Their sum, clamped as ``mix`` is, as 16-bit PCM at (p1 + p2) * 256 + t * 16 + n: one gather.
+_MIX = np.rint(32767 * np.clip(np.add.outer(_PULSE_MIX, _TND_MIX), -1, 1)).astype(np.int16).ravel()
+
+MAX_WAV_SAMPLES = (MAX_TOTAL_SAMPLES - 36) // 2     # RIFF sizes: 36 + 2n bytes fit in 32 bits
+
+
+class WavTooLong(ValueError):
+    """A render past the ``MAX_WAV_SAMPLES`` samples a 16-bit mono WAV holds."""
+
+    def __init__(self, total_samples: int):
+        super().__init__(f"total_samples {total_samples} is more than the "
+                         f"{MAX_WAV_SAMPLES} samples a 16-bit mono WAV holds")
 
 
 @functools.cache
@@ -125,13 +135,6 @@ def _lfsr_cycle_tables():
         states[base[mode] + pos[mode]] = s
     return (base, pos.astype(np.int16), length.astype(np.int16), states,
             (states & 1).astype(np.int8))
-
-
-@dataclass
-class PcmBuffer:
-    """Mono float PCM at 44.1 kHz, samples within [-1, 1]."""
-
-    samples: np.ndarray
 
 
 @functools.cache
@@ -292,13 +295,14 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
     return voices
 
 
-def render_writes(stream: TimedWriteStream) -> PcmBuffer:
-    """Render a timed write stream to PCM, one sample per stream sample."""
+def render_writes(stream: TimedWriteStream) -> np.ndarray:
+    """Render a timed write stream to mono 16-bit PCM at 44.1 kHz, one int16
+    sample per stream sample.  Raises WavTooLong past ``MAX_WAV_SAMPLES``."""
     check_stream(stream)    # before np.empty
     total = int(stream.total_samples)
-    # Allocated before replay: after it, out raised peak RSS by 0.4 MB on
-    # vgm-render and 1.1 MB on score-render (seeds 5, 11, 23).
-    out = np.empty(total)
+    if total > MAX_WAV_SAMPLES:
+        raise WavTooLong(total)
+    out = np.empty(total, np.int16)
     starts, rows = apu.replay(stream)
     begin, seg, bounds = _cut(starts, total)    # the segment pieces
     voices = _voices(starts, rows, total, seg, bounds)
@@ -316,7 +320,7 @@ def render_writes(stream: TimedWriteStream) -> PcmBuffer:
             out[first:last] = _MIX[index]
         else:
             _MIX.take(index, out=out[first:last], mode="clip")
-    return PcmBuffer(samples=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +389,13 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
 # ---------------------------------------------------------------------------
 # WAV output
 
-def write_wav(buffer: PcmBuffer) -> bytes:
-    """Encode as RIFF/WAVE, PCM signed 16-bit little-endian, mono."""
-    quantized = buffer.samples * 32767.0    # one temporary, rounded and clipped in place
-    np.rint(quantized, out=quantized)
-    np.clip(quantized, -32767, 32767, out=quantized)
-    pcm = quantized.astype("<i2").tobytes()
-    bio = io.BytesIO()
-    with wave.open(bio, "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(SAMPLE_RATE)
-        wav.writeframes(pcm)
-    return bio.getvalue()
+def write_wav(samples: np.ndarray) -> bytes:
+    """Encode ``render_writes``'s int16 samples as a mono 16-bit PCM RIFF/WAVE file.
+    Raises ValueError for anything but a 1-D int16 array, WavTooLong past the limit."""
+    if not isinstance(samples, np.ndarray) or samples.ndim != 1 or samples.dtype != np.int16:
+        raise ValueError("samples are not a 1-D int16 array, as render_writes returns")
+    if len(samples) > MAX_WAV_SAMPLES:
+        raise WavTooLong(len(samples))
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * len(samples), b"WAVE", b"fmt ",
+                         16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16, b"data", 2 * len(samples))
+    return b"".join((header, np.ascontiguousarray(samples, "<i2")))    # one copy of the samples

@@ -178,7 +178,8 @@ class TimedWriteStream:
                                               (self.values, other.values)))
 
     def __repr__(self) -> str:
-        return f"TimedWriteStream({self.writes!r}, total_samples={self.total_samples!r})"
+        return (f"TimedWriteStream.from_columns({self.offsets!r}, {self.registers!r}, "
+                f"{self.values!r}, total_samples={self.total_samples!r})")
 
 
 def _is_int(column: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ staircase, noise LFSR) across every replay segment in whole CPU cycles and
 records one parameter row per segment; once rows cover ``_BLOCK`` samples,
 ``_render_block`` turns them into PCM.  The waveform and mixer tables are
 built here from synth's sequences and ``mix``; the LFSR cycle tables are
-synth's.
+synth's.  It mixes in floats and quantises each sample at the end, by the
+rule ``write_wav`` applied to float PCM (times 32767, rounded half to even,
+clipped to +-32767), where synth quantises its mixer table once.
 """
 
 import numpy as np
@@ -17,7 +19,6 @@ from nesscore.synth import (
     DUTY_SEQUENCES,
     NOISE_PERIODS,
     TRIANGLE_SEQUENCE,
-    PcmBuffer,
     _lfsr_cycle_tables,
     mix,
 )
@@ -72,8 +73,8 @@ def _advance(osc: list[int], period: int, wrap: int, c0: int, c1: int) -> int:
     return offset
 
 
-def render_writes(stream: TimedWriteStream) -> PcmBuffer:
-    """Render a timed write stream to PCM, one sample per stream sample."""
+def render_writes(stream: TimedWriteStream) -> np.ndarray:
+    """Render a timed write stream to int16 PCM, one sample per stream sample."""
     segments = _segments(stream)
     out = np.empty(int(stream.total_samples))
     # [sequence step, cycles spent in it]; noise steps through the cycle of lfsr
@@ -113,4 +114,7 @@ def render_writes(stream: TimedWriteStream) -> PcmBuffer:
             _render_block(out, first, rows, cycle_bit)
             first, c1, rows = end, 0, []
     np.clip(out, -1.0, 1.0, out=out)
-    return PcmBuffer(samples=out)
+    out *= 32767.0
+    np.rint(out, out=out)
+    np.clip(out, -32767, 32767, out=out)
+    return out.astype(np.int16)

@@ -153,10 +153,10 @@ def test_criterion_07_synthesis_pitch():
         pulse = ExpressiveScore(24.0, [ExpressiveFrame(p1_note=69, p1_vel=15,
                                                        p1_timbre=2)] * 24)
         buf = render_writes(score_to_writes(pulse))
-        assert abs(_fundamental(buf.samples) - apu.CPU_HZ / (16 * 254)) <= 1.0
+        assert abs(_fundamental(buf) - apu.CPU_HZ / (16 * 254)) <= 1.0
         tri = ExpressiveScore(24.0, [ExpressiveFrame(tr_note=57)] * 24)
         buf = render_writes(score_to_writes(tri))
-        assert abs(_fundamental(buf.samples) - apu.CPU_HZ / (32 * 254)) <= 1.0
+        assert abs(_fundamental(buf) - apu.CPU_HZ / (32 * 254)) <= 1.0
         assert time.perf_counter() - started < 5.0
 
 

@@ -514,8 +514,8 @@ class TestExtractTimeline:
         # VGM files end with their last writes at the final sample offset
         tail = _stream(5000, *p1_note_stream(total=5000).writes, (5000, 0x4015, 0x00))
         assert extract_timeline(tail).changes == extract_timeline(p1_note_stream(5000)).changes
-        pcm = render_writes(tail).samples
-        assert pcm.any() and np.array_equal(pcm, render_writes(p1_note_stream(5000)).samples)
+        pcm = render_writes(tail)
+        assert pcm.any() and np.array_equal(pcm, render_writes(p1_note_stream(5000)))
 
     def test_propagates_register_errors(self):
         bad = TimedWriteStream([TimedWrite(0, 0x3FFF, 0)], total_samples=10)

@@ -76,20 +76,27 @@ def test_inputs_past_the_frame_bound_fail_typed_under_a_memory_cap(tmp_path):
     header = vgm.write_vgm(vgm.TimedWriteStream())[:vgm.HEADER_SIZE]
     vgm_path.write_bytes(header + b"\x61\xff\xff" * 257 + b"\x66")
     assert 257 * 0xFFFF > MAX_FRAMES and len(midi_path.read_bytes()) < 100
+    # 65,537 longest waits: 2^32 - 1 samples, a valid stream past what a WAV holds
+    longest_path = tmp_path / "longest_wait.vgm"
+    longest_path.write_bytes(header + b"\x61\xff\xff" * 65537 + b"\x66")
+    assert 65537 * 0xFFFF == 2 ** 32 - 1 and len(longest_path.read_bytes()) == 196_804
     out = str(tmp_path / "out")
     runs = [["midi2score", str(midi_path), out, "--rate", "44100"],
             ["render", str(text_path), out],
-            ["vgm2score", str(vgm_path), out, "--rate", "44100"]]
+            ["vgm2score", str(vgm_path), out, "--rate", "44100"],
+            ["render", str(longest_path), out]]
     src = str(Path(nesscore.__file__).resolve().parent.parent)
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     child = subprocess.run([sys.executable, "-c", CAPPED, json.dumps(runs)], env=env,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == [1, 1, 1]
+    assert json.loads(child.stdout) == [1, 1, 1, 1]
     errors = child.stderr.splitlines()
-    assert len(errors) == 3 and all(e.startswith("error: ") for e in errors), errors
-    assert all("more than the 16777216" in e for e in errors), errors
+    assert len(errors) == 4 and all(e.startswith("error: ") for e in errors), errors
+    assert all("more than the 16777216" in e for e in errors[:3]), errors
+    assert errors[3] == (f"error: total_samples {2 ** 32 - 1} is more than the "
+                         f"{synth.MAX_WAV_SAMPLES} samples a 16-bit mono WAV holds"), errors
     assert not Path(out).exists()
 
 

@@ -145,6 +145,12 @@ class TestArrayStore:
         assert all(type(f) is ExpressiveFrame for f in view)
         assert ExpressiveScore(24.0, []).frames == []
 
+    def test_repr_is_bounded(self, rng):
+        small = random_score(rng, 4)
+        assert eval(repr(small), {**vars(np), "ExpressiveScore": ExpressiveScore}) == small
+        large = ExpressiveScore(24.0, np.zeros((2 ** 20, 10), np.int16))
+        assert len(repr(large)) < 1000 and "..." in repr(large)
+
     def test_len(self):
         assert len(ExpressiveScore(24.0, [A_FRAME] * 3)) == 3
         assert len(ExpressiveScore()) == 0

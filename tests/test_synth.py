@@ -1,9 +1,11 @@
 """Oscillators, mixer, write scheduling, rendering and WAV emission."""
 
 import hashlib
+import io
 import math
 import random
 import struct
+import wave
 from collections import Counter
 
 import numpy as np
@@ -22,8 +24,9 @@ from nesscore.score import (
     frame_sample_index,
 )
 from nesscore.synth import (
+    MAX_WAV_SAMPLES,
     NOISE_PERIODS,
-    PcmBuffer,
+    WavTooLong,
     lfsr_step,
     mix,
     render_writes,
@@ -45,6 +48,11 @@ TRI220 = ExpressiveFrame(tr_note=57)
 
 def extract(stream):
     return downsample(apu.extract_timeline(stream), 24.0)
+
+
+def pcm(level: float) -> int:
+    """A float level quantised to 16-bit PCM, one sample at a time."""
+    return round(level * 32767)
 
 
 class TestScoreToWrites:
@@ -263,52 +271,48 @@ class TestCarry:
 class TestRender:
     def test_silence_renders_exact_zeros(self):
         buf = render_writes(TimedWriteStream(total_samples=4410))
-        assert buf.samples.shape == (4410,)
-        assert not buf.samples.any()
+        assert buf.shape == (4410,) and buf.dtype == np.int16
+        assert not buf.any()
 
     def test_output_length_matches_stream(self):
         stream = score_to_writes(ExpressiveScore(24.0, [A440] * 5))
-        assert len(render_writes(stream).samples) == stream.total_samples
+        assert len(render_writes(stream)) == stream.total_samples
 
     def test_pulse_is_two_level(self):
         stream = score_to_writes(ExpressiveScore(24.0, [A440] * 8))
-        buf = render_writes(stream)
-        values = set(np.round(buf.samples, 9))
-        assert values == {0.0, round(mix(15, 0, 0, 0), 9)}
+        values = set(render_writes(stream).tolist())
+        assert values == {0, pcm(mix(15, 0, 0, 0))}
 
     def test_pulse_duty_fraction(self):
         # duty 2 is the 50% setting: roughly half the samples sit high
         stream = score_to_writes(ExpressiveScore(24.0, [A440] * 24))
         buf = render_writes(stream)
-        high = (buf.samples > 0).mean()
+        high = (buf > 0).mean()
         assert 0.45 < high < 0.55
 
     def test_triangle_staircase_levels(self):
         stream = score_to_writes(ExpressiveScore(24.0, [TRI220] * 24))
-        buf = render_writes(stream)
-        levels = {round(v, 9) for v in buf.samples}
-        expected = {round(mix(0, 0, t, 0), 9) for t in range(16)}
+        levels = set(render_writes(stream).tolist())
+        expected = {pcm(mix(0, 0, t, 0)) for t in range(16)}
         assert levels <= expected
         assert len(levels) > 10  # most steps visited
 
     def test_noise_uses_volume_gate(self):
         frames = [ExpressiveFrame(no_note=8, no_vel=9, no_timbre=0)] * 8
-        buf = render_writes(score_to_writes(ExpressiveScore(24.0, frames)))
-        values = set(np.round(buf.samples, 9))
-        assert values == {0.0, round(mix(0, 0, 0, 9), 9)}
+        values = set(render_writes(score_to_writes(ExpressiveScore(24.0, frames))).tolist())
+        assert values == {0, pcm(mix(0, 0, 0, 9))}
 
     def test_deterministic(self):
         frames = [ExpressiveFrame(no_note=3, no_vel=9)] * 6
         stream = score_to_writes(ExpressiveScore(24.0, frames))
         a, b = render_writes(stream), render_writes(stream)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_phase_reset_on_note_start(self):
         # identical back-to-back renders of the same note start identically
         one = render_writes(score_to_writes(ExpressiveScore(24.0, [A440] * 4)))
         two = render_writes(score_to_writes(ExpressiveScore(24.0, [A440] * 8)))
-        n = len(one.samples)
-        assert np.array_equal(one.samples, two.samples[:n])
+        assert np.array_equal(one, two[:len(one)])
 
     @pytest.mark.parametrize("stream, error", [
         (TimedWriteStream(total_samples=2 ** 32), OffsetOverflow),
@@ -318,8 +322,9 @@ class TestRender:
          RegisterOutOfRange),
         (TimedWriteStream([TimedWrite(44_100_000, 0x4015, 256)], total_samples=44_100_000),
          BadWriteValue),
+        (TimedWriteStream(total_samples=MAX_WAV_SAMPLES + 1), WavTooLong),
     ], ids=["total past 32 bits", "write past the end", "register past $4017",
-            "value past a byte"])
+            "value past a byte", "total past the WAV limit"])
     def test_rejected_stream_allocates_nothing(self, monkeypatch, stream, error):
         def allocate(*args, **kwargs):
             raise AssertionError("the output was allocated before the stream was checked")
@@ -349,34 +354,68 @@ class TestPitch:
     def test_pulse_440(self):
         buf = render_writes(score_to_writes(ExpressiveScore(24.0, [A440] * 24)))
         target = apu.CPU_HZ / (16 * 254)  # timer-quantized 440.35 Hz
-        assert estimate_fundamental(buf.samples) == pytest.approx(target, abs=1.0)
+        assert estimate_fundamental(buf) == pytest.approx(target, abs=1.0)
 
     def test_triangle_220(self):
         buf = render_writes(score_to_writes(ExpressiveScore(24.0, [TRI220] * 24)))
         target = apu.CPU_HZ / (32 * 254)
-        assert estimate_fundamental(buf.samples) == pytest.approx(target, abs=1.0)
+        assert estimate_fundamental(buf) == pytest.approx(target, abs=1.0)
 
 
 class TestWav:
     def test_empty_buffer_header_only(self):
-        data = write_wav(PcmBuffer(np.zeros(0)))
+        data = write_wav(np.zeros(0, np.int16))
         assert len(data) == 44
         assert data[:4] == b"RIFF" and data[8:12] == b"WAVE"
         assert struct.unpack("<I", data[40:44])[0] == 0
 
     def test_header_fields(self):
-        data = write_wav(PcmBuffer(np.zeros(10)))
+        data = write_wav(np.zeros(10, np.int16))
         channels, rate = struct.unpack("<HI", data[22:28])
         bits = struct.unpack("<H", data[34:36])[0]
         assert (channels, rate, bits) == (1, 44100, 16)
 
     def test_full_scale_samples(self):
-        assert write_wav(PcmBuffer(np.array([1.0])))[-2:] == b"\xff\x7f"
-        assert write_wav(PcmBuffer(np.array([-1.0])))[-2:] == b"\x01\x80"
+        assert write_wav(np.array([32767], np.int16))[-2:] == b"\xff\x7f"
+        assert write_wav(np.array([-32767], np.int16))[-2:] == b"\x01\x80"
+        # the mixer table quantises mix's clamp at 1.0 to full scale: the
+        # all-max level passes 1 before the clamp
+        assert synth._PULSE_MIX[30] + synth._TND_MIX[255] > 1.0
+        assert mix(15, 15, 15, 15) == 1.0 and synth._MIX[-1] == 32767
+        assert synth._MIX.min() == 0 and synth._MIX.max() == 32767
 
     def test_quantization(self):
-        data = write_wav(PcmBuffer(np.array([0.5])))
-        assert struct.unpack("<h", data[-2:])[0] == round(0.5 * 32767)
+        # every entry at (p1 + p2) * 256 + t * 16 + n is mix quantised one level at a time
+        expected = [pcm(mix(min(s, 15), s - min(s, 15), t, n))
+                    for s in range(31) for t in range(16) for n in range(16)]
+        assert synth._MIX.dtype == np.int16
+        assert synth._MIX.tolist() == expected
+        assert pcm(0.5) == 16384 and pcm(mix(15, 0, 0, 0)) == synth._MIX[15 * 256]
+
+    @pytest.mark.parametrize("samples", [np.zeros(4), np.zeros((2, 2), np.int16),
+                                         np.zeros(4, np.int32), [0, 0]],
+                             ids=["float", "2-D", "int32", "list"])
+    def test_only_int16_samples(self, samples):
+        with pytest.raises(ValueError, match="not a 1-D int16 array"):
+            write_wav(samples)
+
+    def test_past_the_wav_limit(self, monkeypatch):
+        assert 36 + 2 * MAX_WAV_SAMPLES <= 2 ** 32 - 1 < 36 + 2 * (MAX_WAV_SAMPLES + 1)
+        # a lower limit, so that a broken check cannot ask for 4 GB here
+        monkeypatch.setattr(synth, "MAX_WAV_SAMPLES", 10)
+        assert len(write_wav(np.zeros(10, np.int16))) == 64
+        with pytest.raises(WavTooLong, match="^total_samples 11 is more than the 10 samples"):
+            write_wav(np.zeros(11, np.int16))
+
+    @pytest.mark.parametrize("frames", [[], [A440] * 6, [TRI220, A440] * 3])
+    def test_round_trip_through_wave(self, frames):
+        samples = render_writes(score_to_writes(ExpressiveScore(24.0, frames)))
+        with wave.open(io.BytesIO(write_wav(samples))) as wav:
+            assert (wav.getnchannels(), wav.getsampwidth(), wav.getframerate()) == (1, 2, 44100)
+            assert wav.getnframes() == len(samples)
+            assert wav.readframes(len(samples) + 1) == samples.tobytes()
+        assert len(write_wav(samples)) == 44 + 2 * len(samples)
+        assert write_wav(samples[::3])[44:] == samples[::3].tobytes()    # a strided view
 
 
 class TestNoisePeriods:
@@ -392,8 +431,9 @@ def _stream(total, *writes):
 
 # Hand-built streams whose rendered PCM is pinned bit for bit.  Each one
 # drives a renderer path that the score-level tests above cannot isolate.
-# The digests were recorded with the earlier renderer, which rendered each
-# segment on its own and stepped the noise LFSR one step at a time.
+# The digests are of the 16-bit samples, recorded as the data bytes of the
+# WAV that the float renderer gave, quantised sample by sample as write_wav
+# did before the mixer table held 16-bit PCM.
 PINNED_STREAMS = {
     "noise_mode_switch": _stream(
         5000, (0, 0x4015, 0x08), (0, 0x400C, 0x3F), (0, 0x400E, 0x02),
@@ -436,13 +476,13 @@ PINNED_STREAMS = {
 
 PINNED_DIGESTS = {
     "empty": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "envelope_decay": "1a8afb2f5cce7a4860040e802cdf3722ece721ca679e228b2949495a613cd947",
-    "noise_mode_switch": "823c26e7cef08fca4f6d0f43d85ce67cfc4f3276303d14f1b03e3156dd802b44",
-    "noise_silent_gap": "8175fccb904cd0a8fbf5ab8869a204b2ecedc22f0e963e9cf4cf5c73c5c2d338",
-    "pulse_phase_resets": "3ad4fa69f9ae3c6ffbdac9e74fa0f7b070f2e93ae7f81cbdf9d131592bf773a8",
-    "pulse_sweep_muted": "5e621066ff60f097188d2fa6f674ce6227d0ef937b7d7932683befa7d83b511f",
-    "spans_blocks": "bb0e14949042b67b53efdd257553f92b466702b9cd41aa340d2becfceaa28352",
-    "triangle_gate": "f236abbff59590f7afe45a49d08d5b5c2f480719fbdf2b080317b559860d1fa2",
+    "envelope_decay": "026d7113b7cc514e891d86945cbc07c3f9ddabe3d009bcc45e5144e5024c06c3",
+    "noise_mode_switch": "3593ad14de04862fc006dadbaf7eec7f462305673c4403109dfc11ac5cde682e",
+    "noise_silent_gap": "e8f7a7239ff9cd133eceb9e4e217c093d13ccfd54ca7208a129f0279eed91644",
+    "pulse_phase_resets": "373e65e639c4b05a317ce4d8854e8f4d20d4a9df330dc4baef70f3bf36fddd47",
+    "pulse_sweep_muted": "a9151cd54f852ce08bdc51ca910e3fdfe3e9fd116bef8f5056c7df87204ad48e",
+    "spans_blocks": "bccd8b3a865faf22aca651f21a817038ba8042c16d751c9fdd2d000e1aa6f9db",
+    "triangle_gate": "1c7cc1fc8ca91fd212f5c6e29aa78fc93b72168cadb9d9854e589f1c2960df6f",
 }
 
 
@@ -452,8 +492,8 @@ class TestPinnedPcm:
 
     @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
     def test_digest(self, name):
-        samples = render_writes(PINNED_STREAMS[name]).samples
-        assert samples.dtype == np.float64
+        samples = render_writes(PINNED_STREAMS[name])
+        assert samples.dtype == np.int16
         assert len(samples) == PINNED_STREAMS[name].total_samples
         assert hashlib.sha256(samples.tobytes()).hexdigest() == PINNED_DIGESTS[name]
 
@@ -461,7 +501,7 @@ class TestPinnedPcm:
     def test_digests_do_not_depend_on_block_size(self, monkeypatch, block):
         monkeypatch.setattr(synth, "_BLOCK", block)
         for name, stream in PINNED_STREAMS.items():
-            samples = render_writes(stream).samples
+            samples = render_writes(stream)
             assert hashlib.sha256(samples.tobytes()).hexdigest() == PINNED_DIGESTS[name], name
 
 
@@ -498,9 +538,9 @@ class TestRenderMatchesExtraction:
         for voice, (column, pitched) in enumerate(((0, True), (3, True), (6, True), (7, False))):
             alone = solo(stream, voice)
             notes = extract(alone).to_array()[:, column].tolist()
-            pcm = render_writes(alone).samples
+            samples = render_writes(alone)
             for k, note in enumerate(notes):
-                frame = pcm[bounds[k]:bounds[k + 1]]
+                frame = samples[bounds[k]:bounds[k + 1]]
                 assert frame.any() == (note > 0), (voice, k)
                 pitch = edge_pitch(frame) if note and pitched else None
                 if pitch is not None:
@@ -565,7 +605,7 @@ BREAK_STREAMS = {
 
 
 def loop_pcm(stream):
-    return reference_render.render_writes(stream).samples
+    return reference_render.render_writes(stream)
 
 
 @st.composite
@@ -594,14 +634,14 @@ class TestRenderAgainstLoop:
         expected = loop_pcm(stream)
         assert expected.any()
         monkeypatch.setattr(synth, "_BLOCK", block)
-        assert np.array_equal(render_writes(stream).samples, expected)
+        assert np.array_equal(render_writes(stream), expected)
 
     @pytest.mark.parametrize("block", (128, 700, synth._BLOCK))
     def test_pinned_streams(self, monkeypatch, block):
         expected = {name: loop_pcm(stream) for name, stream in PINNED_STREAMS.items()}
         monkeypatch.setattr(synth, "_BLOCK", block)
         for name, stream in PINNED_STREAMS.items():
-            assert np.array_equal(render_writes(stream).samples, expected[name]), name
+            assert np.array_equal(render_writes(stream), expected[name]), name
 
     @given(render_streams(), st.sampled_from((128, 700, synth._BLOCK)))
     @example(_stream(0), 700)
@@ -611,6 +651,6 @@ class TestRenderAgainstLoop:
         expected = loop_pcm(stream)
         saved, synth._BLOCK = synth._BLOCK, block
         try:
-            assert np.array_equal(render_writes(stream).samples, expected)
+            assert np.array_equal(render_writes(stream), expected)
         finally:
             synth._BLOCK = saved

@@ -376,6 +376,13 @@ class TestStreamColumns:
         assert stream.writes is not stream.writes   # built when read
         assert TimedWriteStream().writes == []
 
+    def test_repr_is_bounded(self):
+        small = TimedWriteStream(self.WRITES, total_samples=800)
+        assert eval(repr(small), {**vars(np), "TimedWriteStream": TimedWriteStream}) == small
+        n = 2 ** 20
+        large = TimedWriteStream.from_columns(np.arange(n), np.full(n, 0x4015), np.zeros(n, int), n)
+        assert len(repr(large)) < 1000 and "total_samples=1048576" in repr(large)
+
     def test_columns_are_read_only_copies(self):
         offsets = np.array([0, 10])
         stream = TimedWriteStream.from_columns(offsets, [0x4015, 0x4015], [1, 0], 10)
