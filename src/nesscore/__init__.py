@@ -13,7 +13,6 @@ and back:
 from .score import (
     BlendedScore,
     CorpusEntry,
-    ExpressiveFrame,
     ExpressiveScore,
     SeparatedScore,
     downsample,
@@ -25,10 +24,8 @@ from .score import (
     write_score_text,
 )
 from .vgm import (
-    TimedWrite,
     TimedWriteStream,
     VgmDocument,
-    flatten_to_writes,
     parse_vgm,
     write_vgm,
 )
@@ -36,7 +33,6 @@ from .apu import (
     Timeline,
     extract_timeline,
     midi_to_timer,
-    pitch_to_midi,
 )
 from .midi import midi_to_score, score_to_midi
 from .synth import (

@@ -1,4 +1,4 @@
-"""Register-accurate replay of the 2A03's four scored voices, and pitch maps.
+"""Register-accurate replay of the 2A03's four scored voices, and pitch tables.
 
 ``replay`` cuts a timed write stream into segments of constant state and
 returns one integer row per segment: the parameters each voice sounds with
@@ -15,7 +15,12 @@ Both consumers read the same rows: ``extract_timeline`` turns them into
 expressive frames with whole-array gathers and keeps the rows where the
 frame changes, and ``synth.render_writes`` drives its oscillators from them.
 
-No audio is produced here; waveform generation lives in ``synth``.
+Pitch is a table lookup both ways: ``PULSE_NOTES`` and ``TRIANGLE_NOTES``
+give the note of each 11-bit timer period (0 out of range), and
+``midi_to_timer`` the period that sounds a note.  Replay refuses a stream
+longer than ``MAX_REPLAY_SAMPLES`` with ``ReplayTooLong`` before it
+allocates.  No audio is produced here; waveform generation lives in
+``synth``.
 """
 
 import itertools
@@ -35,7 +40,6 @@ from .score import (
     TRIANGLE_NOTE_MAX,
 )
 from .vgm import NES_APU_CLOCK_HZ as CPU_HZ, TimedWriteStream, check_stream
-from .vgm import BadWriteOffset, BadWriteValue, RegisterOutOfRange  # re-exported for replay
 
 # Length counter values indexed by the 5-bit load field of $4003/$400B/$400F.
 LENGTH_TABLE = (
@@ -47,8 +51,25 @@ LENGTH_TABLE = (
 _TICK_SAMPLES = 7457.5 * SAMPLE_RATE / CPU_HZ
 
 
+# Replay's memory grows with a stream's length, not its size: the sequencer
+# cuts a segment at every tick, total_samples / 183.9 of them plus at most
+# one per $4017 write, and each tick costs about 135 bytes at peak.  Peak RSS
+# of ``vgm2score`` (ru_maxrss of a subprocess, a VGM of three writes then
+# waits) is 43 MB at 2^24 samples, 81 MB at 2^26 and 228 MB at 2^28, about
+# 101 minutes of audio; replay takes up to that.
+MAX_REPLAY_SAMPLES = 2 ** 28
+
+
 class NoteOutOfRange(ValueError):
     """MIDI note not representable on the requested oscillator."""
+
+
+class ReplayTooLong(ValueError):
+    """A stream past the ``MAX_REPLAY_SAMPLES`` samples replay takes."""
+
+    def __init__(self, total_samples: int):
+        super().__init__(f"total_samples {total_samples} is more than the "
+                         f"{MAX_REPLAY_SAMPLES} samples replay takes in one pass")
 
 
 # ---------------------------------------------------------------------------
@@ -75,34 +96,15 @@ def _pitch_tables(divisor: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
     return notes, timers
 
 
-# Built at import, in about 2 ms.
+# The pitch lookup, built at import in about 2 ms.  The note of timer period
+# t is round(69 + 12 * log2(f / 440)) for f = 1789773 / (16 * (t + 1)) on a
+# pulse and / (32 * (t + 1)) on the triangle; PULSE_NOTES[t] and
+# TRIANGLE_NOTES[t] hold it, 0 where it is out of the voice's range.
 PULSE_NOTES, PULSE_TIMERS = _pitch_tables(16, PULSE_NOTE_MIN, PULSE_NOTE_MAX)
 TRIANGLE_NOTES, TRIANGLE_TIMERS = _pitch_tables(32, TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX)
-# kind -> (lowest note, note of each timer period, timer period of each note)
-_PITCH_TABLES = {
-    "pulse": (PULSE_NOTE_MIN, PULSE_NOTES, PULSE_TIMERS),
-    "triangle": (TRIANGLE_NOTE_MIN, TRIANGLE_NOTES, TRIANGLE_TIMERS),
-}
-
-
-def _table_for(kind: str) -> tuple[int, np.ndarray, np.ndarray]:
-    try:
-        return _PITCH_TABLES[kind]
-    except KeyError:
-        raise ValueError(f"kind must be 'pulse' or 'triangle', got {kind!r}") from None
-
-
-def pitch_to_midi(timer_period: int, kind: str) -> int | None:
-    """MIDI note sounded by an 11-bit timer period, or None if out of range.
-
-    f = 1789773 / (16*(t+1)) for pulse, /(32*(t+1)) for triangle;
-    note = round(69 + 12*log2(f/440)), read from a table built at import.
-    Raises ValueError for a period outside 11 bits.
-    """
-    _lo, notes, _timers = _table_for(kind)
-    if not 0 <= timer_period <= 0x7FF:
-        raise ValueError(f"timer period {timer_period} outside [0,2047]")
-    return int(notes[timer_period]) or None
+# kind -> (lowest note, timer period of each note)
+_TIMERS = {"pulse": (PULSE_NOTE_MIN, PULSE_TIMERS),
+           "triangle": (TRIANGLE_NOTE_MIN, TRIANGLE_TIMERS)}
 
 
 def midi_to_timer(note: int, kind: str) -> int:
@@ -115,7 +117,10 @@ def midi_to_timer(note: int, kind: str) -> int:
     note 33, which would break the exact round trip, so ``score_to_writes``
     refuses it, naming the frame.
     """
-    lo, _notes, timers = _table_for(kind)
+    try:
+        lo, timers = _TIMERS[kind]
+    except KeyError:
+        raise ValueError(f"kind must be 'pulse' or 'triangle', got {kind!r}") from None
     hi = len(timers) - 1
     if not lo <= note <= hi:
         raise NoteOutOfRange(f"note {note} outside [{lo},{hi}] for {kind}")
@@ -146,6 +151,16 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     keep = np.ones(len(x), bool)
     np.not_equal(x[1:], x[:-1], out=keep[1:])
     return x[keep]
+
+
+def _held(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The value a field holds after each prefix of a sequence of events.
+
+    Entry p is ``values[i]`` of the last event i < p that ``mask`` marks as
+    setting the field, or 0 when none of the first p events did.
+    """
+    setter = np.maximum.accumulate(np.where(mask, np.arange(1, len(mask) + 1), 0))
+    return np.concatenate(([0], values))[np.concatenate(([0], setter))]
 
 
 def _envelope(m, divider, decay, period, loop):
@@ -366,15 +381,12 @@ class _Program:
         order = np.argsort(np.concatenate((2 * written + 1, 2 * after)), kind="stable")
         kind = np.concatenate((np.repeat([1, 2, 3], [len(p) for p in parts]), 0 * fired))[order]
         value = np.concatenate((self.vals[written], timers))[order]
-        step = np.arange(1, len(kind) + 1)
-        sources = (((kind == 0) | (kind == 2), np.where(kind, value, value & 0xFF)),
-                   ((kind == 0) | (kind == 3), np.where(kind, value & 7, value >> 8)),
-                   (kind == 1, value))
-        low, high, sweep = (np.concatenate(([0], setting))[np.maximum.accumulate(step * sets)]
-                            for sets, setting in sources)
-        timer = np.concatenate(([0], high << 8 | low))
-        change = timer >> np.concatenate(([0], sweep & 7))
-        target = np.where(np.concatenate(([0], sweep & 8)), timer - change - ones, timer + change)
+        low = _held((kind == 0) | (kind == 2), np.where(kind, value, value & 0xFF))
+        high = _held((kind == 0) | (kind == 3), np.where(kind, value & 7, value >> 8))
+        sweep = _held(kind == 1, value)
+        timer = high << 8 | low
+        change = timer >> (sweep & 7)
+        target = np.where(sweep & 8, timer - change - ones, timer + change)
         audible = (timer >= 8) & (target <= 0x7FF)
         k = np.searchsorted(np.sort(written), self.W) + fired.searchsorted(self.C)
         return timer[k], audible[k]
@@ -415,11 +427,13 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
     (see ``_Program``); Python steps only the envelope epochs a sounding
     voice reads and the due sweep clocks.
 
-    Raises what ``vgm.check_stream`` raises for a stream it rejects, before
-    replaying anything.  A write exactly at ``total_samples`` is legal and
-    has no effect.
+    Raises what ``vgm.check_stream`` raises for a stream it rejects, and
+    ReplayTooLong past ``MAX_REPLAY_SAMPLES``, before replaying anything.  A
+    write exactly at ``total_samples`` is legal and has no effect.
     """
     check_stream(stream)
+    if stream.total_samples > MAX_REPLAY_SAMPLES:
+        raise ReplayTooLong(int(stream.total_samples))
     prog = _Program(stream)
     rows = np.empty((len(prog.starts), len(ROW_FIELDS)), np.int32)
     for col, base, bit in ((0, 0x4000, 0), (3, 0x4004, 1)):
@@ -474,7 +488,7 @@ def frame_table(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class Timeline:
-    """Change points of a 44.1 kHz frame function over [0, total); SILENCE before the first.
+    """Change points of a 44.1 kHz frame function over [0, total); silence before the first.
 
     Change i starts at sample ``starts[i]`` (int64, increasing) and holds
     frame ``frames[i]`` ((n, 10) int16, in frame-field order).

@@ -12,10 +12,13 @@ each category, and for the blended piano-roll task a per-pitch independent
 unigram and a chord unigram with a single smoothed bucket for unseen columns.
 ``random`` is the task's unigram fitted on no timesteps, which is uniform.
 
-A corpus is read as one array: its songs placed end to end, per category one
-array over all timesteps (for blended, one 88-row grid), with a mask of the
-songs' first timesteps.  Each model is fitted, and each metric computed, in
-one pass per category over those arrays.
+A corpus is a sequence of ``ExpressiveScore``s: the separated and blended
+views are derived from it here, as the NES-MDB baselines derive them from
+the one expressive score.  It is read as one array: its songs placed end to
+end, per category one array over all timesteps (for blended, one 88-row
+grid built once), with a mask of the songs' first timesteps.  Each model is
+fitted, and each metric computed, in one pass per category over those
+arrays.  Anything in a corpus but an ``ExpressiveScore`` raises ValueError.
 """
 
 import json
@@ -27,13 +30,11 @@ import numpy as np
 
 from . import score as sc
 from .score import (
-    BlendedScore,
     CorpusEntry,
     ExpressiveScore,
     SeparatedScore,
     read_score_text,
     to_blended,
-    to_separated,
 )
 
 
@@ -84,42 +85,26 @@ def _to_indices(values: np.ndarray, alphabet: np.ndarray, category: str) -> np.n
     return idx_c
 
 
-def _frames(s, task: str) -> np.ndarray:
-    if isinstance(s, ExpressiveScore):
-        return s.to_array()
-    if isinstance(s, SeparatedScore) and task == "separated":
-        frames = np.zeros((s.notes.shape[1], 10), dtype=np.int64)
-        frames[:, sc.NOTE_COLUMNS] = s.notes.T
-        return frames
-    raise ValueError(f"cannot evaluate {type(s).__name__} on {task} task")
-
-
-def _grid(s) -> np.ndarray:
-    if isinstance(s, ExpressiveScore):
-        s = to_separated(s)
-    if isinstance(s, SeparatedScore):
-        s = to_blended(s)
-    if not isinstance(s, BlendedScore):
-        raise ValueError(f"cannot evaluate {type(s).__name__} on blended task")
-    return s.grid
-
-
 def _category_values(corpus, task: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """The corpus's songs end to end: its category values, and ``first``.
 
     A separated or expressive category is one (ΣT,) array of indices into its
-    alphabet; the blended task's one category is the 88 x ΣT uint8 grid.
-    ``first`` marks the first timestep of each non-empty song.
+    alphabet; the blended task's one category is the 88 x ΣT uint8 grid,
+    built by one ``to_blended`` call on the corpus's note columns.  ``first``
+    marks the first timestep of each non-empty song.  A song that is not an
+    ExpressiveScore raises ValueError naming its type.
     """
-    if task == "blended":
-        songs = [_grid(s) for s in corpus]
-        lengths = np.array([g.shape[1] for g in songs], np.int64)
-        values = {"blended": np.concatenate(
-            [np.zeros((sc.BLENDED_ROWS, 0), np.uint8), *songs], axis=1)}
+    songs = []
+    for s in corpus:
+        if not isinstance(s, ExpressiveScore):
+            raise ValueError(f"a corpus holds ExpressiveScores, not {type(s).__name__}")
+        songs.append(s.to_array())
+    lengths = np.array([len(f) for f in songs], np.int64)
+    frames = np.concatenate([np.zeros((0, 10), np.int16), *songs])
+    if task == "blended":   # the grid is column by column, so the rate is never read
+        notes = SeparatedScore(sc.DEFAULT_RATE_HZ, frames[:, sc.NOTE_COLUMNS].T)
+        values = {"blended": to_blended(notes).grid}
     else:
-        songs = [_frames(s, task) for s in corpus]
-        lengths = np.array([len(f) for f in songs], np.int64)
-        frames = np.concatenate([np.zeros((0, 10), np.int16), *songs])
         values = {cat: _to_indices(frames[:, col], alphabet, cat)
                   for cat, (alphabet, col) in CATEGORIES[task].items()}
     first = np.zeros(lengths.sum(), dtype=bool)
@@ -243,7 +228,7 @@ class Baseline:
 
 
 def fit(kind: str, corpus, task: str) -> Baseline:
-    """Fit a baseline of the given kind on a corpus of scores.
+    """Fit a baseline of the given kind on a corpus of ExpressiveScores.
 
     The random baseline reads no data; learned kinds raise EmptyCorpus when
     the corpus holds no timesteps.
@@ -299,7 +284,8 @@ class EvalReport:
 
 
 def evaluate(model: Baseline, corpus, task: str) -> EvalReport:
-    """Score a fitted baseline on a corpus, pooling timesteps (micro-average)."""
+    """Score a fitted baseline on a corpus of ExpressiveScores, pooling
+    timesteps (micro-average)."""
     if task != model.task:
         raise ValueError(f"model was fit for {model.task!r}, not {task!r}")
     values, first = _category_values(corpus, task)
@@ -363,7 +349,8 @@ class CorpusStats:
 
 
 def corpus_stats(corpus) -> CorpusStats:
-    """Song/note counts, duration, per-voice on-rates and mean polyphony.
+    """Song/note counts, duration, per-voice on-rates and mean polyphony of
+    a corpus of ExpressiveScores.
 
     Average polyphony equals the sum of the per-voice on-probabilities by
     construction (both divide the same on-counts by the same frame total).
@@ -373,7 +360,7 @@ def corpus_stats(corpus) -> CorpusStats:
     """
     corpus = list(corpus)
     notes, first = _category_values(corpus, "separated")   # index 0 is note 0
-    duration = sum(len(_frames(s, "separated")) / s.rate_hz for s in corpus)
+    duration = sum(len(s) / s.rate_hz for s in corpus)
     total_frames = len(first)
     if total_frames == 0:
         return CorpusStats(len(corpus), 0, duration, dict.fromkeys(sc.VOICES, 0.0), 0.0)

@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from .apu import _held
 from .score import (
     MAX_TOTAL_SAMPLES,
     SAMPLE_RATE,
@@ -288,13 +289,3 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
     check_frames(score, lambda d: UnmappableEvent(
         f"frame {d.frame_index}, track {VOICES.index(d.voice) + 1}: {d.voice} {d.message}"))
     return score
-
-
-def _held(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The value a field holds after each prefix of a voice's events.
-
-    Entry p is ``values[i]`` of the last event i < p that ``mask`` marks as
-    setting the field, or 0 when none of the first p events did.
-    """
-    setter = np.maximum.accumulate(np.where(mask, np.arange(1, len(mask) + 1), 0))
-    return np.concatenate(([0], values))[np.concatenate(([0], setter))]

@@ -83,9 +83,6 @@ class ExpressiveFrame(NamedTuple):
     no_timbre: int = 0
 
 
-SILENCE = ExpressiveFrame()
-
-
 class ExpressiveScore:
     """Frames at a fixed rate, stored as one read-only (T, 10) int16 array.
 
@@ -195,7 +192,7 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
     check_rate(rate_hz, n)
     points = frame_sample_index(np.arange(n), rate_hz)
     # Point k falls in the run of change i - 1, i = searchsorted(...)[k]; i = 0 is
-    # the SILENCE before the first change.
+    # the silence (every field 0) before the first change.
     table = np.concatenate((np.zeros((1, 10), np.int16), timeline.frames))
     return ExpressiveScore(float(rate_hz),
                            table[np.searchsorted(timeline.starts, points, "right")])

@@ -297,17 +297,18 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
 
 def render_writes(stream: TimedWriteStream) -> np.ndarray:
     """Render a timed write stream to mono 16-bit PCM at 44.1 kHz, one int16
-    sample per stream sample.  Raises WavTooLong past ``MAX_WAV_SAMPLES``."""
-    check_stream(stream)    # before np.empty
+    sample per stream sample.  Raises WavTooLong past ``MAX_WAV_SAMPLES``, then
+    what ``apu.replay`` raises, before it allocates the output."""
+    check_stream(stream)    # so total_samples is an int in range
     total = int(stream.total_samples)
     if total > MAX_WAV_SAMPLES:
         raise WavTooLong(total)
-    out = np.empty(total, np.int16)
     starts, rows = apu.replay(stream)
     begin, seg, bounds = _cut(starts, total)    # the segment pieces
     voices = _voices(starts, rows, total, seg, bounds)
     counts = np.diff(begin, append=total)
     del starts, rows, begin
+    out = np.empty(total, np.int16)
     cycle_table = _cycle_table(_BLOCK)
     for b, (j0, j1) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         first = b * _BLOCK

@@ -6,7 +6,7 @@ import pytest
 
 from nesscore.apu import Timeline
 from nesscore.midi import PPQ
-from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore
+from nesscore.score import ExpressiveFrame, ExpressiveScore
 
 
 def timeline_of(total_samples: int, changes) -> Timeline:
@@ -40,7 +40,7 @@ def random_score(rng: random.Random, n_frames: int, rate_hz: float = 24.0,
                  hold: float = 0.6) -> ExpressiveScore:
     """Random valid score with note-length structure (frames tend to hold)."""
     frames = []
-    current = SILENCE
+    current = ExpressiveFrame()
     for _ in range(n_frames):
         if not frames or rng.random() >= hold:
             current = random_synthesizable_frame(rng)

@@ -8,17 +8,17 @@ builds the score from a list of ExpressiveFrame.
 
 from bisect import bisect_right
 
-from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore, check_rate
+from nesscore.score import ExpressiveFrame, ExpressiveScore, check_rate
 from reference_frames import frame_count, frame_sample_index
 
 
 def _frame_at(changes, sample: int) -> ExpressiveFrame:
     i = bisect_right([s for s, _ in changes], sample) - 1
-    return changes[i][1] if i >= 0 else SILENCE
+    return changes[i][1] if i >= 0 else ExpressiveFrame()
 
 
 def frame_at(timeline, sample: int) -> ExpressiveFrame:
-    """The frame of the last change at or before sample; SILENCE before the first."""
+    """The frame of the last change at or before sample; silence before the first."""
     return _frame_at(timeline.changes, sample)
 
 

@@ -15,21 +15,15 @@ Their stream checks are this module's own, made as each write is reached,
 so they are independent of ``vgm.check_stream``.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from nesscore.apu import (
-    _TICK_SAMPLES,
-    LENGTH_TABLE,
-    ROW_FIELDS,
-    BadWriteOffset,
-    RegisterOutOfRange,
-    pitch_to_midi,
-)
-from nesscore.score import NOISE_NOTE_MAX, SILENCE, ExpressiveFrame
-from nesscore.vgm import TimedWriteStream, check_stream
+from nesscore.apu import _TICK_SAMPLES, CPU_HZ, LENGTH_TABLE, ROW_FIELDS
+from nesscore.score import NOISE_NOTE_MAX, ExpressiveFrame
+from nesscore.vgm import BadWriteOffset, RegisterOutOfRange, TimedWriteStream, check_stream
 
 @dataclass
 class Envelope:
@@ -372,9 +366,16 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
     return np.array(starts, np.int64), np.repeat(table, held, axis=0)
 
 
-# The note of each 11-bit timer period, None where it is outside the voice's range.
-_PULSE_NOTES = [pitch_to_midi(t, "pulse") for t in range(0x800)]
-_TRIANGLE_NOTES = [pitch_to_midi(t, "triangle") for t in range(0x800)]
+def _notes(divisor: int, lowest: int) -> list:
+    """The note of each 11-bit timer period, None where it is outside
+    [lowest, 108]: round(69 + 12 * log2(f / 440)) for f = CPU_HZ / (divisor * (t + 1))."""
+    notes = (round(69 + 12 * math.log2(CPU_HZ / (divisor * (t + 1)) / 440.0))
+             for t in range(0x800))
+    return [n if lowest <= n <= 108 else None for n in notes]
+
+
+_PULSE_NOTES = _notes(16, 32)
+_TRIANGLE_NOTES = _notes(32, 21)
 
 
 def _pulse_fields(ch: PulseChannelState) -> tuple[int, int, int]:
@@ -452,5 +453,5 @@ def timeline_changes(stream: TimedWriteStream) -> list[tuple[int, ExpressiveFram
             changes.append((start, frame))
             last = frame
     if not changes:
-        changes.append((0, SILENCE))
+        changes.append((0, ExpressiveFrame()))
     return changes

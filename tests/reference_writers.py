@@ -14,10 +14,10 @@ from nesscore import apu
 from nesscore.midi import CC_EXPRESSION, CC_TIMBRE, PPQ, TEMPO_USPQ, _frame_ticks, velocity_to_midi
 from nesscore.score import (
     NOISE_NOTE_MAX,
-    SILENCE,
     VELOCITY_MAX,
     VOICE_COLUMNS,
     VOICES,
+    ExpressiveFrame,
     ExpressiveScore,
     check_frames,
     check_rate,
@@ -52,7 +52,7 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
     def emit(sample, reg, value):
         writes.append(TimedWrite(sample, reg, value))
 
-    prev = SILENCE
+    prev = ExpressiveFrame()
     prev_mask = None
     sweep_ready = [False, False]
     for k, (s, f) in enumerate(zip(starts, frames)):

@@ -14,7 +14,6 @@ from conftest import random_score, timeline_of
 from nesscore import apu, evaluation as ev, midi, synth, vgm
 from nesscore.apu import extract_timeline
 from nesscore.score import (
-    SILENCE,
     ExpressiveFrame,
     ExpressiveScore,
     downsample,

@@ -13,24 +13,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nesscore.apu import (
-    BadWriteOffset,
     CPU_HZ,
     LENGTH_TABLE,
-    NoteOutOfRange,
+    PULSE_NOTES,
     ROW_FIELDS,
-    RegisterOutOfRange,
+    TRIANGLE_NOTES,
+    NoteOutOfRange,
+    ReplayTooLong,
     extract_timeline,
     frame_table,
     iter_segments,
     midi_to_timer,
-    pitch_to_midi,
     replay,
 )
-from nesscore.score import SILENCE, ExpressiveFrame, validate
+from nesscore.score import ExpressiveFrame, validate
 from nesscore.synth import render_writes
 from nesscore.vgm import (
+    BadWriteOffset,
     BadWriteValue,
     OffsetOverflow,
+    RegisterOutOfRange,
     TimedWrite,
     TimedWriteStream,
     parse_vgm,
@@ -328,49 +330,42 @@ class TestSnapshot:
         assert (frame.no_note, frame.no_vel, frame.no_timbre) == (16 - 4, 9, 1)
 
     def test_reset_state_is_silent(self):
-        assert snapshot(ApuState()) == SILENCE
+        assert snapshot(ApuState()) == ExpressiveFrame()
 
 
 class TestPitchMaps:
     def test_reference_points(self):
-        assert pitch_to_midi(253, "pulse") == 69
-        assert pitch_to_midi(253, "triangle") == 57
+        assert PULSE_NOTES[253] == 69
+        assert TRIANGLE_NOTES[253] == 57
 
     def test_matches_formula_everywhere(self):
-        for timer in range(0, 0x800, 13):
-            for kind, divisor, lo in (("pulse", 16, 32), ("triangle", 32, 21)):
+        for notes, divisor, lo in ((PULSE_NOTES, 16, 32), (TRIANGLE_NOTES, 32, 21)):
+            assert len(notes) == 0x800
+            for timer in range(0x800):
                 expected = formula_midi(timer, divisor)
-                got = pitch_to_midi(timer, kind)
-                assert got == (expected if lo <= expected <= 108 else None)
+                assert notes[timer] == (expected if lo <= expected <= 108 else 0)
 
     def test_floor_timer_maps_to_33(self):
         # 1789773/(16*2048) = 54.62 Hz = MIDI 32.88, rounding to 33: the
         # largest timer still lands inside the pulse range.
         assert formula_midi(2047, 16) == 33
-        assert pitch_to_midi(2047, "pulse") == 33
-
-    def test_timer_outside_11_bits_rejected(self):
-        for timer in (-1, 0x800):
-            with pytest.raises(ValueError):
-                pitch_to_midi(timer, "pulse")
-        with pytest.raises(ValueError):
-            pitch_to_midi(253, "noise")
+        assert PULSE_NOTES[2047] == 33
 
     def test_out_of_range_high(self):
-        assert pitch_to_midi(20, "pulse") is None   # ~5.3 kHz, MIDI 112
-        assert pitch_to_midi(1, "triangle") is None
+        assert PULSE_NOTES[20] == 0   # ~5.3 kHz, MIDI 112
+        assert TRIANGLE_NOTES[1] == 0
 
     def test_inverse_reference_points(self):
         assert midi_to_timer(69, "pulse") == 253
         assert midi_to_timer(57, "triangle") == 253
         t = midi_to_timer(108, "pulse")
-        assert t in (25, 26) and pitch_to_midi(t, "pulse") == 108
+        assert t in (25, 26) and PULSE_NOTES[t] == 108
 
     def test_round_trip_all_producible_notes(self):
         for n in range(33, 109):
-            assert pitch_to_midi(midi_to_timer(n, "pulse"), "pulse") == n
+            assert PULSE_NOTES[midi_to_timer(n, "pulse")] == n
         for n in range(21, 109):
-            assert pitch_to_midi(midi_to_timer(n, "triangle"), "triangle") == n
+            assert TRIANGLE_NOTES[midi_to_timer(n, "triangle")] == n
 
     def test_pulse_32_not_representable(self):
         # ideal timer ~2154 exceeds 11 bits; alphabet keeps 32, hardware cannot
@@ -382,6 +377,10 @@ class TestPitchMaps:
             midi_to_timer(109, "pulse")
         with pytest.raises(NoteOutOfRange):
             midi_to_timer(20, "triangle")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be 'pulse' or 'triangle', got 'noise'"):
+            midi_to_timer(69, "noise")
 
 
 def p1_note_stream(total=40_000):
@@ -405,7 +404,7 @@ class TestExtractTimeline:
     def test_empty_stream_is_silent(self):
         tl = extract_timeline(TimedWriteStream(total_samples=100))
         assert tl.total_samples == 100
-        assert all(f == SILENCE for _s, f in tl.changes)
+        assert all(f == ExpressiveFrame() for _s, f in tl.changes)
 
     def test_note_from_offset_zero(self):
         tl = extract_timeline(p1_note_stream())
@@ -417,7 +416,7 @@ class TestExtractTimeline:
         writes = [TimedWrite(0, 0x4000, 0xBC), TimedWrite(0, 0x4002, 0xFD),
                   TimedWrite(0, 0x4003, 0x08)]
         tl = extract_timeline(TimedWriteStream(writes, total_samples=2000))
-        assert all(f == SILENCE for s, f in tl.changes)
+        assert all(f == ExpressiveFrame() for s, f in tl.changes)
 
     def test_length_expiry_without_halt(self):
         # halt clear: length 254 runs out after 254 half ticks (~2.1 s)
@@ -557,6 +556,16 @@ class TestExtractTimeline:
             with pytest.raises(OffsetOverflow) as exc:
                 consumer(TimedWriteStream(total_samples=total))
             assert str(exc.value) == f"total_samples {total} is outside [0, 4294967295]"
+
+    def test_total_past_the_replay_bound_rejected(self, monkeypatch):
+        # the bound itself replays; one sample more is refused before any work
+        monkeypatch.setattr("nesscore.apu.MAX_REPLAY_SAMPLES", 1000)
+        assert replay(_stream(1000, (0, 0x4015, 0x01)))[0][-1] < 1000
+        for consumer in (replay, extract_timeline, render_writes):
+            with pytest.raises(ReplayTooLong) as exc:
+                consumer(_stream(1001, (0, 0x4015, 0x01)))
+            assert str(exc.value) == ("total_samples 1001 is more than the 1000 samples "
+                                      "replay takes in one pass")
 
 
 def _random_writes(seed, n):

@@ -12,7 +12,7 @@ import pytest
 
 import nesscore
 from conftest import five_track_file, random_score
-from nesscore import midi, synth, vgm
+from nesscore import apu, midi, synth, vgm
 from nesscore.cli import build_parser, main
 from nesscore.score import (
     DEFAULT_RATE_HZ,
@@ -80,23 +80,32 @@ def test_inputs_past_the_frame_bound_fail_typed_under_a_memory_cap(tmp_path):
     longest_path = tmp_path / "longest_wait.vgm"
     longest_path.write_bytes(header + b"\x61\xff\xff" * 65537 + b"\x66")
     assert 65537 * 0xFFFF == 2 ** 32 - 1 and len(longest_path.read_bytes()) == 196_804
+    # one sample past what replay takes, in waits
+    past_replay_path = tmp_path / "past_replay.vgm"
+    past_replay = apu.MAX_REPLAY_SAMPLES + 1
+    past_replay_path.write_bytes(vgm.write_vgm(vgm.TimedWriteStream([], past_replay)))
     out = str(tmp_path / "out")
     runs = [["midi2score", str(midi_path), out, "--rate", "44100"],
             ["render", str(text_path), out],
             ["vgm2score", str(vgm_path), out, "--rate", "44100"],
-            ["render", str(longest_path), out]]
+            ["render", str(longest_path), out],
+            ["vgm2score", str(longest_path), out],
+            ["render", str(past_replay_path), out]]
     src = str(Path(nesscore.__file__).resolve().parent.parent)
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     child = subprocess.run([sys.executable, "-c", CAPPED, json.dumps(runs)], env=env,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == [1, 1, 1, 1]
+    assert json.loads(child.stdout) == [1] * 6
     errors = child.stderr.splitlines()
-    assert len(errors) == 4 and all(e.startswith("error: ") for e in errors), errors
+    assert len(errors) == 6 and all(e.startswith("error: ") for e in errors), errors
     assert all("more than the 16777216" in e for e in errors[:3]), errors
     assert errors[3] == (f"error: total_samples {2 ** 32 - 1} is more than the "
                          f"{synth.MAX_WAV_SAMPLES} samples a 16-bit mono WAV holds"), errors
+    assert errors[4:] == [f"error: total_samples {total} is more than the "
+                          f"{apu.MAX_REPLAY_SAMPLES} samples replay takes in one pass"
+                          for total in (2 ** 32 - 1, past_replay)], errors
     assert not Path(out).exists()
 
 
@@ -301,6 +310,5 @@ class TestEndToEnd:
         wav_path = tmp_path / "out.wav"
         assert main(["render", str(score_path), str(wav_path)]) == 0
         again = synth.score_to_writes(extracted)
-        from nesscore import apu
         from nesscore.score import downsample
         assert downsample(apu.extract_timeline(again), 24.0).frames == score.frames

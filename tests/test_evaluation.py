@@ -13,10 +13,11 @@ import reference_evaluation as ref
 from conftest import random_score
 from nesscore import evaluation as ev
 from nesscore.score import (
-    SILENCE,
     BadFieldValue,
+    BlendedScore,
     ExpressiveFrame,
     ExpressiveScore,
+    SeparatedScore,
     to_blended,
     to_separated,
     write_score_text,
@@ -31,6 +32,25 @@ def pois(values) -> set[int]:
     values = np.asarray(values)
     first = np.arange(values.shape[-1]) == 0
     return set(np.flatnonzero(ev._poi_mask(values, first)).tolist())
+
+
+def other_forms(score: ExpressiveScore) -> dict[type, object]:
+    """The forms of one song that a corpus does not take, by type."""
+    separated = to_separated(score)
+    return {SeparatedScore: separated, BlendedScore: to_blended(separated),
+            np.ndarray: score.to_array()}
+
+
+def assert_refused(task: str) -> None:
+    """fit and evaluate on `task` raise ValueError naming each other form's type."""
+    score = random_score(random.Random(19), 5)
+    kind = next(k for k in ev.MODELS[task] if k != "random")
+    for t, other in other_forms(score).items():
+        message = f"a corpus holds ExpressiveScores, not {t.__name__}"
+        with pytest.raises(ValueError, match=message):
+            ev.fit(kind, [score, other], task)
+        with pytest.raises(ValueError, match=message):
+            ev.evaluate(ev.fit("random", [], task), [score, other], task)
 
 
 class TestFindPois:
@@ -94,7 +114,8 @@ class TestRandomBaseline:
 
     def test_accuracy_is_hit_rate_of_first_symbol(self):
         # the argmax of a uniform distribution is pinned to the first symbol
-        score = ExpressiveScore(24.0, [SILENCE, NOTE, SILENCE, SILENCE])
+        off = ExpressiveFrame()
+        score = ExpressiveScore(24.0, [off, NOTE, off, off])
         model = ev.fit("random", [], "separated")
         report = ev.evaluate(model, [score], "separated")
         accs = {c.category: c.acc_all for c in report.categories}
@@ -103,9 +124,9 @@ class TestRandomBaseline:
 
 class TestUnigram:
     def test_predicts_silence_on_silent_corpus(self):
-        corpus = [ExpressiveScore(24.0, [SILENCE] * 20)]
+        corpus = [ExpressiveScore(24.0, [ExpressiveFrame()] * 20)]
         model = ev.fit("unigram", corpus, "separated")
-        mixed = ExpressiveScore(24.0, [SILENCE] * 9 + [NOTE])
+        mixed = ExpressiveScore(24.0, [ExpressiveFrame()] * 9 + [NOTE])
         report = ev.evaluate(model, [mixed], "separated")
         assert all(c.acc_all == 0.9 for c in report.categories)
 
@@ -188,7 +209,7 @@ class TestBlendedModels:
         assert report.acc_all == 1.0  # constant corpus is fully predictable
 
     def test_chord_unigram_seen_vs_unseen(self):
-        corpus = [ExpressiveScore(24.0, [NOTE] * 9 + [SILENCE])]
+        corpus = [ExpressiveScore(24.0, [NOTE] * 9 + [ExpressiveFrame()])]
         model = ev.fit("chord-unigram", corpus, "blended").categories["blended"]
         grid, first = ev._category_values(corpus, "blended")
         logp, _hits = model.score(grid["blended"], first)
@@ -212,32 +233,22 @@ class TestBlendedModels:
         with pytest.raises(ValueError):
             ev.fit("note-unigram", [], "separated")
 
-    def test_accepts_separated_and_blended_inputs(self):
-        score = random_score(random.Random(12), 20)
-        model = ev.fit("random", [], "blended")
-        a = ev.evaluate(model, [score], "blended")
-        b = ev.evaluate(model, [to_blended(to_separated(score))], "blended")
-        assert a.nll_all == b.nll_all
+    def test_refuses_separated_and_blended_inputs(self):
+        # the blended task takes ExpressiveScores only, not its own views
+        assert_refused("blended")
 
-    def test_separated_task_accepts_separated_scores(self):
-        score = random_score(random.Random(18), 25)
-        model = ev.fit("unigram", [score], "separated")
-        a = ev.evaluate(model, [score], "separated")
-        b = ev.evaluate(model, [to_separated(score)], "separated")
-        assert [c.nll_all for c in a.categories] == [c.nll_all for c in b.categories]
+    def test_separated_task_refuses_separated_scores(self):
+        assert_refused("separated")
 
     def test_separated_score_rejected_for_expressive(self):
-        score = to_separated(random_score(random.Random(19), 5))
-        model = ev.fit("random", [], "expressive")
-        with pytest.raises(ValueError):
-            ev.evaluate(model, [score], "expressive")
+        assert_refused("expressive")
 
 
 class TestCorpusBoundaries:
     """Songs placed end to end stay separate songs."""
 
     # song 2 opens on song 1's last value in every voice
-    SONGS = [ExpressiveScore(24.0, [SILENCE, NOTE]), ExpressiveScore(24.0, [NOTE, NOTE])]
+    SONGS = [ExpressiveScore(24.0, [ExpressiveFrame(), NOTE]), ExpressiveScore(24.0, [NOTE, NOTE])]
 
     def test_song_start_is_a_poi(self):
         values, first = ev._category_values(self.SONGS, "separated")
@@ -269,8 +280,8 @@ class TestCorpusBoundaries:
         assert ev.corpus_stats(self.SONGS).note_count == 8  # 4 voices x 2 songs
 
     def test_chord_unigram_tie_goes_to_first_seen(self):
-        for frames, winner in (([NOTE, SILENCE, SILENCE, NOTE], NOTE),
-                               ([SILENCE, NOTE, NOTE, SILENCE], SILENCE)):
+        off = ExpressiveFrame()
+        for frames, winner in (([NOTE, off, off, NOTE], NOTE), ([off, NOTE, NOTE, off], off)):
             model = ev.fit("chord-unigram", [ExpressiveScore(24.0, frames)], "blended")
             report = ev.evaluate(model, [ExpressiveScore(24.0, [winner])], "blended")
             assert report.acc_all == 1.0
@@ -283,20 +294,14 @@ class TestCorpusBoundaries:
 
 
 _PAIRS = [(task, kind) for task, models in ev.MODELS.items() for kind in models]
-_FORMS = {"separated": (lambda s: s, to_separated),
-          "expressive": (lambda s: s,),
-          "blended": (lambda s: s, to_separated, lambda s: to_blended(to_separated(s)))}
 
 
 @st.composite
-def corpora(draw, task):
-    """0-5 songs of 0-12 frames, each in a form the task accepts."""
-    songs = []
-    for _ in range(draw(st.integers(0, 5))):
-        score = random_score(random.Random(draw(st.integers(0, 2**32))),
-                             draw(st.sampled_from([0, 1, 2, 12])), hold=0.5)
-        songs.append(draw(st.sampled_from(_FORMS[task]))(score))
-    return songs
+def corpora(draw):
+    """0-5 ExpressiveScores of 0-12 frames."""
+    return [random_score(random.Random(draw(st.integers(0, 2**32))),
+                         draw(st.sampled_from([0, 1, 2, 12])), hold=0.5)
+            for _ in range(draw(st.integers(0, 5)))]
 
 
 class TestReferenceDifferential:
@@ -306,7 +311,7 @@ class TestReferenceDifferential:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_reports_match(self, task, kind, data):
-        train, test = data.draw(corpora(task)), data.draw(corpora(task))
+        train, test = data.draw(corpora()), data.draw(corpora())
         try:
             expected = ref.evaluate(ref.fit(kind, train, task), test, task)
         except ev.EmptyCorpus:
@@ -325,7 +330,7 @@ class TestReferenceDifferential:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_stats_match(self, data):
-        corpus = data.draw(corpora("expressive"))
+        corpus = data.draw(corpora())
         assert ev.corpus_stats(corpus) == ref.corpus_stats(corpus)
 
 
@@ -356,7 +361,7 @@ class TestCorpusStats:
         assert stats.average_polyphony == 0.0
 
     def test_silent_scores(self):
-        stats = ev.corpus_stats([ExpressiveScore(24.0, [SILENCE] * 8)])
+        stats = ev.corpus_stats([ExpressiveScore(24.0, [ExpressiveFrame()] * 8)])
         assert stats.note_count == 0
         assert stats.average_polyphony == 0.0
 
@@ -369,15 +374,16 @@ class TestCorpusStats:
                 sum(stats.on_probability.values()), abs=1e-12)
 
     def test_onset_counting(self):
-        frames = [SILENCE, NOTE, NOTE, SILENCE, NOTE]
+        frames = [ExpressiveFrame(), NOTE, NOTE, ExpressiveFrame(), NOTE]
         stats = ev.corpus_stats([ExpressiveScore(24.0, frames)])
         assert stats.note_count == 8  # 4 voices x 2 onsets
 
-    def test_separated_scores_as_their_expressive_ones(self):
-        rng = random.Random(15)
-        corpus = [random_score(rng, n, rate_hz=rate)
-                  for n, rate in ((10, 24.0), (0, 60.0), (7, 29.97))]
-        assert ev.corpus_stats([to_separated(s) for s in corpus]) == ev.corpus_stats(corpus)
+    def test_separated_scores_refused(self):
+        score = random_score(random.Random(19), 5)
+        for t, other in other_forms(score).items():
+            with pytest.raises(ValueError,
+                               match=f"a corpus holds ExpressiveScores, not {t.__name__}"):
+                ev.corpus_stats([score, other])
 
 
 class TestReports:

@@ -18,7 +18,7 @@ from nesscore.midi import (
     score_to_midi,
     velocity_to_midi,
 )
-from nesscore.score import SILENCE, ExpressiveFrame, ExpressiveScore, validate
+from nesscore.score import ExpressiveFrame, ExpressiveScore, validate
 from reference_midi import midi_to_score_by_frame
 
 
@@ -134,7 +134,7 @@ class TestVelocityMap:
 
 class TestRoundTrip:
     def test_simple(self):
-        frames = [A440] * 6 + [SILENCE] * 3 + [A440._replace(p1_vel=4)] * 5
+        frames = [A440] * 6 + [ExpressiveFrame()] * 3 + [A440._replace(p1_vel=4)] * 5
         score = ExpressiveScore(24.0, frames)
         assert midi_to_score(score_to_midi(score), 24.0) == score
 

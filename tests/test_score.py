@@ -15,7 +15,6 @@ from nesscore.score import (
     MAX_TOTAL_SAMPLES,
     SAMPLE_RATE,
     SCHEMA,
-    SILENCE,
     VOICE_COLUMNS,
     _FIELDS,
     BadFieldValue,
@@ -64,10 +63,10 @@ class TestDownsample:
         assert len(downsample(constant_timeline(44101), 24).frames) == 25
 
     def test_change_lands_in_next_frame(self):
-        tl = timeline_of(total_samples=4000, changes=[(0, SILENCE), (1000, A_FRAME)])
+        tl = timeline_of(total_samples=4000, changes=[(0, ExpressiveFrame()), (1000, A_FRAME)])
         score = downsample(tl, 24)
         # frame 0 samples position 0; frame 1 samples position 1837 >= 1000
-        assert score.frames[0] == SILENCE
+        assert score.frames[0] == ExpressiveFrame()
         assert score.frames[1] == A_FRAME
 
     def test_empty_timeline(self):
@@ -97,7 +96,8 @@ def timelines(draw):
     """A timeline of up to 8 changes, the first of them at any sample."""
     total = draw(st.integers(0, 20_000))
     starts = sorted(draw(st.sets(st.integers(0, total), max_size=8)))
-    pool = [SILENCE, A_FRAME, ExpressiveFrame(tr_note=40), ExpressiveFrame(no_note=3, no_vel=7)]
+    pool = [ExpressiveFrame(), A_FRAME, ExpressiveFrame(tr_note=40),
+            ExpressiveFrame(no_note=3, no_vel=7)]
     return timeline_of(total, [(s, draw(st.sampled_from(pool))) for s in starts])
 
 
@@ -107,7 +107,7 @@ class TestDownsampleAgainstReference:
     @given(timelines(), st.sampled_from([24, 24.0, 12.5, 29.97, 60.0, 44100.0]))
     @example(timeline_of(0, [(0, A_FRAME)]), 24)
     @example(timeline_of(0, []), 29.97)
-    @example(timeline_of(5000, [(1000, A_FRAME), (3000, SILENCE)]), 12.5)
+    @example(timeline_of(5000, [(1000, A_FRAME), (3000, ExpressiveFrame())]), 12.5)
     @example(timeline_of(5000, [(1837, A_FRAME)]), 24)
     @settings(max_examples=150)
     def test_same_score(self, timeline, rate):
@@ -115,7 +115,7 @@ class TestDownsampleAgainstReference:
 
     def test_first_change_after_sample_0_is_preceded_by_silence(self):
         tl = timeline_of(total_samples=4000, changes=[(1000, A_FRAME)])
-        assert downsample(tl, 24).frames == [SILENCE, A_FRAME, A_FRAME]
+        assert downsample(tl, 24).frames == [ExpressiveFrame(), A_FRAME, A_FRAME]
 
 
 class TestArrayStore:
@@ -135,7 +135,7 @@ class TestArrayStore:
         values = np.zeros((2, 10), dtype=np.int16)
         score = ExpressiveScore(24.0, values)
         values[0, 6] = 40
-        assert score.frames == [SILENCE, SILENCE]
+        assert score.frames == [ExpressiveFrame(), ExpressiveFrame()]
         assert values.flags.writeable
 
     def test_frames_view(self, rng):
@@ -157,7 +157,7 @@ class TestArrayStore:
 
     def test_rates_compared(self):
         assert ExpressiveScore(24.0, [A_FRAME]) != ExpressiveScore(12.0, [A_FRAME])
-        assert ExpressiveScore(24.0, [A_FRAME]) != ExpressiveScore(24.0, [SILENCE])
+        assert ExpressiveScore(24.0, [A_FRAME]) != ExpressiveScore(24.0, [ExpressiveFrame()])
         assert ExpressiveScore(24, [A_FRAME]) == ExpressiveScore(24.0, [A_FRAME])
 
     @pytest.mark.parametrize("frames", [
@@ -173,7 +173,7 @@ class TestArrayStore:
 
 class TestConversions:
     def test_to_separated_projects_notes(self):
-        score = ExpressiveScore(24.0, [A_FRAME, SILENCE])
+        score = ExpressiveScore(24.0, [A_FRAME, ExpressiveFrame()])
         sep = to_separated(score)
         assert sep.notes.shape == (4, 2)
         assert sep.notes[:, 0].tolist() == [69, 0, 57, 12]
@@ -269,7 +269,7 @@ class TestValidate:
         # the typed NamedTuple names the same columns, in the schema's order
         assert ExpressiveFrame._fields == tuple(
             f"{voice.lower()}_{name}" for voice, name, _values in _FIELDS)
-        assert SILENCE == (0,) * 10
+        assert ExpressiveFrame() == (0,) * 10
 
 
 class TestTextFormat:
@@ -437,7 +437,7 @@ class TestReaderAgainstReference:
         assert exc.value.line_number == 3
 
     def test_crlf_line_ends_accepted(self):
-        score = ExpressiveScore(24.0, [A_FRAME, SILENCE])
+        score = ExpressiveScore(24.0, [A_FRAME, ExpressiveFrame()])
         data = write_score_text(score).replace(b"\n", b"\r\n")
         assert read_score_text(data) == score == read_score_text_by_line(data)
 
@@ -582,7 +582,7 @@ class TestRateBound:
 ])
 def test_writers_refuse_invalid_frames(writer, bad_frame, message):
     with pytest.raises(ValueError) as exc:
-        writer(ExpressiveScore(24.0, [A_FRAME, SILENCE, bad_frame, SILENCE]))
+        writer(ExpressiveScore(24.0, [A_FRAME, ExpressiveFrame(), bad_frame, ExpressiveFrame()]))
     assert str(exc.value) == message
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from conftest import random_score
 from nesscore import apu, synth
 from nesscore.score import (
-    SILENCE,
     ExpressiveFrame,
     ExpressiveScore,
     downsample,
@@ -57,7 +56,7 @@ def pcm(level: float) -> int:
 
 class TestScoreToWrites:
     def test_silent_score_single_enable_write(self):
-        stream = score_to_writes(ExpressiveScore(24.0, [SILENCE] * 10))
+        stream = score_to_writes(ExpressiveScore(24.0, [ExpressiveFrame()] * 10))
         assert stream.writes == [TimedWrite(0, 0x4015, 0x00)]
         assert stream.total_samples == (10 * 44100) // 24
 
@@ -84,7 +83,7 @@ class TestScoreToWrites:
 
     def test_sweep_guard_written_before_first_pulse_note(self):
         # low pulse notes need negate mode or the sweep target mutes them
-        frames = [SILENCE, ExpressiveFrame(p1_note=36, p1_vel=9)]
+        frames = [ExpressiveFrame(), ExpressiveFrame(p1_note=36, p1_vel=9)]
         stream = score_to_writes(ExpressiveScore(24.0, frames))
         regs = [w.register for w in stream.writes]
         assert regs.index(0x4001) < regs.index(0x4003)
@@ -97,7 +96,7 @@ class TestScoreToWrites:
         # pulse 32 is a valid state: the error names where it sits
         with pytest.raises(apu.NoteOutOfRange, match="^frame 2: P2 note 32 "):
             score_to_writes(ExpressiveScore(
-                24.0, [SILENCE, A440, A440._replace(p2_note=32, p2_vel=9)]))
+                24.0, [ExpressiveFrame(), A440, A440._replace(p2_note=32, p2_vel=9)]))
 
     def test_round_trip_all_voices(self, rng):
         for _ in range(25):
