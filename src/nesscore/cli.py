@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import apu, evaluation, midi, score, synth, vgm
 
 
@@ -41,7 +43,11 @@ def cmd_render(args) -> int:
         stream = synth.score_to_writes(score.read_score_text(data))
     else:
         raise ValueError(f"{args.input}: neither a VGM image nor a NESSCORE file")
-    Path(args.output).write_bytes(synth.write_wav(synth.render_writes(stream)))
+    samples = synth.render_writes(stream)
+    header = synth.wav_header(len(samples))
+    with open(args.output, "wb") as out:    # the samples go out as they are, not copied
+        out.write(header)
+        out.write(np.ascontiguousarray(samples, "<i2"))
     return 0
 
 

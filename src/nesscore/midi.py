@@ -5,11 +5,35 @@ quarter at a fixed 500000 us tempo is exactly 44100 ticks per second.  Four
 note tracks follow the tempo track in voice order P1, P2, TR, NO.  Velocity
 maps to round(v*127/15); mid-note dynamics ride controller 11 so note
 boundaries survive the round trip, and timbre rides controller 12.  Noise
-notes 1-16 are written as MIDI pitches 1-16.  The writer takes each voice's
-events from ``score.voice_changes``, in frame order from ``score.schedule``.
+notes 1-16 are written as MIDI pitches 1-16.
+
+The writer takes each voice's events from ``score.voice_changes``, in frame
+order from ``score.schedule``, and lays out each track in one pass: every
+event is its delta as a variable-length quantity (VLQ) and three payload
+bytes, and one boolean mask keeps each delta's significant bytes.
+
+The reader has no loop over events either.  A table gives every byte of the
+file the position of the event after it, as if an event started there: a
+delta VLQ of 1-4 bytes, then a note off, note on or controller status and
+two data bytes, two data bytes under running status, or a meta (0xFF, its
+type, a VLQ length and the payload).  Any other event is a stop: sysex,
+the other channel statuses, a data byte of 0x80 or more, a controller other
+than 11 and 12, a tempo other than 500000, a VLQ of 5 or more bytes, and an
+event that runs past its chunk.  Pointer doubling over that table walks
+every track from its first byte to its first stop in about log2(events)
+rounds; ticks are one ``cumsum`` of the deltas, and running status is a
+forward fill over the walked events.  The rules that depend on the events
+before one (a running status needs a status before it in the track, and
+under a controller status its first data byte is the controller) are masks
+over the walk.  The first event that breaks a rule, or the stop short of
+its chunk's end, is re-read on its own to raise the error an event-by-event
+parser raises there.  Each voice's (note, velocity, timbre) is then filled
+frame run by frame run, from the first frame at or after each event's tick,
+so the reader's working memory is O(events) beside the frames it returns.
 """
 
 import struct
+from typing import NoReturn
 
 import numpy as np
 
@@ -42,9 +66,9 @@ class UnmappableEvent(ValueError):
     """Event outside the score profile (wrong tempo, pitch bend, ...)."""
 
 
-def _frame_ticks(n_frames: int, rate_hz: float) -> np.ndarray:
-    """Tick of frames 0..n_frames: each frame's sample position, rounded half to even."""
-    return np.rint(frame_position(np.arange(n_frames + 1), rate_hz)).astype(np.int64)
+def _frame_tick(k, rate_hz: float):
+    """Tick of frame k (an integer array): its sample position, rounded half to even."""
+    return np.rint(frame_position(k, rate_hz)).astype(np.int64)
 
 
 def velocity_to_midi(vel: int) -> int:
@@ -63,24 +87,27 @@ _MIDI_VELOCITY = np.array([velocity_to_midi(vel) for vel in range(VELOCITY_MAX +
 # ---------------------------------------------------------------------------
 # writer
 
-def _vlq(value: int) -> bytes:
-    out = [value & 0x7F]
-    value >>= 7
-    while value:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    return bytes(reversed(out))
+# A VLQ's 7-bit groups, most significant first, as far as a delta below 2^35
+# (every delta within 2^32 - 1 ticks) needs; every group but the last has the
+# high bit set.
+_VLQ_SHIFTS = np.arange(28, -1, -7)
+_VLQ_MORE = np.array([0x80, 0x80, 0x80, 0x80, 0], np.int64)
+_END_OF_TRACK = np.array([[0xFF, 0x2F, 0x00]], np.uint8)
 
 
-def _encode_track(ticks, payloads: list[bytes], end_tick: int) -> bytes:
-    """An MTrk body: each payload after its delta from the one before, then the
-    end of track.  Events come frame by frame and frame ticks never decrease."""
-    deltas = np.diff(ticks, prepend=0, append=end_tick).tolist()
-    vlq = {delta: _vlq(delta) for delta in set(deltas)}    # a track has few distinct deltas
-    return b"".join(map(bytes.__add__, map(vlq.get, deltas), [*payloads, b"\xff\x2f\x00"]))
+def _encode_track(deltas: np.ndarray, payloads: np.ndarray) -> bytes:
+    """An MTrk body: each 3-byte payload row after its delta as a VLQ, which
+    keeps its last group and every group above it that is not 0."""
+    groups = deltas[:, None] >> _VLQ_SHIFTS
+    events = np.empty((len(deltas), 8), np.uint8)
+    events[:, :5] = groups & 0x7F | _VLQ_MORE
+    events[:, 5:] = payloads
+    keep = np.ones(events.shape, bool)
+    np.greater(groups[:, :4], 0, out=keep[:, :4])
+    return events[keep].tobytes()
 
 
-def _voice_track(values: np.ndarray, ch: int, ticks: np.ndarray) -> bytes:
+def _voice_track(values: np.ndarray, ch: int, rate_hz: float) -> bytes:
     """The MTrk body of voice ``ch``; a note sounding at the end stops at frame T."""
     changes = voice_changes(values, VOICES[ch])
     note, *dynamics = changes.now
@@ -95,10 +122,10 @@ def _voice_track(values: np.ndarray, ch: int, ticks: np.ndarray) -> bytes:
                    (changes.changed[1], 0xB0 | ch, CC_TIMBRE, timbre)]
     else:   # a voice without velocity and timbre (the triangle) sounds at full velocity
         events.append((changes.onset, 0x90 | ch, note, _MIDI_VELOCITY[VELOCITY_MAX]))
-    frame, fields = schedule(events, len(ticks))
-    data = fields.T.astype(np.uint8).tobytes()
-    return _encode_track(ticks[frame], [data[i:i + 3] for i in range(0, len(data), 3)],
-                         int(ticks[-1]))
+    frame, fields = schedule(events, len(values) + 1)
+    ticks = _frame_tick(np.append(frame, len(values)), rate_hz)
+    return _encode_track(np.diff(ticks, prepend=0),
+                         np.concatenate((fields.T.astype(np.uint8), _END_OF_TRACK)))
 
 
 def score_to_midi(score: ExpressiveScore) -> bytes:
@@ -110,10 +137,10 @@ def score_to_midi(score: ExpressiveScore) -> bytes:
     check_rate(score.rate_hz, len(score))
     check_frames(score)
     values = score.to_array()
-    ticks = _frame_ticks(len(values), score.rate_hz)
-    tempo = b"\xff\x51\x03" + struct.pack(">I", TEMPO_USPQ)[1:]
-    chunks = [_encode_track([0], [tempo], int(ticks[-1]))]
-    chunks += [_voice_track(values, voice, ticks) for voice in range(len(VOICES))]
+    end_tick = _frame_tick(np.array([len(values)]), score.rate_hz)
+    tempo = b"\x00\xff\x51\x03" + struct.pack(">I", TEMPO_USPQ)[1:]
+    chunks = [tempo + _encode_track(end_tick, _END_OF_TRACK)]
+    chunks += [_voice_track(values, voice, score.rate_hz) for voice in range(len(VOICES))]
     out = bytearray()
     out += b"MThd" + struct.pack(">IHHH", 6, 1, len(chunks), PPQ)
     for chunk in chunks:
@@ -124,28 +151,78 @@ def score_to_midi(score: ExpressiveScore) -> bytes:
 # ---------------------------------------------------------------------------
 # reader
 
-# A channel event as (tick, status, data1, data2): status 0x80 (note off,
-# data2 0), 0x90 (note on) or 0xB0 (controller CC_EXPRESSION or CC_TIMBRE).
-_TrackEvent = tuple[int, int, int, int]
-
 _VLQ_MAX_BYTES = 4      # the most a Standard MIDI File allows: 0x0FFFFFFF
+_PAD = 16               # zero bytes after the file: reads a few bytes on stay in bounds
+
+# Bytes of an event body by its first byte: two data bytes under running
+# status; a note off, note on or controller status and two data bytes.
+# 0 for the rest: the meta (0xFF) is sized from its length, and every other
+# status is a stop.
+_BODY_BYTES = np.zeros(256, np.int8)
+_BODY_BYTES[:0x80] = 2
+_BODY_BYTES[0x80:0xA0] = 3
+_BODY_BYTES[0xB0:0xC0] = 3
+_TEMPO_BYTES = np.frombuffer(TEMPO_USPQ.to_bytes(3, "big"), np.uint8)
 
 
-def _parse_track(chunk: bytes, offset: int) -> tuple[list[_TrackEvent], int]:
-    """Parse one MTrk body; returns (channel events, end-of-track tick)."""
-    try:
-        return _parse_track_body(chunk, offset)
-    except IndexError:
-        raise NotSmf(f"track at {offset:#x} truncated mid-event") from None
+def _vlq_sizes(buf: np.ndarray) -> np.ndarray:
+    """Bytes (1-4) of a VLQ at each position of ``buf`` but its last 3; 0
+    where the first 4 bytes all have the high bit set."""
+    more = buf >= 0x80
+    n = len(buf) - 3
+    one = more[:n]
+    two = one & more[1:n + 1]
+    three = two & more[2:n + 2]
+    size = 1 + one.view(np.int8) + two.view(np.int8) + three.view(np.int8)
+    size[three & more[3:n + 3]] = 0
+    return size
 
 
-def _parse_track_body(chunk: bytes, offset: int) -> tuple[list[_TrackEvent], int]:
-    events: list[_TrackEvent] = []
-    pos = 0
-    tick = 0
-    running = None
-    end_tick = None
+def _vlq_value(buf: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The value of the VLQ of ``size`` bytes at each position ``at``."""
+    value = np.zeros(len(at), np.int64)
+    for j in range(_VLQ_MAX_BYTES):
+        value = np.where(j < size, value << 7 | buf.take(at + j) & 0x7F, value)
+    return value
 
+
+def _steps(buf: np.ndarray, sizes: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """step[p]: where the event after one that starts at p starts; p itself
+    where an event there is a stop.  ``sizes`` are ``_vlq_sizes(buf)``, and
+    ``limit[p]`` is the end of p's chunk, or p outside every chunk."""
+    p = np.arange(len(limit), dtype=limit.dtype)
+    size = sizes[:len(limit)]
+    q = p + size                            # the status or first data byte
+    first, d1, d2 = buf.take(q), buf.take(q + 1), buf.take(q + 2)
+    nxt = q + _BODY_BYTES.take(first)
+    ok = ((size > 0) & (nxt > q) & (d1 < 0x80) & ((first < 0x80) | (d2 < 0x80))
+          & ((first & 0xF0 != 0xB0) | (d1 == CC_EXPRESSION) | (d1 == CC_TIMBRE)))
+    # metas: 0xFF, the type, a VLQ length, then the payload
+    m = np.flatnonzero((first == 0xFF) & (size > 0))
+    length_at = q.take(m) + 2
+    length_size = sizes.take(length_at)
+    start = length_at + length_size
+    end = start + _vlq_value(buf, length_at, length_size)
+    meta_ok = (length_size > 0) & (end <= limit.take(m))
+    # a tempo is 500000: its last 3 payload bytes, after only zeros
+    tempo = np.flatnonzero(meta_ok & (d1.take(m) == 0x51))
+    t_start, t_end = start.take(tempo), end.take(tempo)
+    right = (t_end - t_start >= 3) & (buf[t_end[:, None] - [3, 2, 1]] == _TEMPO_BYTES).all(1)
+    if (t_end - t_start > 3).any():
+        nonzero = np.concatenate(([0], np.cumsum(buf != 0)))
+        right &= nonzero[t_end - 3] == nonzero[t_start]
+    meta_ok[tempo] = right
+    ok[m] = meta_ok
+    nxt[m] = np.where(meta_ok, end, 0)      # an end past the chunk may not fit nxt's type
+    ok &= nxt <= limit
+    return np.where(ok, nxt, p)
+
+
+def _reject_event(chunk: bytes, offset: int, pos: int, running: int | None) -> NoReturn:
+    """Raise the error of the event at ``pos`` of the MTrk body ``chunk`` at
+    file offset ``offset``, under running status ``running`` (None before any
+    status): one step of an event-by-event parser, at an event that step
+    rejects."""
     def read_vlq():
         nonlocal pos
         start, value = pos, 0
@@ -160,62 +237,41 @@ def _parse_track_body(chunk: bytes, offset: int) -> tuple[list[_TrackEvent], int
         raise NotSmf(f"variable-length quantity at {offset + start:#x} is longer "
                      f"than {_VLQ_MAX_BYTES} bytes")
 
-    while pos < len(chunk):
-        tick += read_vlq()
+    truncated = NotSmf(f"track at {offset:#x} truncated mid-event")
+    read_vlq()
+    if pos >= len(chunk):
+        raise NotSmf(f"track at {offset:#x} truncated after delta")
+    status = chunk[pos]
+    if status >= 0x80:
+        pos += 1
+    elif running is None:
+        raise NotSmf(f"running status with no prior status at {offset:#x}")
+    else:
+        status = running
+    if status == 0xFF:
         if pos >= len(chunk):
-            raise NotSmf(f"track at {offset:#x} truncated after delta")
-        b = chunk[pos]
-        if b >= 0x80:
-            status = b
-            pos += 1
-        else:
-            if running is None:
-                raise NotSmf(f"running status with no prior status at {offset:#x}")
-            status = running
-        if status == 0xFF:
-            meta_type = chunk[pos]
-            pos += 1
-            length = read_vlq()
-            payload = chunk[pos:pos + length]
-            pos += length
-            if meta_type == 0x2F:
-                end_tick = tick
-            elif meta_type == 0x51:
-                tempo = int.from_bytes(payload, "big")
-                if tempo != TEMPO_USPQ:
-                    raise UnmappableEvent(f"tempo {tempo} us/quarter; profile "
-                                          f"requires {TEMPO_USPQ}")
-            # other metas (names, markers) are ignored
-            continue
-        if status in (0xF0, 0xF7):
-            raise UnmappableEvent("sysex events are outside the score profile")
-        running = status
-        kind = status & 0xF0
-        start = pos
-        if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-            d1, d2 = chunk[pos], chunk[pos + 1]
-            pos += 2
-        elif kind in (0xC0, 0xD0):
-            d1, d2 = chunk[pos], 0
-            pos += 1
-        else:
-            raise NotSmf(f"bad status byte {status:#04x} in track at {offset:#x}")
-        if d1 >= 0x80 or d2 >= 0x80:
-            at = start if d1 >= 0x80 else start + 1
-            raise NotSmf(f"data byte {chunk[at]:#04x} at {offset + at:#x} is not below 0x80")
-        if kind == 0x80 or (kind == 0x90 and d2 == 0):
-            events.append((tick, 0x80, d1, 0))
-        elif kind == 0x90:
-            events.append((tick, 0x90, d1, d2))
-        elif kind == 0xB0:
-            if d1 not in (CC_EXPRESSION, CC_TIMBRE):
-                raise UnmappableEvent(f"controller {d1} is outside the score profile")
-            events.append((tick, 0xB0, d1, d2))
-        else:
-            raise UnmappableEvent(f"event {status:#04x} is outside the score profile")
-    if end_tick is None:
-        raise NotSmf(f"track at {offset:#x} missing end-of-track meta")
-    return events, end_tick
+            raise truncated
+        pos += 1
+        length = read_vlq()
+        if pos + length > len(chunk):
+            raise truncated
+        tempo = int.from_bytes(chunk[pos:pos + length], "big")
+        raise UnmappableEvent(f"tempo {tempo} us/quarter; profile requires {TEMPO_USPQ}")
+    if status in (0xF0, 0xF7):
+        raise UnmappableEvent("sysex events are outside the score profile")
+    kind = status & 0xF0
+    if kind == 0xF0:
+        raise NotSmf(f"bad status byte {status:#04x} in track at {offset:#x}")
+    need = 1 if kind in (0xC0, 0xD0) else 2
+    data = chunk[pos:pos + need]
+    if len(data) < need:
+        raise truncated
+    for at, byte in enumerate(data, pos):
+        if byte >= 0x80:
+            raise NotSmf(f"data byte {byte:#04x} at {offset + at:#x} is not below 0x80")
+    if kind == 0xB0:
+        raise UnmappableEvent(f"controller {data[0]} is outside the score profile")
+    raise UnmappableEvent(f"event {status:#04x} is outside the score profile")
 
 
 def _chunks(data: bytes):
@@ -240,6 +296,111 @@ def _chunks(data: bytes):
     return fmt, division, tracks
 
 
+def _read_tracks(data: bytes, tracks) -> tuple[tuple, list, int]:
+    """The channel events of the voice tracks, track by track, as (tick,
+    kind, data 1, data 2) arrays, kind 0x80 (note off, data 2 0), 0x90 (note
+    on) or 0xB0 (controller); the number in each voice track; and the tick
+    of the last end of track in any track."""
+    n = len(data)
+    index = np.int32 if n < 2 ** 31 - 2 * _PAD else np.int64
+    buf = np.zeros(n + _PAD, np.uint8)
+    buf[:n] = np.frombuffer(data, np.uint8)
+    limit = np.arange(n + 1, dtype=index)
+    for chunk, offset in tracks:
+        limit[offset:offset + len(chunk)] = offset + len(chunk)
+    sizes = _vlq_sizes(buf)
+    step = _steps(buf, sizes, limit)
+
+    # Pointer doubling: row i of chain holds each track's position i steps on
+    # from its start, and jump the position 2^k steps on from each byte.
+    chain = np.array([[offset for _chunk, offset in tracks]], index)
+    jump = step
+    while (step.take(chain[-1]) != chain[-1]).any():
+        chain = np.concatenate((chain, jump.take(chain)))
+        jump = jump.take(jump)
+    del jump, step
+    # positions rise until the stop, which repeats
+    counts = [int(column.searchsorted(column[-1])) for column in chain.T]
+    stops = chain[counts, np.arange(len(tracks))].tolist()
+    at = np.concatenate([column[:k] for column, k in zip(chain.T, counts)])
+    del chain
+    begin = np.repeat(np.cumsum(counts) - counts, counts)    # the track's first event
+
+    size = sizes.take(at)
+    delta = _vlq_value(buf, at, size)
+    tick = np.cumsum(delta)
+    tick -= (tick - delta).take(begin)
+    q = at + size
+    first = buf.take(q)
+    meta = first == 0xFF
+    channel = ~meta
+    status = channel & (first >= 0x80)
+    # The status each event runs under: the last status at or before it in its track.
+    last = np.maximum.accumulate(np.where(status, np.arange(len(at)), -1))
+    held = last >= begin
+    running_status = np.where(held, first.take(last), 0)
+    kind = running_status & 0xF0
+    d1 = buf.take(q + status)
+    d2 = buf.take(q + status + 1)
+    # running status with no status before it in the track, or a controller
+    # status that a foreign controller runs under
+    bad_running = channel & ~status & (~held | (kind == 0xB0) & (d1 != CC_EXPRESSION)
+                                       & (d1 != CC_TIMBRE))
+    end_of_track = meta & (buf.take(q + 1) == 0x2F)
+
+    end_tick = 0
+    bounds = np.cumsum([0, *counts]).tolist()
+    for t, (chunk, offset) in enumerate(tracks):
+        a, b = bounds[t], bounds[t + 1]
+        bad = np.flatnonzero(bad_running[a:b])
+        if len(bad):
+            i = a + int(bad[0])
+            _reject_event(chunk, offset, int(at[i]) - offset, int(running_status[i]) or None)
+        if stops[t] != offset + len(chunk):
+            before = int(running_status[b - 1]) if b > a else 0
+            _reject_event(chunk, offset, stops[t] - offset, before or None)
+        ends = np.flatnonzero(end_of_track[a:b])
+        if not len(ends):
+            raise NotSmf(f"track at {offset:#x} missing end-of-track meta")
+        if t == 0 and channel[a:b].any():
+            raise UnmappableEvent("tempo track must not carry channel events")
+        end_tick = max(end_tick, int(tick[a + ends[-1]]))
+
+    off = (kind == 0x80) | (kind == 0x90) & (d2 == 0)
+    voices = np.flatnonzero(channel[bounds[1]:]) + bounds[1]
+    events = tick, np.where(off, 0x80, kind), d1, np.where(off, 0, d2)
+    counts = [int(np.count_nonzero(channel[a:b])) for a, b in zip(bounds[1:], bounds[2:])]
+    return tuple(column.take(voices) for column in events), counts, end_tick
+
+
+def _first_frames(tick: np.ndarray, rate_hz: float) -> np.ndarray:
+    """The first frame k whose tick, ``_frame_tick(k)``, is at or after each tick."""
+    tick = np.minimum(tick, MAX_TOTAL_SAMPLES + 1)      # after every frame
+    # an estimate within one frame of the answer, which one comparison each way settles
+    k = np.maximum(np.ceil((tick - 0.5) * rate_hz / SAMPLE_RATE), 0).astype(np.int64)
+    k -= (k > 0) & (_frame_tick(k - 1, rate_hz) >= tick)
+    k += _frame_tick(k, rate_hz) < tick
+    return k
+
+
+def _voice_frames(frames: np.ndarray, columns: tuple, first: np.ndarray, fields) -> None:
+    """Fill a voice's ``columns`` of ``frames`` from its events, ``first``
+    the first frame each reaches and ``fields`` the (mask, values) of the
+    events that set each column's field: frame k holds the value each field
+    was last set to by an event that reaches it, or 0 while the note is 0."""
+    first = first[:first.searchsorted(len(frames))]
+    if not len(first):
+        return
+    # the run of frames from each distinct first frame holds the state after
+    # the last event that reaches it
+    last = np.flatnonzero(np.append(first[1:] != first[:-1], True))
+    starts = first.take(last)
+    state = np.stack([_held(mask[:len(first)], values[:len(first)]).take(last + 1)
+                      for mask, values in fields], axis=1).astype(np.int16)
+    state *= state[:, :1] > 0
+    frames[starts[0]:, columns] = state.repeat(np.append(starts[1:], len(frames)) - starts, 0)
+
+
 def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
     """Inverse of score_to_midi up to frame quantization at rate_hz.
 
@@ -251,17 +412,7 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
         raise UnmappableEvent(f"division {division}; profile requires {PPQ}")
     if len(tracks) != 5:
         raise UnmappableEvent(f"expected 5 tracks (tempo + 4 voices), got {len(tracks)}")
-
-    end_tick = 0
-    voice_events: list[list[_TrackEvent]] = []
-    for i, (chunk, offset) in enumerate(tracks):
-        events, track_end = _parse_track(chunk, offset)
-        end_tick = max(end_tick, track_end)
-        if i == 0:
-            if events:
-                raise UnmappableEvent("tempo track must not carry channel events")
-        else:
-            voice_events.append(events)
+    (tick, kind, d1, d2), counts, end_tick = _read_tracks(data, tracks)
 
     # As in downsample: the frames covering the file must fit in a stream.
     check_rate(rate_hz)
@@ -269,23 +420,18 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
         raise UnmappableEvent(f"end of track at tick {end_tick}, past the "
                               f"{MAX_TOTAL_SAMPLES} samples a stream can span")
     check_rate(rate_hz, frame_count(end_tick, rate_hz))
-    n_frames = round(end_tick * rate_hz / SAMPLE_RATE)
-    ticks = _frame_ticks(n_frames, rate_hz)[:-1]
-    frames = np.zeros((n_frames, 10), np.int16)
-    for voice, events in enumerate(voice_events):
-        if not events:
-            continue
-        tick, status, d1, d2 = np.array(events, np.int64).T
-        control = status == 0xB0
-        note = _held(status != 0xB0, d1 * (status == 0x90))
-        vel = _held((status == 0x90) | (control & (d1 == CC_EXPRESSION)), _VELOCITY_OF.take(d2))
-        timbre = _held(control & (d1 == CC_TIMBRE), d2)
-        # Frame k holds the state after the events at or before its tick.
-        seen = np.searchsorted(tick, ticks, "right")
-        sounding = note[seen] > 0
-        for column, held in zip(VOICE_COLUMNS[VOICES[voice]], (note, vel, timbre)):
-            frames[:, column] = held[seen] * sounding
+    frames = np.zeros((round(end_tick * rate_hz / SAMPLE_RATE), 10), np.int16)
+    first = _first_frames(tick, rate_hz)
+    control = kind == 0xB0
+    fields = [(~control, d1 * (kind == 0x90)),
+              ((kind == 0x90) | control & (d1 == CC_EXPRESSION), _VELOCITY_OF.take(d2)),
+              (control & (d1 == CC_TIMBRE), d2)]
+    edges = np.cumsum([0, *counts]).tolist()
+    for columns, a, b in zip(VOICE_COLUMNS.values(), edges, edges[1:]):
+        _voice_frames(frames, columns, first[a:b],
+                      [(mask[a:b], values[a:b]) for mask, values in fields[:len(columns)]])
     score = ExpressiveScore(float(rate_hz), frames)
+    del frames      # the score holds a copy, so this one goes before the check
     check_frames(score, lambda d: UnmappableEvent(
         f"frame {d.frame_index}, track {VOICES.index(d.voice) + 1}: {d.voice} {d.message}"))
     return score

@@ -229,11 +229,24 @@ _SPAN = np.array([[len(values) - 1] for _voice, _name, values in _FIELDS], np.ui
 _NOTE_OF = np.array([VOICE_COLUMNS[voice][0] for voice, _name, _values in _FIELDS])
 
 
+# Frames a whole-array pass over a score handles at a time, so that its
+# working memory is bounded whatever the score's length.
+_BLOCK_FRAMES = 1 << 16
+
+
 def validate(score: ExpressiveScore) -> list[Diagnostic]:
     """One diagnostic per schema violation, by frame, then voice: a field
     outside {0} u its sounding range, an off voice with a field not 0, a
     sounding voice at velocity 0.  An empty list if the score is valid."""
     values = score.to_array()
+    out = []
+    for start in range(0, len(values), _BLOCK_FRAMES):
+        out += _diagnostics(values[start:start + _BLOCK_FRAMES], start)
+    return out
+
+
+def _diagnostics(values: np.ndarray, first_frame: int) -> list[Diagnostic]:
+    """``validate`` of a block of frames, the first of which is ``first_frame``."""
     rows = values.T.copy()      # contiguous rows make each mask one fast pass
     zero = rows == 0
     off = zero[_NOTE_OF]
@@ -261,7 +274,8 @@ def validate(score: ExpressiveScore) -> list[Diagnostic]:
     out = []
     for i, k in zip(frames.tolist(), failed.tolist()):     # once per diagnostic
         _mask, voice, column, text = checks[k]
-        out.append(Diagnostic(i, voice, text.replace("{value}", str(values[i, column]))))
+        out.append(Diagnostic(first_frame + i, voice,
+                              text.replace("{value}", str(values[i, column]))))
     return out
 
 
@@ -335,7 +349,14 @@ def schedule(events: list[tuple], n_frames: int) -> tuple[np.ndarray, np.ndarray
 # Each field's name and upper bound; every lower bound is 0.
 _FIELD_BOUNDS = tuple((f"{voice.lower()}.{name}", values[-1]) for voice, name, values in _FIELDS)
 _FIELD_MAX = np.array([hi for _name, hi in _FIELD_BOUNDS], np.int16)
-_FRAME_LINE = " ".join(["%d"] * len(_FIELD_BOUNDS))
+
+# Each field value as text: its decimal digits, right-aligned in 3 bytes, and
+# the separator after it, a space, or a newline after the last field.  Only
+# the digits from the first significant one, and the separator, are kept.
+_SPACED, _ENDED = (np.array([[*f"{v:3d}{end}".encode()] for v in range(_FIELD_MAX.max() + 1)],
+                            np.uint8).view(np.uint32)[:, 0] for end in " \n")
+_KEPT = (np.array([[v >= 100, v >= 10, True, True] for v in range(_FIELD_MAX.max() + 1)])
+         .view(np.uint32)[:, 0])
 
 # The most samples a stream may span: write_vgm encodes offsets in 32 bits.
 MAX_TOTAL_SAMPLES = 0xFFFFFFFF
@@ -369,12 +390,23 @@ def _format_rate(rate_hz: float) -> str:
 
 def write_score_text(score: ExpressiveScore) -> bytes:
     """NESSCORE text of a score; ValueError for a rate or length ``check_rate``
-    rejects, or naming the first frame ``validate`` rejects."""
+    rejects, or naming the first frame ``validate`` rejects.
+
+    Each block of frame lines is laid out in whole-array passes: a table
+    gives each field's digits and separator, right-aligned in 4 bytes, and a
+    second table the mask of the bytes kept.  Blocks are a fixed number of
+    lines, so the working memory beside the text is bounded.
+    """
     check_rate(score.rate_hz, len(score))
-    check_frames(score)
-    lines = [f"NESSCORE 1 {_format_rate(score.rate_hz)} {len(score)}"]
-    lines.extend(_FRAME_LINE % tuple(row) for row in score.to_array().tolist())
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    check_frames(score)       # every field is in its range, so within the tables
+    values = score.to_array()
+    text = [f"NESSCORE 1 {_format_rate(score.rate_hz)} {len(score)}\n".encode()]
+    for start in range(0, len(values), _BLOCK_FRAMES):
+        block = values[start:start + _BLOCK_FRAMES]
+        fields = _SPACED.take(block)
+        fields[:, -1] = _ENDED.take(block[:, -1])
+        text.append(fields.view(np.uint8)[_KEPT.take(block).view(bool)].tobytes())
+    return b"".join(text)
 
 
 def read_score_text(data: bytes) -> ExpressiveScore:

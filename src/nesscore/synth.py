@@ -390,13 +390,18 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
 # ---------------------------------------------------------------------------
 # WAV output
 
+def wav_header(n_samples: int) -> bytes:
+    """The 44-byte RIFF/WAVE header of ``n_samples`` mono 16-bit PCM samples
+    at 44.1 kHz; WavTooLong past the limit."""
+    if n_samples > MAX_WAV_SAMPLES:
+        raise WavTooLong(n_samples)
+    return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * n_samples, b"WAVE", b"fmt ",
+                       16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16, b"data", 2 * n_samples)
+
+
 def write_wav(samples: np.ndarray) -> bytes:
     """Encode ``render_writes``'s int16 samples as a mono 16-bit PCM RIFF/WAVE file.
     Raises ValueError for anything but a 1-D int16 array, WavTooLong past the limit."""
     if not isinstance(samples, np.ndarray) or samples.ndim != 1 or samples.dtype != np.int16:
         raise ValueError("samples are not a 1-D int16 array, as render_writes returns")
-    if len(samples) > MAX_WAV_SAMPLES:
-        raise WavTooLong(len(samples))
-    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * len(samples), b"WAVE", b"fmt ",
-                         16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16, b"data", 2 * len(samples))
-    return b"".join((header, np.ascontiguousarray(samples, "<i2")))    # one copy of the samples
+    return b"".join((wav_header(len(samples)), np.ascontiguousarray(samples, "<i2")))

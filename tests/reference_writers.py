@@ -1,9 +1,10 @@
-"""The per-frame score writers that the change masks replaced.
+"""The per-frame score writers that the change masks and the block layout replaced.
 
 Kept as the references the writer tests compare against: ``score_to_writes``
 steps through the frames carrying the previous frame, the enable mask and
-which sweep units are set up, and ``score_to_midi`` collects each voice's
-events per frame with a (tick, priority) key and sorts every track by it.
+which sweep units are set up, ``score_to_midi`` collects each voice's events
+per frame with a (tick, priority) key and sorts every track by it, and
+``write_score_text`` formats one line per frame.
 """
 
 import struct
@@ -11,7 +12,7 @@ import struct
 import numpy as np
 
 from nesscore import apu
-from nesscore.midi import CC_EXPRESSION, CC_TIMBRE, PPQ, TEMPO_USPQ, _frame_ticks, velocity_to_midi
+from nesscore.midi import CC_EXPRESSION, CC_TIMBRE, PPQ, TEMPO_USPQ, velocity_to_midi
 from nesscore.score import (
     NOISE_NOTE_MAX,
     VELOCITY_MAX,
@@ -19,11 +20,13 @@ from nesscore.score import (
     VOICES,
     ExpressiveFrame,
     ExpressiveScore,
+    _format_rate,
     check_frames,
     check_rate,
     frame_sample_index,
 )
 from nesscore.vgm import TimedWrite, TimedWriteStream
+from reference_frames import frame_tick
 
 _LENGTH_LOAD_MAX = 1 << 3   # length table index 1 = 254, the largest entry
 
@@ -178,7 +181,7 @@ def score_to_midi(score: ExpressiveScore) -> bytes:
     check_rate(score.rate_hz, len(score))
     check_frames(score)
     frames = score.to_array().tolist()
-    ticks = _frame_ticks(len(frames), score.rate_hz).tolist()
+    ticks = [frame_tick(k, score.rate_hz) for k in range(len(frames) + 1)]
     end_tick = ticks[-1]
     tempo = [(0, _EV_CONTROL, b"\xff\x51\x03" + struct.pack(">I", TEMPO_USPQ)[1:])]
     chunks = [_encode_track(tempo, end_tick)]
@@ -189,3 +192,16 @@ def score_to_midi(score: ExpressiveScore) -> bytes:
     for chunk in chunks:
         out += b"MTrk" + struct.pack(">I", len(chunk)) + chunk
     return bytes(out)
+
+
+_FRAME_LINE = " ".join(["%d"] * 10)
+
+
+def write_score_text(score: ExpressiveScore) -> bytes:
+    """NESSCORE text of a score; ValueError for a rate or length ``check_rate``
+    rejects, or naming the first frame ``validate`` rejects."""
+    check_rate(score.rate_hz, len(score))
+    check_frames(score)
+    lines = [f"NESSCORE 1 {_format_rate(score.rate_hz)} {len(score)}"]
+    lines.extend(_FRAME_LINE % tuple(row) for row in score.to_array().tolist())
+    return ("\n".join(lines) + "\n").encode("utf-8")

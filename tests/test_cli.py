@@ -22,6 +22,7 @@ from nesscore.score import (
     read_score_text,
     write_score_text,
 )
+from reference_writers import _vlq
 
 A440 = ExpressiveFrame(p1_note=69, p1_vel=15, p1_timbre=2)
 
@@ -65,6 +66,13 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
+def child_env() -> dict:
+    """The environment of a child Python that imports this nesscore."""
+    src = str(Path(nesscore.__file__).resolve().parent.parent)
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc, caps RLIMIT_AS")
 def test_inputs_past_the_frame_bound_fail_typed_under_a_memory_cap(tmp_path):
     # Each asks for more than MAX_FRAMES frames, which would need GBs, in a few bytes.
@@ -91,10 +99,7 @@ def test_inputs_past_the_frame_bound_fail_typed_under_a_memory_cap(tmp_path):
             ["render", str(longest_path), out],
             ["vgm2score", str(longest_path), out],
             ["render", str(past_replay_path), out]]
-    src = str(Path(nesscore.__file__).resolve().parent.parent)
-    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    child = subprocess.run([sys.executable, "-c", CAPPED, json.dumps(runs)], env=env,
+    child = subprocess.run([sys.executable, "-c", CAPPED, json.dumps(runs)], env=child_env(),
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == [1] * 6
@@ -107,6 +112,36 @@ def test_inputs_past_the_frame_bound_fail_typed_under_a_memory_cap(tmp_path):
                           f"{apu.MAX_REPLAY_SAMPLES} samples replay takes in one pass"
                           for total in (2 ** 32 - 1, past_replay)], errors
     assert not Path(out).exists()
+
+
+# Run in a child process that caps its own address space at what it holds
+# after its imports plus argv[2] MiB, then imports the MIDI file argv[1] at
+# 44.1 kHz and prints the frame count.
+CAPPED_IMPORT = """
+import resource, sys
+from pathlib import Path
+from nesscore.midi import midi_to_score
+data = Path(sys.argv[1]).read_bytes()
+with open("/proc/self/status") as status:
+    held = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+_soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (held + (int(sys.argv[2]) << 20), hard))
+print(len(midi_to_score(data, 44100.0)))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc, caps RLIMIT_AS")
+def test_long_midi_import_fits_under_a_memory_cap(tmp_path):
+    # One note held for 2^22 ticks: 2^22 frames at 44.1 kHz, an 80 MiB score.
+    # The import peaks about 160 MiB above its start (the frames, and the
+    # score's copy of them); filling every frame from a per-frame tick table
+    # and checking the whole score at once took about 510 MiB.
+    path = tmp_path / "long_note.mid"
+    path.write_bytes(five_track_file(b"\x00\x90\x45\x7f" + _vlq(1 << 22) + b"\x80\x45\x00"))
+    child = subprocess.run([sys.executable, "-c", CAPPED_IMPORT, str(path), "320"],
+                           env=child_env(), capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == [str(1 << 22)]
 
 
 class TestVgm2Score:
@@ -172,6 +207,9 @@ class TestRender:
         assert main(["render", str(vgm_path), str(wav)]) == 0
         data = wav.read_bytes()
         assert data[:4] == b"RIFF" and len(data) > 44
+        # the header, then the samples as they are, is what write_wav returns
+        stream = vgm.parse_vgm(vgm_path.read_bytes()).stream
+        assert data == synth.write_wav(synth.render_writes(stream))
 
     def test_gzipped_vgm_input(self, song, tmp_path):
         _, vgm_path = song

@@ -3,6 +3,7 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +13,16 @@ from nesscore.midi import (
     PPQ,
     NotSmf,
     UnmappableEvent,
-    _vlq,
+    _first_frames,
     midi_to_score,
     midi_to_velocity,
     score_to_midi,
     velocity_to_midi,
 )
 from nesscore.score import ExpressiveFrame, ExpressiveScore, validate
+from reference_frames import frame_tick
 from reference_midi import midi_to_score_by_frame
+from reference_writers import _vlq
 
 
 def walk_smf(data):
@@ -345,3 +348,137 @@ class TestByteMutations:
             # check_rate's own error: the frames would span too many samples
             if type(exc) is not ValueError or "span more than" not in str(exc):
                 raise
+
+
+def voice_file(body: bytes) -> bytes:
+    """A tempo track, ``body`` as it is for the P1 track, and three empty voices."""
+    def track(chunk):
+        return b"MTrk" + struct.pack(">I", len(chunk)) + chunk
+    eot = b"\x00\xff\x2f\x00"
+    return (b"MThd" + struct.pack(">IHHH", 6, 1, 5, PPQ)
+            + track(b"\x00\xff\x51\x03\x07\xa1\x20" + eot) + track(body) + track(eot) * 3)
+
+
+def outcome(data: bytes, rate: float, reader=midi_to_score):
+    """The score a reader returns, or the type and message of its ValueError."""
+    try:
+        return reader(data, rate)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+NOTE = b"\x00\x90\x45\x7f"
+EOT = b"\x00\xff\x2f\x00"
+# P1 track bodies, each read by midi_to_score and the event-by-event reference
+EDGE_CASES = {
+    "running status right after a meta": NOTE + b"\x00\xff\x01\x00\x8e\x2e\x45\x00" + EOT,
+    "running status first, after a meta": b"\x00\xff\x01\x00\x00\x45\x7f" + EOT,
+    "running status across an end of track": NOTE + EOT + b"\x8e\x2e\x45\x00" + EOT,
+    "events after the end of track": NOTE + b"\x9c\x5c\xff\x2f\x00\x8e\x2e\x80\x45\x00",
+    "two ends of track, the last sets the end": NOTE + EOT + b"\x9c\x5c\xff\x2f\x00",
+    "4-byte deltas": b"\x80\x80\x80\x00\x90\x45\x7f\x80\x80\xee\x2e\x80\x45\x00" + EOT,
+    "5-byte delta": NOTE + b"\x80\x80\x80\x80\x01\x80\x45\x00" + EOT,
+    "4-byte meta length": NOTE + b"\x00\xff\x01\x80\x80\x80\x02ab" + EOT,
+    "5-byte meta length": NOTE + b"\x00\xff\x01\x80\x80\x80\x80\x00" + EOT,
+    "note on at velocity 0": NOTE + b"\x8e\x2e\x90\x45\x00" + EOT,
+    "running note on at velocity 0": NOTE + b"\x8e\x2e\x45\x00\x00\x46\x50\x8e\x2e\x46\x00" + EOT,
+    "polyphonic pressure": NOTE + b"\x00\xa0\x45\x10" + EOT,
+    "program change": b"\x00\xc0\x05" + EOT,
+    "channel pressure": b"\x00\xd0\x10" + EOT,
+    "pitch bend": NOTE + b"\x00\xe0\x00\x40" + EOT,
+    "sysex": b"\x00\xf0\x01\xf7" + EOT,
+    "sysex escape": NOTE + b"\x00\xf7\x00" + EOT,
+    "system common status": b"\x00\xf1\x00" + EOT,
+    "real-time status": NOTE + b"\x00\xf8" + EOT,
+    "foreign controller": b"\x00\xb0\x07\x40" + EOT,
+    "foreign controller under running status": b"\x00\xb0\x0b\x40\x00\x07\x40" + EOT,
+    "running status under a program change": b"\x00\xc0\x05\x00\x06" + EOT,
+    "data byte 1 at 0x80 or more": b"\x00\x90\xc5\x7f" + EOT,
+    "data byte 2 at 0x80 or more": b"\x00\x90\x45\xff" + EOT,
+    "data byte 2 at 0x80 or more under running status": NOTE + b"\x00\x45\x80" + EOT,
+    "data byte 1 of a program change at 0x80 or more": b"\x00\xc0\x85" + EOT,
+    "controller data byte 2 at 0x80 or more": b"\x00\xb0\x0b\x80" + EOT,
+    "tempo in a voice track": NOTE + b"\x00\xff\x51\x03\x07\xa1\x20" + EOT,
+    "tempo with a leading zero byte": NOTE + b"\x00\xff\x51\x04\x00\x07\xa1\x20" + EOT,
+    "tempo with a leading byte": NOTE + b"\x00\xff\x51\x04\x01\x07\xa1\x20" + EOT,
+    "tempo of 2 bytes": NOTE + b"\x00\xff\x51\x02\xa1\x20" + EOT,
+    "empty tempo": NOTE + b"\x00\xff\x51\x00" + EOT,
+    "no end of track": NOTE,
+    "empty track": b"",
+    "cut inside a delta": NOTE + b"\x81",
+    "cut after a delta": NOTE + b"\x00",
+    "cut inside an event": NOTE + b"\x00\x90\x45",
+    "cut after a running status byte": NOTE + b"\x00\x45",
+    "cut before a meta type": NOTE + b"\x00\xff",
+    "cut inside a meta length": NOTE + b"\x00\xff\x01\x81",
+    "meta payload past the chunk": NOTE + EOT + b"\x00\xff\x01\x7f",
+    "tempo cut after an end of track": NOTE + EOT + b"\x00\xff\x51\x03\x07",
+}
+
+
+class TestReaderAgainstReference:
+    """The whole-array reader against the event-by-event one in reference_midi:
+    the same score, or the same error type and message."""
+
+    @pytest.mark.parametrize("body", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+    @pytest.mark.parametrize("rate", [24.0, 1000.0])
+    def test_edge_cases(self, body, rate):
+        data = voice_file(body)
+        assert outcome(data, rate) == outcome(data, rate, midi_to_score_by_frame)
+
+    @pytest.mark.parametrize("body", [NOTE + EOT + b"\x00\xff\x01\x7f",
+                                      NOTE + EOT + b"\x00\xff\x51\x03\x07"],
+                             ids=["text meta", "tempo"])
+    def test_meta_past_its_chunk_is_truncated(self, body):
+        # earlier versions read the first as a 1-frame score, the second as a tempo of 7
+        data = voice_file(body)
+        track = data.index(b"MTrk", data.index(b"MTrk") + 1) + 8
+        with pytest.raises(NotSmf, match=f"^track at {track:#x} truncated mid-event$"):
+            midi_to_score(data, 24.0)
+
+    def test_channel_events_on_the_tempo_track(self):
+        data = score_to_midi(ExpressiveScore(24.0, [A440] * 2))
+        tempo = data.index(b"MTrk") + 8
+        length = struct.unpack(">I", data[tempo - 4:tempo])[0]
+        patched = data[:tempo - 4] + struct.pack(">I", length + 4) + NOTE + data[tempo:]
+        assert outcome(patched, 24.0) == (UnmappableEvent,
+                                          "tempo track must not carry channel events")
+        assert outcome(patched, 24.0) == outcome(patched, 24.0, midi_to_score_by_frame)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12),
+           st.lists(MIDI_EDIT, min_size=1, max_size=4), st.sampled_from(["file", "track"]),
+           st.integers(0, 4), st.sampled_from([24.0, 29.97, 1000.0]))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_byte_mutations(self, seed, n_frames, edits, form, track, rate):
+        # "file" edits the file's bytes; "track" edits one track's body and keeps
+        # every chunk length right, so that the edits reach the event reader
+        data = score_to_midi(random_score(random.Random(seed), n_frames))
+        if form == "file":
+            data = mutate(data, edits)
+        else:
+            _, _, _, tracks = walk_smf(data)
+            bodies = []
+            pos = 14
+            for _ in tracks:
+                length = struct.unpack(">I", data[pos + 4:pos + 8])[0]
+                bodies.append(data[pos + 8:pos + 8 + length])
+                pos += 8 + length
+            bodies[track] = mutate(bodies[track], edits)
+            data = data[:14] + b"".join(b"MTrk" + struct.pack(">I", len(b)) + b for b in bodies)
+        assert outcome(data, rate) == outcome(data, rate, midi_to_score_by_frame)
+
+
+class TestFirstFrames:
+    @given(st.floats(min_value=1.1e-5, max_value=44100.0),
+           st.lists(st.integers(0, 2 ** 32), min_size=1))
+    @settings(max_examples=300)
+    def test_least_frame_whose_tick_is_not_before(self, rate, ticks):
+        for tick, k in zip(ticks, _first_frames(np.array(ticks), rate).tolist()):
+            assert frame_tick(k, rate) >= tick and (k == 0 or frame_tick(k - 1, rate) < tick)
+
+    @pytest.mark.parametrize("rate", [29400.0, 17640.0, 44100.0, 24.0])
+    def test_ticks_half_way_between_frames(self, rate):
+        # at 29400 and 17640 Hz every other frame sits half-way between two samples
+        ticks = np.arange(5000)
+        for tick, k in zip(ticks.tolist(), _first_frames(ticks, rate).tolist()):
+            assert frame_tick(k, rate) >= tick and (k == 0 or frame_tick(k - 1, rate) < tick)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import mutate, random_score, timeline_of
-from nesscore.midi import _frame_ticks, score_to_midi
+from nesscore import score as score_module
+from nesscore.midi import _frame_tick, score_to_midi
 from nesscore.score import (
     MAX_FRAMES,
     MAX_TOTAL_SAMPLES,
@@ -250,6 +251,15 @@ class TestValidate:
         with pytest.raises(ValueError) as exc:
             check_frames(score)
         assert str(exc.value) == f"frame {first.frame_index}: {first.voice} {first.message}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagnostics_across_blocks(self, monkeypatch, seed):
+        # blocks of 4 frames, so that diagnostics come from several
+        monkeypatch.setattr(score_module, "_BLOCK_FRAMES", 4)
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.array([0, 1, 5, 21, 40, 109], np.int16), (rng.integers(0, 19), 10))
+        score = ExpressiveScore(24.0, values)
+        assert validate(score) == validate_by_frame(score)
 
     @pytest.mark.parametrize("voice, maxima", [("P1", (108, 15, 3)), ("P2", (108, 15, 3)),
                                                ("TR", (108,)), ("NO", (16, 15, 1))])
@@ -648,4 +658,5 @@ class TestFrameClockAgainstReference:
     def test_midi_ticks_round_half_to_even(self, rate):
         # at 29400 and 17640 Hz every other frame sits exactly half-way between two samples
         n = min(2000, last_frame(rate))
-        assert _frame_ticks(n, rate).tolist() == [ref.frame_tick(k, rate) for k in range(n + 1)]
+        ticks = _frame_tick(np.arange(n + 1), rate).tolist()
+        assert ticks == [ref.frame_tick(k, rate) for k in range(n + 1)]

@@ -1,17 +1,19 @@
-"""Both score writers against the per-frame references in reference_writers,
-and the per-voice change rule they schedule by."""
+"""The score writers against the per-frame references in reference_writers,
+and the per-voice change rule the writes and MIDI writers schedule by."""
 
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_writers as reference
 from conftest import random_score
 from nesscore import apu
+from nesscore import score as score_module
 from nesscore.midi import score_to_midi
-from nesscore.score import VOICE_COLUMNS, ExpressiveScore, voice_changes
+from nesscore.score import VOICE_COLUMNS, ExpressiveScore, voice_changes, write_score_text
 from nesscore.synth import score_to_writes
 
 RATES = [24.0, 29.97, 60.0, 1000.0, 44099.9, 44100.0]
@@ -55,6 +57,20 @@ class TestWritersAgainstReference:
         score = random_score(random.Random(seed), n_frames, rate_hz=rate, hold=hold)
         assert score_to_writes(score) == reference.score_to_writes(score)
         assert score_to_midi(score) == reference.score_to_midi(score)
+        assert write_score_text(score) == reference.write_score_text(score)
+
+    @pytest.mark.parametrize("rate", [0.5, 0.02, 1e-4])
+    def test_long_deltas(self, rate):
+        # frames of 88200, 2205000 and 441000000 ticks: deltas of 3, 4 and 5 VLQ bytes
+        score = random_score(random.Random(3), 9, rate_hz=rate, hold=0.3)
+        assert score_to_midi(score) == reference.score_to_midi(score)
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 2, 3, 4, 7, 9, 10])
+    def test_text_in_blocks(self, monkeypatch, n_frames):
+        # blocks of 3 lines, so that a score fills several, the last partly
+        monkeypatch.setattr(score_module, "_BLOCK_FRAMES", 3)
+        score = random_score(random.Random(n_frames), n_frames, hold=0.5)
+        assert write_score_text(score) == reference.write_score_text(score)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.floats(0, 1),
            st.sampled_from(RATES),
