@@ -39,6 +39,7 @@ from .score import (
     TRIANGLE_NOTE_MIN,
     TRIANGLE_NOTE_MAX,
 )
+from ._arrays import held, sorted_unique
 from .vgm import NES_APU_CLOCK_HZ as CPU_HZ, TimedWriteStream, check_stream
 
 # Length counter values indexed by the 5-bit load field of $4003/$400B/$400F.
@@ -145,24 +146,6 @@ _LENGTHS = np.array(LENGTH_TABLE, np.int64)
 _FIVE_STEP = np.array([1, 2, 1, 0, 2], np.int64)
 
 
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
-    """np.unique(x), by a sort, which here is many times faster than its hashing."""
-    x = np.sort(x)
-    keep = np.ones(len(x), bool)
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
-
-
-def _held(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The value a field holds after each prefix of a sequence of events.
-
-    Entry p is ``values[i]`` of the last event i < p that ``mask`` marks as
-    setting the field, or 0 when none of the first p events did.
-    """
-    setter = np.maximum.accumulate(np.where(mask, np.arange(1, len(mask) + 1), 0))
-    return np.concatenate(([0], values))[np.concatenate(([0], setter))]
-
-
 def _envelope(m, divider, decay, period, loop):
     """(divider, decay level) of an envelope m clocks after it held (divider,
     decay), with no start flag and the period and loop flag fixed; for ints
@@ -217,8 +200,8 @@ class _Program:
         run, k, ticks = run[keep], k[keep], ticks[keep]
         kind = np.where(np.concatenate(([False], five))[run], _FIVE_STEP[(k - 1) % 5], 2 - k % 2)
         del run, k, keep
-        starts = np.concatenate(([0], _sorted_unique(self.offsets), ticks))
-        self.starts = _sorted_unique(starts) if total else ticks
+        starts = np.concatenate(([0], sorted_unique(self.offsets), ticks))
+        self.starts = sorted_unique(starts) if total else ticks
 
         # A 5-step $4017 write clocks a half clock right after itself; a tick
         # runs after every write at its sample.  No tick shares a sample with
@@ -294,7 +277,7 @@ class _Program:
         ``at`` reads.
         """
         restarts = self.clock_w.searchsorted(self.writes_to(start), "right")
-        first = _sorted_unique(np.concatenate(
+        first = sorted_unique(np.concatenate(
             ([0], restarts, self.clock_w.searchsorted(self.writes_to(control), "right"))))
         first = first[first < len(self.clock_w)]
         setting = self.held(control, self.clock_w[first]) & 0x2F
@@ -339,7 +322,7 @@ class _Program:
         """
         halves = np.flatnonzero(self.half)
         hw = self.clock_w[halves]
-        reload = _sorted_unique(hw.searchsorted(self.writes_to(base + 1), "right"))
+        reload = sorted_unique(hw.searchsorted(self.writes_to(base + 1), "right"))
         reload = reload[reload < len(halves)]
         anchor = np.concatenate(([-1], reload))
         period = np.concatenate(([0], self.held(base + 1, hw[reload]) >> 4 & 7))
@@ -381,9 +364,9 @@ class _Program:
         order = np.argsort(np.concatenate((2 * written + 1, 2 * after)), kind="stable")
         kind = np.concatenate((np.repeat([1, 2, 3], [len(p) for p in parts]), 0 * fired))[order]
         value = np.concatenate((self.vals[written], timers))[order]
-        low = _held((kind == 0) | (kind == 2), np.where(kind, value, value & 0xFF))
-        high = _held((kind == 0) | (kind == 3), np.where(kind, value & 7, value >> 8))
-        sweep = _held(kind == 1, value)
+        low = held((kind == 0) | (kind == 2), np.where(kind, value, value & 0xFF))
+        high = held((kind == 0) | (kind == 3), np.where(kind, value & 7, value >> 8))
+        sweep = held(kind == 1, value)
         timer = high << 8 | low
         change = timer >> (sweep & 7)
         target = np.where(sweep & 8, timer - change - ones, timer + change)

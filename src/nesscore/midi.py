@@ -10,7 +10,9 @@ notes 1-16 are written as MIDI pitches 1-16.
 The writer takes each voice's events from ``score.voice_changes``, in frame
 order from ``score.schedule``, and lays out each track in one pass: every
 event is its delta as a variable-length quantity (VLQ) and three payload
-bytes, and one boolean mask keeps each delta's significant bytes.
+bytes, and one boolean mask keeps each delta's significant bytes.  A delta
+past 0x0FFFFFFF, the most a 4-byte VLQ holds, starts with empty text metas
+of 0x0FFFFFFF ticks each.
 
 The reader has no loop over events either.  A table gives every byte of the
 file the position of the event after it, as if an event started there: a
@@ -19,7 +21,7 @@ two data bytes, two data bytes under running status, or a meta (0xFF, its
 type, a VLQ length and the payload).  Any other event is a stop: sysex,
 the other channel statuses, a data byte of 0x80 or more, a controller other
 than 11 and 12, a tempo other than 500000, a VLQ of 5 or more bytes, and an
-event that runs past its chunk.  Pointer doubling over that table walks
+event that runs past its chunk.  Pointer doubling (``_arrays.walk``) walks
 every track from its first byte to its first stop in about log2(events)
 rounds; ticks are one ``cumsum`` of the deltas, and running status is a
 forward fill over the walked events.  The rules that depend on the events
@@ -37,7 +39,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .apu import _held
+from ._arrays import byte_buffer, held, run_starts, walk
 from .score import (
     MAX_TOTAL_SAMPLES,
     SAMPLE_RATE,
@@ -87,23 +89,30 @@ _MIDI_VELOCITY = np.array([velocity_to_midi(vel) for vel in range(VELOCITY_MAX +
 # ---------------------------------------------------------------------------
 # writer
 
-# A VLQ's 7-bit groups, most significant first, as far as a delta below 2^35
-# (every delta within 2^32 - 1 ticks) needs; every group but the last has the
-# high bit set.
-_VLQ_SHIFTS = np.arange(28, -1, -7)
-_VLQ_MORE = np.array([0x80, 0x80, 0x80, 0x80, 0], np.int64)
+# A VLQ's 7-bit groups, most significant first, as many as the format allows
+# (4, so up to 0x0FFFFFFF); every group but the last has the high bit set.
+_VLQ_MAX_BYTES, _VLQ_MAX = 4, 0x0FFFFFFF
+_VLQ_SHIFTS = np.arange(21, -1, -7)
+_VLQ_MORE = np.array([0x80, 0x80, 0x80, 0], np.int64)
 _END_OF_TRACK = np.array([[0xFF, 0x2F, 0x00]], np.uint8)
 
 
 def _encode_track(deltas: np.ndarray, payloads: np.ndarray) -> bytes:
     """An MTrk body: each 3-byte payload row after its delta as a VLQ, which
-    keeps its last group and every group above it that is not 0."""
+    keeps its last group and every group above it that is not 0.  Empty text
+    metas carry 0x0FFFFFFF ticks each of a delta above that, before its row."""
+    if deltas.max() > _VLQ_MAX:
+        fill = np.maximum(deltas - 1, 0) // _VLQ_MAX
+        own = np.cumsum(fill + 1) - 1      # each row's place, after its metas
+        split = np.full((own[-1] + 1, 4), [_VLQ_MAX, 0xFF, 0x01, 0x00], np.int64)
+        split[own, 0], split[own, 1:] = deltas - fill * _VLQ_MAX, payloads
+        deltas, payloads = split[:, 0], split[:, 1:]
     groups = deltas[:, None] >> _VLQ_SHIFTS
-    events = np.empty((len(deltas), 8), np.uint8)
-    events[:, :5] = groups & 0x7F | _VLQ_MORE
-    events[:, 5:] = payloads
+    events = np.empty((len(deltas), 7), np.uint8)
+    events[:, :4] = groups & 0x7F | _VLQ_MORE
+    events[:, 4:] = payloads
     keep = np.ones(events.shape, bool)
-    np.greater(groups[:, :4], 0, out=keep[:, :4])
+    np.greater(groups[:, :3], 0, out=keep[:, :3])
     return events[keep].tobytes()
 
 
@@ -150,9 +159,6 @@ def score_to_midi(score: ExpressiveScore) -> bytes:
 
 # ---------------------------------------------------------------------------
 # reader
-
-_VLQ_MAX_BYTES = 4      # the most a Standard MIDI File allows: 0x0FFFFFFF
-_PAD = 16               # zero bytes after the file: reads a few bytes on stay in bounds
 
 # Bytes of an event body by its first byte: two data bytes under running
 # status; a note off, note on or controller status and two data bytes.
@@ -301,29 +307,15 @@ def _read_tracks(data: bytes, tracks) -> tuple[tuple, list, int]:
     kind, data 1, data 2) arrays, kind 0x80 (note off, data 2 0), 0x90 (note
     on) or 0xB0 (controller); the number in each voice track; and the tick
     of the last end of track in any track."""
-    n = len(data)
-    index = np.int32 if n < 2 ** 31 - 2 * _PAD else np.int64
-    buf = np.zeros(n + _PAD, np.uint8)
-    buf[:n] = np.frombuffer(data, np.uint8)
-    limit = np.arange(n + 1, dtype=index)
+    buf, index = byte_buffer(data)
+    limit = np.arange(len(data) + 1, dtype=index)
     for chunk, offset in tracks:
         limit[offset:offset + len(chunk)] = offset + len(chunk)
     sizes = _vlq_sizes(buf)
     step = _steps(buf, sizes, limit)
-
-    # Pointer doubling: row i of chain holds each track's position i steps on
-    # from its start, and jump the position 2^k steps on from each byte.
-    chain = np.array([[offset for _chunk, offset in tracks]], index)
-    jump = step
-    while (step.take(chain[-1]) != chain[-1]).any():
-        chain = np.concatenate((chain, jump.take(chain)))
-        jump = jump.take(jump)
-    del jump, step
-    # positions rise until the stop, which repeats
-    counts = [int(column.searchsorted(column[-1])) for column in chain.T]
-    stops = chain[counts, np.arange(len(tracks))].tolist()
-    at = np.concatenate([column[:k] for column, k in zip(chain.T, counts)])
-    del chain
+    chains, stops = walk(step, [offset for _chunk, offset in tracks])
+    counts, at = [len(chain) for chain in chains], np.concatenate(chains)
+    del step, chains
     begin = np.repeat(np.cumsum(counts) - counts, counts)    # the track's first event
 
     size = sizes.take(at)
@@ -336,16 +328,14 @@ def _read_tracks(data: bytes, tracks) -> tuple[tuple, list, int]:
     channel = ~meta
     status = channel & (first >= 0x80)
     # The status each event runs under: the last status at or before it in its track.
-    last = np.maximum.accumulate(np.where(status, np.arange(len(at)), -1))
-    held = last >= begin
-    running_status = np.where(held, first.take(last), 0)
+    running_status = held(status | (begin == np.arange(len(at))), np.where(status, first, 0))[1:]
     kind = running_status & 0xF0
     d1 = buf.take(q + status)
     d2 = buf.take(q + status + 1)
     # running status with no status before it in the track, or a controller
     # status that a foreign controller runs under
-    bad_running = channel & ~status & (~held | (kind == 0xB0) & (d1 != CC_EXPRESSION)
-                                       & (d1 != CC_TIMBRE))
+    bad_running = channel & ~status & ((running_status == 0) | (kind == 0xB0)
+                                       & (d1 != CC_EXPRESSION) & (d1 != CC_TIMBRE))
     end_of_track = meta & (buf.take(q + 1) == 0x2F)
 
     end_tick = 0
@@ -393,9 +383,9 @@ def _voice_frames(frames: np.ndarray, columns: tuple, first: np.ndarray, fields)
         return
     # the run of frames from each distinct first frame holds the state after
     # the last event that reaches it
-    last = np.flatnonzero(np.append(first[1:] != first[:-1], True))
-    starts = first.take(last)
-    state = np.stack([_held(mask[:len(first)], values[:len(first)]).take(last + 1)
+    opens = np.flatnonzero(run_starts(first))
+    starts, ends = first.take(opens), np.append(opens[1:], len(first))
+    state = np.stack([held(mask[:len(first)], values[:len(first)]).take(ends)
                       for mask, values in fields], axis=1).astype(np.int16)
     state *= state[:, :1] > 0
     frames[starts[0]:, columns] = state.repeat(np.append(starts[1:], len(frames)) - starts, 0)

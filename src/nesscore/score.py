@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -238,53 +238,48 @@ def validate(score: ExpressiveScore) -> list[Diagnostic]:
     """One diagnostic per schema violation, by frame, then voice: a field
     outside {0} u its sounding range, an off voice with a field not 0, a
     sounding voice at velocity 0.  An empty list if the score is valid."""
-    values = score.to_array()
-    out = []
+    return list(_diagnostics(score.to_array()))
+
+
+def _diagnostics(values: np.ndarray) -> Iterator[Diagnostic]:
+    """``validate``'s diagnostics, found ``_BLOCK_FRAMES`` frames at a time."""
     for start in range(0, len(values), _BLOCK_FRAMES):
-        out += _diagnostics(values[start:start + _BLOCK_FRAMES], start)
-    return out
-
-
-def _diagnostics(values: np.ndarray, first_frame: int) -> list[Diagnostic]:
-    """``validate`` of a block of frames, the first of which is ``first_frame``."""
-    rows = values.T.copy()      # contiguous rows make each mask one fast pass
-    zero = rows == 0
-    off = zero[_NOTE_OF]
-    # below _LO the difference wraps to above every span
-    in_range = (rows - _LO).view(np.uint16) <= _SPAN
-    # The rule: a field is 0 while its voice is off, in its range while it sounds.
-    valid = (off & zero) | (~off & in_range)
-    if valid.all():
-        return []
-    # Each field breaking it is out of range, set while its voice is off, or
-    # a velocity of 0 while its voice sounds.
-    checks = []     # (frames failing it, voice, column shown as {value}, message)
-    for voice, columns in VOICE_COLUMNS.items():
-        for c, label in zip(columns, ("note", "velocity", "timbre")):
-            lo, hi = _FIELDS[c][2][0], _FIELDS[c][2][-1]
-            allowed = f"[0,{hi}]" if lo <= 1 else f"{{0}} u [{lo},{hi}]"
-            checks.append((~(zero[c] | in_range[c]), voice, c,
-                           f"{label} {{value}} outside {allowed}"))
-        if len(columns) > 1:
-            note, vel, timbre = columns
-            checks.append((off[vel] & ~(valid[vel] & valid[timbre]), voice, note,
-                           "off state must be (0, 0, 0)"))
-            checks.append((zero[vel] & ~valid[vel], voice, vel, "sounding note with velocity 0"))
-    frames, failed = np.nonzero(np.array([mask for mask, *_ in checks]).T)
-    out = []
-    for i, k in zip(frames.tolist(), failed.tolist()):     # once per diagnostic
-        _mask, voice, column, text = checks[k]
-        out.append(Diagnostic(first_frame + i, voice,
-                              text.replace("{value}", str(values[i, column]))))
-    return out
+        block = values[start:start + _BLOCK_FRAMES]
+        rows = block.T.copy()   # contiguous rows make each mask one fast pass
+        zero = rows == 0
+        off = zero[_NOTE_OF]
+        # below _LO the difference wraps to above every span
+        in_range = (rows - _LO).view(np.uint16) <= _SPAN
+        # The rule: a field is 0 while its voice is off, in its range while it sounds.
+        valid = (off & zero) | (~off & in_range)
+        if valid.all():
+            continue
+        # Each field breaking it is out of range, set while its voice is off, or
+        # a velocity of 0 while its voice sounds.
+        checks = []     # (frames failing it, voice, column shown as {value}, message)
+        for voice, columns in VOICE_COLUMNS.items():
+            for c, label in zip(columns, ("note", "velocity", "timbre")):
+                lo, hi = _FIELDS[c][2][0], _FIELDS[c][2][-1]
+                allowed = f"[0,{hi}]" if lo <= 1 else f"{{0}} u [{lo},{hi}]"
+                checks.append((~(zero[c] | in_range[c]), voice, c,
+                               f"{label} {{value}} outside {allowed}"))
+            if len(columns) > 1:
+                note, vel, timbre = columns
+                checks.append((off[vel] & ~(valid[vel] & valid[timbre]), voice, note,
+                               "off state must be (0, 0, 0)"))
+                checks.append((zero[vel] & ~valid[vel], voice, vel,
+                               "sounding note with velocity 0"))
+        frames, failed = np.nonzero(np.array([mask for mask, *_ in checks]).T)
+        for i, k in zip(frames.tolist(), failed.tolist()):     # once per diagnostic
+            _mask, voice, column, text = checks[k]
+            yield Diagnostic(start + i, voice, text.replace("{value}", str(block[i, column])))
 
 
 def check_frames(score: ExpressiveScore, error=lambda d: ValueError(
         f"frame {d.frame_index}: {d.voice} {d.message}")) -> None:
-    """Raise ``error(d)``, d the first diagnostic ``validate`` gives, if any."""
-    diagnostics = validate(score)
-    if diagnostics:
-        raise error(diagnostics[0])
+    """Raise ``error(d)`` at the first diagnostic d, if any: later blocks go unread."""
+    for diagnostic in _diagnostics(score.to_array()):
+        raise error(diagnostic)
 
 
 def voice_state_space(voice: str) -> set[tuple]:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import apu
-from .apu import _sorted_unique
+from ._arrays import run_starts, sorted_unique
 from .score import (
     MAX_TOTAL_SAMPLES,
     NOISE_NOTE_MAX,
@@ -157,19 +157,12 @@ def _cycle_table(block: int) -> np.ndarray:
     return _cycles(np.arange(SAMPLE_RATE + block)).astype(np.int32)
 
 
-def _runs(key: np.ndarray, restart: np.ndarray | bool) -> np.ndarray:
-    """Where a run starts: at segment 0, where ``key`` changes, and where ``restart`` is set."""
-    start = np.ones(len(key), bool)
-    np.not_equal(key[1:], key[:-1], out=start[1:])
-    return start | restart
-
-
 def _cut(starts: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``starts`` (from 0 on) cut again at every ``_BLOCK`` samples of a
     ``total``-sample stream: the pieces' first samples, the start each piece
     lies in, and block b's first piece at [b], the piece count last."""
     blocks = np.arange(0, total, _BLOCK)
-    pieces = _sorted_unique(np.concatenate((starts, blocks)))
+    pieces = sorted_unique(np.concatenate((starts, blocks)))
     return (pieces, starts.searchsorted(pieces, "right") - 1,
             np.append(pieces.searchsorted(blocks), len(pieces)))
 
@@ -260,7 +253,7 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
     whose block b holds pieces ``bounds[b]`` to ``bounds[b + 1] - 1``."""
     cycles = _cycles(starts)
     volume = rows[:, 9]     # noise: 0 where silent, over which the LFSR holds
-    p1, p2, tr, no = (np.flatnonzero(_runs(key, restart > 0)) for key, restart in (
+    p1, p2, tr, no = (np.flatnonzero(run_starts(key) | (restart > 0)) for key, restart in (
         (rows[:, 0], rows[:, 10] & 1), (rows[:, 3], rows[:, 10] & 2), (rows[:, 6], 0),
         (np.where(volume > 0, rows[:, 7] * 2 + rows[:, 8], -1), 0)))
     gate = rows[:, 6] >= 0  # the triangle's timer is -1 where gated: its phase holds

@@ -6,7 +6,7 @@ commands accepted are the four wait encodings (0x61 nn nn, 0x62, 0x63,
 end-of-data marker (0x66).  ``parse_vgm`` decodes the stream with whole-array
 passes and no loop over commands: a table of command lengths by opcode (plus
 the size field of a data block) gives every byte the position of the command
-after it, as if a command started there; pointer doubling over those jumps
+after it, as if a command started there; pointer doubling (``_arrays.walk``)
 walks the chain from the data offset to its first stop in about log2(commands)
 rounds; the offsets are one ``cumsum`` of the chain's waits, and the writes
 are the chain positions that hold 0xB4.  A stop other than 0x66 (an unknown
@@ -35,6 +35,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from ._arrays import byte_buffer, walk
 from .score import MAX_TOTAL_SAMPLES
 
 MAGIC = b"Vgm "
@@ -289,9 +290,7 @@ def _decode(data: bytes, start: int) -> TimedWriteStream:
     end = len(data)
     if start >= end:
         raise _stop_error(data, start)
-    index = np.int32 if end < 2 ** 31 - 8 else np.int64
-    buf = np.zeros(end + 8, np.uint8)   # operands read past the end are 0
-    buf[:end] = np.frombuffer(data, np.uint8)
+    buf, index = byte_buffer(data)      # operands read past the end are 0
     op = buf[:end]
 
     # step[p]: where the command after one at p starts.  A stop points at
@@ -308,16 +307,8 @@ def _decode(data: bytes, start: int) -> TimedWriteStream:
     whole = (buf[blocks + 1] == 0x66) & (after <= end)
     step[blocks[whole]] = after[whole]
     del size, tail, blocks, after, whole
-
-    # Pointer doubling: chain holds the positions 0 .. 2^k - 1 steps from
-    # start, and jump the position 2^k steps on from each.
-    chain, jump = np.array([start], index), step
-    while step[chain[-1]] != chain[-1]:
-        chain = np.concatenate((chain, jump.take(chain)))
-        jump = jump.take(jump)
-    del jump, step
-    chain = chain[:chain.searchsorted(chain[-1]) + 1]   # positions rise until the stop
-    stop, chain = int(chain[-1]), chain[:-1]
+    (chain,), (stop,) = walk(step, [start])
+    del step
 
     ops = op[chain]
     waits = _WAIT_SAMPLES[ops]

@@ -130,15 +130,25 @@ def _vlq(value: int) -> bytes:
     return bytes(reversed(out))
 
 
+def _delta(ticks: int) -> bytes:
+    """A delta as VLQs of at most 4 bytes: empty text metas carry 0x0FFFFFFF
+    ticks each of a longer one."""
+    out = b""
+    while ticks > 0x0FFFFFFF:
+        out += _vlq(0x0FFFFFFF) + b"\xff\x01\x00"
+        ticks -= 0x0FFFFFFF
+    return out + _vlq(ticks)
+
+
 def _encode_track(events: list[tuple[int, int, bytes]], end_tick: int) -> bytes:
     events = sorted(events, key=lambda e: (e[0], e[1]))
     data = bytearray()
     last = 0
     for tick, _prio, payload in events:
-        data += _vlq(tick - last)
+        data += _delta(tick - last)
         data += payload
         last = tick
-    data += _vlq(end_tick - last)
+    data += _delta(end_tick - last)
     data += b"\xff\x2f\x00"   # end of track
     return bytes(data)
 

@@ -261,6 +261,28 @@ class TestValidate:
         score = ExpressiveScore(24.0, values)
         assert validate(score) == validate_by_frame(score)
 
+    @pytest.mark.parametrize("faulty, blocks", [(slice(None), 1), (slice(-1, None), 32)],
+                             ids=["every-frame", "last-frame"])
+    def test_check_frames_stops_at_the_first_faulty_block(self, monkeypatch, faulty, blocks):
+        # 2^21 frames, 32 blocks, with a P1 velocity while the note is off in
+        # every frame, or in the last only
+        values = np.zeros((1 << 21, 10), np.int16)
+        values[faulty, 1] = 5
+        score = ExpressiveScore(24.0, values)
+
+        class CountedBlocks(np.ndarray):
+            """Counts the blocks of frames sliced from it."""
+            taken = 0
+
+            def __getitem__(self, key):
+                CountedBlocks.taken += isinstance(key, slice)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(score, "to_array", lambda: values.view(CountedBlocks))
+        with pytest.raises(ValueError, match="P1 off state"):
+            check_frames(score)
+        assert CountedBlocks.taken == blocks
+
     @pytest.mark.parametrize("voice, maxima", [("P1", (108, 15, 3)), ("P2", (108, 15, 3)),
                                                ("TR", (108,)), ("NO", (16, 15, 1))])
     def test_state_space_is_what_validate_accepts(self, voice, maxima):

@@ -61,7 +61,8 @@ class TestWritersAgainstReference:
 
     @pytest.mark.parametrize("rate", [0.5, 0.02, 1e-4])
     def test_long_deltas(self, rate):
-        # frames of 88200, 2205000 and 441000000 ticks: deltas of 3, 4 and 5 VLQ bytes
+        # frames of 88200, 2205000 and 441000000 ticks: deltas of 3 and 4 VLQ
+        # bytes, and deltas past 0x0FFFFFFF, which empty text metas carry in part
         score = random_score(random.Random(3), 9, rate_hz=rate, hold=0.3)
         assert score_to_midi(score) == reference.score_to_midi(score)
 
