@@ -49,7 +49,6 @@ from .score import (
     ExpressiveScore,
     check_frames,
     check_rate,
-    frame_count,
     frame_position,
     schedule,
     voice_changes,
@@ -101,12 +100,11 @@ def _encode_track(deltas: np.ndarray, payloads: np.ndarray) -> bytes:
     """An MTrk body: each 3-byte payload row after its delta as a VLQ, which
     keeps its last group and every group above it that is not 0.  Empty text
     metas carry 0x0FFFFFFF ticks each of a delta above that, before its row."""
-    if deltas.max() > _VLQ_MAX:
-        fill = np.maximum(deltas - 1, 0) // _VLQ_MAX
-        own = np.cumsum(fill + 1) - 1      # each row's place, after its metas
-        split = np.full((own[-1] + 1, 4), [_VLQ_MAX, 0xFF, 0x01, 0x00], np.int64)
-        split[own, 0], split[own, 1:] = deltas - fill * _VLQ_MAX, payloads
-        deltas, payloads = split[:, 0], split[:, 1:]
+    fill = np.maximum(deltas - 1, 0) // _VLQ_MAX
+    own = np.cumsum(fill + 1) - 1      # each row's place, after its metas
+    split = np.full((own[-1] + 1, 4), [_VLQ_MAX, 0xFF, 0x01, 0x00], np.int64)
+    split[own, 0], split[own, 1:] = deltas - fill * _VLQ_MAX, payloads
+    deltas, payloads = split[:, 0], split[:, 1:]
     groups = deltas[:, None] >> _VLQ_SHIFTS
     events = np.empty((len(deltas), 7), np.uint8)
     events[:, :4] = groups & 0x7F | _VLQ_MORE
@@ -404,13 +402,14 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
         raise UnmappableEvent(f"expected 5 tracks (tempo + 4 voices), got {len(tracks)}")
     (tick, kind, d1, d2), counts, end_tick = _read_tracks(data, tracks)
 
-    # As in downsample: the frames covering the file must fit in a stream.
-    check_rate(rate_hz)
+    # One frame, and then the frames the file is read into, must fit in a stream.
+    check_rate(rate_hz, 1)
     if end_tick > MAX_TOTAL_SAMPLES:   # one tick is one sample
         raise UnmappableEvent(f"end of track at tick {end_tick}, past the "
                               f"{MAX_TOTAL_SAMPLES} samples a stream can span")
-    check_rate(rate_hz, frame_count(end_tick, rate_hz))
-    frames = np.zeros((round(end_tick * rate_hz / SAMPLE_RATE), 10), np.int16)
+    n_frames = round(end_tick * rate_hz / SAMPLE_RATE)
+    check_rate(rate_hz, n_frames)
+    frames = np.zeros((n_frames, 10), np.int16)
     first = _first_frames(tick, rate_hz)
     control = kind == 0xB0
     fields = [(~control, d1 * (kind == 0x90)),

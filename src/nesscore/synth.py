@@ -352,7 +352,7 @@ def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:
 
     enabled = sum((c.now[0] > 0) << i for i, c in enumerate(changes))
     # (frames, register, value) in the order a frame writes them; frame 0 sets the mask
-    writes = [(np.diff(enabled, prepend=-1) != 0, 0x4015, enabled)]
+    writes = [(run_starts(enabled), 0x4015, enabled)]
     for base, c, timer in zip((0x4000, 0x4004), (p1, p2), pulse_timers):
         _note, vel, timbre = c.now
         writes += [

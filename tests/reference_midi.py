@@ -27,7 +27,6 @@ from nesscore.score import (
     ExpressiveScore,
     check_frames,
     check_rate,
-    frame_count,
 )
 from reference_frames import frame_tick
 
@@ -143,12 +142,12 @@ def midi_to_score_by_frame(data: bytes, rate_hz: float) -> ExpressiveScore:
                 raise UnmappableEvent("tempo track must not carry channel events")
         else:
             voice_events.append(events)
-    check_rate(rate_hz)
+    check_rate(rate_hz, 1)
     if end_tick > MAX_TOTAL_SAMPLES:
         raise UnmappableEvent(f"end of track at tick {end_tick}, past the "
                               f"{MAX_TOTAL_SAMPLES} samples a stream can span")
-    check_rate(rate_hz, frame_count(end_tick, rate_hz))
     n_frames = round(end_tick * rate_hz / SAMPLE_RATE)
+    check_rate(rate_hz, n_frames)
     ticks = [frame_tick(k, rate_hz) for k in range(n_frames)]
     columns = [[0] * n_frames for _ in range(10)]
     for fields, events in zip(VOICE_COLUMNS.values(), voice_events):

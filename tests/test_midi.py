@@ -156,13 +156,12 @@ class TestRoundTrip:
             score = random_score(rng, rng.randint(0, 40))
             assert midi_to_score(score_to_midi(score), 24.0) == score, f"trial {trial}"
 
-    @pytest.mark.parametrize("n_frames", [146_000, 146_200, 2_337_396])
+    @pytest.mark.parametrize("n_frames", [146_000, 146_200, 2_337_396, 2_337_397])
     def test_long_silence(self, n_frames):
         # Each track ends n_frames * 1837.5 ticks in.  Past 0x0FFFFFFF ticks
         # (146,200 frames on) an empty text meta carries each 0x0FFFFFFF of
-        # it, so every VLQ fits in 4 bytes.  2,337,396 frames is the longest
-        # silence that reads back: at 2,337,397, the most check_rate accepts,
-        # the end tick rounds up to where the reader counts one frame more.
+        # it, so every VLQ fits in 4 bytes.  2,337,397 frames is the longest
+        # score check_rate accepts at 24 Hz.
         score = ExpressiveScore(24.0, np.zeros((n_frames, 10), np.int16))
         data = score_to_midi(score)
         fillers = -(-n_frames * 1837.5 // 0x0FFFFFFF) - 1
