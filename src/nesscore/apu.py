@@ -6,11 +6,12 @@ returns one integer row per segment: the parameters each voice sounds with
 linear counters, noise mode and period, with the frame sequencer clocking
 at its ~240 Hz cadence.  The rows are whole-array programs over the
 stream's offset, register and value columns and the sequencer clocks
-(``_Program``), with no Python object per write: a register field is a
-gather of its last write, a length or linear counter is its last load less
-the clocks since, and the envelope and sweep units have closed forms
-between the few events that change them; Python steps only over those
-events.
+(``_Program``), with no Python object per write: a register field is its
+last write, looked up once per write group (the writes at one sample) and
+gathered to the segments and clocks; a length or linear counter is its
+last load less the clocks since, and the envelope and sweep units have
+closed forms between the few events that change them; Python steps only
+over those events.
 Both consumers read the same rows: ``extract_timeline`` turns them into
 expressive frames with whole-array gathers and keeps the rows where the
 frame changes, and ``synth.render_writes`` drives its oscillators from them.
@@ -39,7 +40,7 @@ from .score import (
     TRIANGLE_NOTE_MIN,
     TRIANGLE_NOTE_MAX,
 )
-from ._arrays import held, sorted_unique
+from ._arrays import held, run_starts, sorted_unique
 from .vgm import NES_APU_CLOCK_HZ as CPU_HZ, TimedWriteStream, check_stream
 
 # Length counter values indexed by the 5-bit load field of $4003/$400B/$400F.
@@ -54,7 +55,7 @@ _TICK_SAMPLES = 7457.5 * SAMPLE_RATE / CPU_HZ
 
 # Replay's memory grows with a stream's length, not its size: the sequencer
 # cuts a segment at every tick, total_samples / 183.9 of them plus at most
-# one per $4017 write, and each tick costs about 135 bytes at peak.  Peak RSS
+# one per $4017 write, and each tick costs about 140 bytes at peak.  Peak RSS
 # of ``vgm2score`` (ru_maxrss of a subprocess, a VGM of three writes then
 # waits) is 43 MB at 2^24 samples, 81 MB at 2^26 and 228 MB at 2^28, about
 # 101 minutes of audio; replay takes up to that.
@@ -164,9 +165,16 @@ class _Program:
     ``offsets`` and ``vals`` are views of the stream's offset and value
     columns, cut before the writes at ``total_samples`` (which are never
     applied); the register column is read once, to group the write indices
-    by register.  Clock c runs after the first ``clock_w[c]`` writes;
-    ``half[c]`` marks a half clock.  At segment start ``starts[p]`` the state
-    is the one after the first ``W[p]`` writes and the first ``C[p]`` clocks.
+    by register.  Register state changes only at a write group, the writes
+    at one sample: after the first g groups, the first ``group_w[g]`` writes
+    have run.  Clock c runs after the first ``clock_keys[K[c]]`` writes
+    (``clock_keys`` holds each count once, ascending; ``_key_first[j]`` is
+    the first clock of count ``clock_keys[j]``, and its last entry the
+    clock count); ``half[c]`` marks a half clock.  At segment start
+    ``starts[p]`` the state is the one after the first ``G[p]`` groups and
+    the first ``C[p]`` clocks.  So a register is looked up once per distinct
+    write count, at ``group_w`` or ``clock_keys``, and gathered to the
+    starts with ``G`` or to the clocks with ``K``.
     """
 
     def __init__(self, stream: TimedWriteStream):
@@ -184,6 +192,9 @@ class _Program:
         self._writes = [order[a:b] for _r, (a, b) in spans]
         self._last = [last[a + r:b + r + 1] for r, (a, b) in spans]
         self._held = [held[a + r:b + r + 1] for r, (a, b) in spans]
+        groups = np.flatnonzero(run_starts(self.offsets))   # offsets are sorted
+        self.group_w = np.append(groups, n)
+        group_at = self.offsets[groups]
 
         # Sequencer runs start at sample 0 (4-step) and at each $4017 write;
         # tick k >= 1 of a run from b lands at b + int(k * _TICK_SAMPLES),
@@ -200,25 +211,34 @@ class _Program:
         run, k, ticks = run[keep], k[keep], ticks[keep]
         kind = np.where(np.concatenate(([False], five))[run], _FIVE_STEP[(k - 1) % 5], 2 - k % 2)
         del run, k, keep
-        starts = np.concatenate(([0], sorted_unique(self.offsets), ticks))
+        starts = np.concatenate(([0], group_at, ticks))
         self.starts = sorted_unique(starts) if total else ticks
 
         # A 5-step $4017 write clocks a half clock right after itself; a tick
         # runs after every write at its sample.  No tick shares a sample with
-        # a $4017 write, whose run starts there.
+        # a $4017 write, whose run starts there, so the write counts of the
+        # clocks in order are sorted.
         now = resets[five]
         clocked = kind > 0
         at = np.concatenate((self.offsets[now], ticks[clocked]))
-        w = np.concatenate((now + 1, self.offsets.searchsorted(ticks[clocked], "right")))
+        w = np.concatenate((now + 1, self.group_w[group_at.searchsorted(ticks[clocked], "right")]))
         half = np.concatenate((np.ones(len(now), bool), kind[clocked] == 2))
         order = np.argsort(at, kind="stable")
-        self.clock_w, self.half = w[order], half[order]
-        self.W = self.offsets.searchsorted(self.starts, "right")
+        w, self.half = w[order], half[order]
+        new = run_starts(w)
+        self.clock_keys, self.K = w[new], np.cumsum(new) - 1
+        self._key_first = np.append(np.flatnonzero(new), len(new))
+        self.G = group_at.searchsorted(self.starts, "right")
         self.C = at[order].searchsorted(self.starts, "right")
 
     def writes_to(self, register: int) -> np.ndarray:
         """Indices of the writes to ``register``, ascending."""
         return self._writes[register - 0x4000]
+
+    def clock_after(self, writes: np.ndarray) -> np.ndarray:
+        """The first clock to run after each of ``writes`` (indices; the
+        clock count where none does)."""
+        return self._key_first[self.clock_keys.searchsorted(writes, "right")]
 
     def held(self, register: int, w: np.ndarray) -> np.ndarray:
         """The value ``register`` holds after the first ``w`` writes (0 before any)."""
@@ -246,8 +266,9 @@ class _Program:
         events = events[order]
         unhalted = np.concatenate(([0], np.cumsum(self.half & ~halted)))
         left = np.concatenate((_LENGTHS[self.vals[loads] >> 3], 0 * clears))[order]
-        left += unhalted[self.clock_w.searchsorted(events, "right")]
-        return np.concatenate(([0], left))[events.searchsorted(self.W)] > unhalted[self.C]
+        left += unhalted[self.clock_after(events)]
+        left = np.concatenate(([0], left))[events.searchsorted(self.group_w)]
+        return left[self.G] > unhalted[self.C]
 
     def linear_on(self) -> np.ndarray:
         """Where the triangle's linear counter is above 0 at each start.  It
@@ -257,9 +278,10 @@ class _Program:
         reloads = self.writes_to(0x400B)
         if not len(reloads):
             return np.zeros(len(self.starts), bool)
-        control = self.held(0x4008, self.clock_w)
-        last = reloads.searchsorted(self.clock_w) - 1       # last $400B write before a clock
-        first = self.clock_w.searchsorted(reloads, "right")  # first clock after a write
+        # per clock: the control register, and the last $400B write before it
+        control = self.held(0x4008, self.clock_keys)[self.K]
+        last = (reloads.searchsorted(self.clock_keys) - 1)[self.K]
+        first = self.clock_after(reloads)
         cleared = np.concatenate(([0], np.cumsum(control < 0x80)))
         flagged = np.flatnonzero((last >= 0) & (cleared[:-1] == cleared[first[last]]))
         # value - (C - 1 - clock) > 0
@@ -276,13 +298,13 @@ class _Program:
         state from epoch to epoch only along the start-to-start chains that
         ``at`` reads.
         """
-        restarts = self.clock_w.searchsorted(self.writes_to(start), "right")
+        restarts = self.clock_after(self.writes_to(start))
         first = sorted_unique(np.concatenate(
-            ([0], restarts, self.clock_w.searchsorted(self.writes_to(control), "right"))))
-        first = first[first < len(self.clock_w)]
-        setting = self.held(control, self.clock_w[first]) & 0x2F
+            ([0], restarts, self.clock_after(self.writes_to(control)))))
+        first = first[first < len(self.K)]
+        setting = self.held(control, self.clock_keys[self.K[first]]) & 0x2F
         restart = np.isin(first, restarts)
-        keep = restart | (setting != self.held(control, self.clock_w[first - 1]) & 0x2F)
+        keep = restart | (setting != self.held(control, self.clock_keys[self.K[first - 1]]) & 0x2F)
         keep[:1] = True
         first, restart, setting = first[keep], restart[keep], setting[keep]
         # Epoch 0 stands for the state before the first clock: divider 0, decay 0.
@@ -321,7 +343,7 @@ class _Program:
         -1 on negate.
         """
         halves = np.flatnonzero(self.half)
-        hw = self.clock_w[halves]
+        hw = self.clock_keys[self.K[halves]]
         reload = sorted_unique(hw.searchsorted(self.writes_to(base + 1), "right"))
         reload = reload[reload < len(halves)]
         anchor = np.concatenate(([-1], reload))
@@ -371,15 +393,16 @@ class _Program:
         change = timer >> (sweep & 7)
         target = np.where(sweep & 8, timer - change - ones, timer + change)
         audible = (timer >= 8) & (target <= 0x7FF)
-        k = np.searchsorted(np.sort(written), self.W) + fired.searchsorted(self.C)
+        k = np.sort(written).searchsorted(self.group_w)[self.G] + fired.searchsorted(self.C)
         return timer[k], audible[k]
 
     def volume(self, control: int, load: int, bit: int, audible=True) -> np.ndarray:
         """The output volume at each start of the pulse or noise at
         ``control``: its constant level or its envelope's, 0 where the length
         counter has run out or not ``audible``."""
-        on = self.length_on(load, bit, self.held(control, self.clock_w) & 0x20 > 0) & audible
-        ctl = self.held(control, self.W)
+        halted = (self.held(control, self.clock_keys) & 0x20 > 0)[self.K]
+        on = self.length_on(load, bit, halted) & audible
+        ctl = self.held(control, self.group_w)[self.G]
         volume = ctl & 15
         reads = np.flatnonzero((ctl & 0x10 == 0) & on)
         if len(reads):
@@ -388,8 +411,9 @@ class _Program:
 
     def triangle_timer(self) -> np.ndarray:
         """The triangle's timer at each start, -1 where it does not sound."""
-        timer = self.held(0x400A, self.W) | (self.held(0x400B, self.W) & 7) << 8
-        on = self.length_on(0x400B, 2, self.held(0x4008, self.clock_w) >= 0x80)
+        timer = (self.held(0x400A, self.group_w)
+                 | (self.held(0x400B, self.group_w) & 7) << 8)[self.G]
+        on = self.length_on(0x400B, 2, (self.held(0x4008, self.clock_keys) >= 0x80)[self.K])
         return np.where(on & self.linear_on() & (timer >= 2), timer, -1)
 
 
@@ -421,12 +445,12 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
     rows = np.empty((len(prog.starts), len(ROW_FIELDS)), np.int32)
     for col, base, bit in ((0, 0x4000, 0), (3, 0x4004, 1)):
         rows[:, col], audible = prog.pulse_timer(base, ones=1 - bit)
-        rows[:, col + 1] = prog.held(base, prog.W) >> 6
+        rows[:, col + 1] = (prog.held(base, prog.group_w) >> 6)[prog.G]
         rows[:, col + 2] = prog.volume(base, base + 3, bit, audible)
     rows[:, 6] = prog.triangle_timer()
-    noise = prog.held(0x400E, prog.W)
-    rows[:, 7] = noise & 15
-    rows[:, 8] = noise >> 7
+    noise = prog.held(0x400E, prog.group_w)
+    rows[:, 7] = (noise & 15)[prog.G]
+    rows[:, 8] = (noise >> 7)[prog.G]
     rows[:, 9] = prog.volume(0x400C, 0x400F, 3)
     rows[:, 10] = 0
     for bit, register in ((1, 0x4003), (2, 0x4007)):

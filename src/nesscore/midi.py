@@ -419,8 +419,7 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
     for columns, a, b in zip(VOICE_COLUMNS.values(), edges, edges[1:]):
         _voice_frames(frames, columns, first[a:b],
                       [(mask[a:b], values[a:b]) for mask, values in fields[:len(columns)]])
-    score = ExpressiveScore(float(rate_hz), frames)
-    del frames      # the score holds a copy, so this one goes before the check
+    score = ExpressiveScore._adopt(float(rate_hz), frames)
     check_frames(score, lambda d: UnmappableEvent(
         f"frame {d.frame_index}, track {VOICES.index(d.voice) + 1}: {d.voice} {d.message}"))
     return score

@@ -88,6 +88,8 @@ class ExpressiveScore:
 
     ``frames`` (ExpressiveFrames or a (T, 10) integer array) is copied in, else
     ValueError.  ``to_array()`` is the store; ``.frames`` rebuilds tuples per access.
+    The readers hand their own fresh arrays over with ``_adopt``, which does
+    not copy.
     """
 
     def __init__(self, rate_hz: float = DEFAULT_RATE_HZ, frames=()):
@@ -98,6 +100,15 @@ class ExpressiveScore:
         values.flags.writeable = False
         self.rate_hz = rate_hz
         self._values = values
+
+    @classmethod
+    def _adopt(cls, rate_hz: float, values: np.ndarray) -> "ExpressiveScore":
+        """A score that holds ``values``, a (T, 10) C-contiguous int16 array
+        no one else writes to, which it marks read-only instead of copying."""
+        values.flags.writeable = False
+        score = cls.__new__(cls)
+        score.rate_hz, score._values = rate_hz, values
+        return score
 
     @property
     def frames(self) -> list[ExpressiveFrame]:
@@ -194,8 +205,8 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
     # Point k falls in the run of change i - 1, i = searchsorted(...)[k]; i = 0 is
     # the silence (every field 0) before the first change.
     table = np.concatenate((np.zeros((1, 10), np.int16), timeline.frames))
-    return ExpressiveScore(float(rate_hz),
-                           table[np.searchsorted(timeline.starts, points, "right")])
+    return ExpressiveScore._adopt(float(rate_hz),
+                                  table[np.searchsorted(timeline.starts, points, "right")])
 
 
 def to_separated(score: ExpressiveScore) -> SeparatedScore:
@@ -440,7 +451,7 @@ def read_score_text(data: bytes) -> ExpressiveScore:
     n_lines = int(np.count_nonzero(newline))
     if n_lines != n_frames:
         raise MalformedHeader(f"expected {n_frames} frame lines, found {n_lines}")
-    score = ExpressiveScore(rate_hz, _read_body(body, newline, n_lines))
+    score = ExpressiveScore._adopt(rate_hz, _read_body(body, newline, n_lines))
     check_frames(score, lambda d: BadFieldValue(d.frame_index + 2, f"{d.voice} {d.message}"))
     return score
 

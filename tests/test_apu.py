@@ -831,6 +831,33 @@ class TestReplayEdgeCases:
             (400, 0x4017, 0x80), (400, 0x4000, 0x05), (400, 0x4003, 0x08), (400, 0x400B, 0x08)))
         assert [rows[s]["p1_volume"] for s in (183, 367, 400, 583)] == [15, 14, 13, 15]
 
+    def test_five_step_clock_reads_the_writes_before_it_at_its_sample(self):
+        # length 2 (load field 3); at 300 the 5-step write's half clock runs
+        # while the $4000 write before it halts the counter, and the one
+        # after it lifts the halt: 2 stays 2 there, then 1 at 667 and 0 at 1218
+        rows = rows_by_start(_stream(
+            2000, (0, 0x4015, 0x01), (0, 0x4000, 0x1F), (0, 0x4002, 0xFD), (0, 0x4003, 0x18),
+            (300, 0x4000, 0x3F), (300, 0x4017, 0x80), (300, 0x4000, 0x1F)))
+        assert [rows[s]["p1_volume"] for s in (300, 667, 1218)] == [15, 15, 0]
+
+    def test_length_loads_on_each_side_of_a_five_step_clock(self):
+        # at 300 length 254 is loaded, clocked to 253, then replaced by 2,
+        # which the half clocks at 667 and 1218 run down
+        rows = rows_by_start(_stream(
+            2000, (0, 0x4015, 0x01), (0, 0x4000, 0x1F), (0, 0x4002, 0xFD),
+            (300, 0x4003, 0x08), (300, 0x4017, 0x80), (300, 0x4003, 0x18)))
+        assert [rows[s]["p1_volume"] for s in (0, 300, 667, 1218)] == [0, 15, 15, 0]
+        assert rows[300]["phase_reset"] == 1
+
+    def test_writes_only_at_the_end_leave_only_ticks(self):
+        # writes at total_samples are never applied: the sequencer cuts the
+        # segments, and every voice is silent
+        rows = rows_by_start(_stream(1000, (1000, 0x4015, 0x0F), (1000, 0x4000, 0x3F),
+                                     (1000, 0x4003, 0x08), (1000, 0x4017, 0x80)))
+        assert list(rows) == [0, 183, 367, 551, 735, 918]
+        silent = dict(zip(ROW_FIELDS, (0,) * 6 + (-1,) + (0,) * 4))
+        assert all(row == silent for row in rows.values())
+
     def test_two_4017_writes_at_one_sample(self):
         # length 2 (load field 3); two 5-step writes clock two halves at once
         rows = rows_by_start(_stream(

@@ -133,9 +133,10 @@ print(len(midi_to_score(data, 44100.0)))
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc, caps RLIMIT_AS")
 def test_long_midi_import_fits_under_a_memory_cap(tmp_path):
     # One note held for 2^22 ticks: 2^22 frames at 44.1 kHz, an 80 MiB score.
-    # The import peaks about 160 MiB above its start (the frames, and the
-    # score's copy of them); filling every frame from a per-frame tick table
-    # and checking the whole score at once took about 510 MiB.
+    # The import peaks about 105 MiB above its start (the frames, which the
+    # score keeps without a copy, and the check's blocks); filling every frame
+    # from a per-frame tick table and checking the whole score at once took
+    # about 510 MiB.
     path = tmp_path / "long_note.mid"
     path.write_bytes(five_track_file(b"\x00\x90\x45\x7f" + _vlq(1 << 22) + b"\x80\x45\x00"))
     child = subprocess.run([sys.executable, "-c", CAPPED_IMPORT, str(path), "320"],

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import mutate, random_score, timeline_of
 from nesscore import score as score_module
-from nesscore.midi import _frame_tick, score_to_midi
+from nesscore.midi import _frame_tick, midi_to_score, score_to_midi
 from nesscore.score import (
     MAX_FRAMES,
     MAX_TOTAL_SAMPLES,
@@ -137,7 +137,28 @@ class TestArrayStore:
         score = ExpressiveScore(24.0, values)
         values[0, 6] = 40
         assert score.frames == [ExpressiveFrame(), ExpressiveFrame()]
-        assert values.flags.writeable
+        assert values.flags.writeable and not np.shares_memory(values, score.to_array())
+
+    def test_readers_keep_the_array_they_build(self, rng, monkeypatch):
+        # Each reader hands its fresh array to the score, read-only and not copied.
+        built = random_score(rng, 30)
+        timeline = timeline_of(SAMPLE_RATE, [(0, A_FRAME)])
+        text, midi = write_score_text(built), score_to_midi(built)
+        body = []
+        read_body = score_module._read_body
+
+        def kept_body(*args):
+            body.append(read_body(*args))
+            return body[-1]
+
+        monkeypatch.setattr(score_module, "_read_body", kept_body)
+        monkeypatch.setattr(ExpressiveScore, "__init__", None)    # the copying constructor
+        scores = [read_score_text(text), midi_to_score(midi, built.rate_hz),
+                  downsample(timeline, 24)]
+        assert scores[:2] == [built, built] and np.shares_memory(scores[0].to_array(), body[0])
+        for score in scores:
+            with pytest.raises(ValueError):
+                score.to_array()[0, 0] = 1
 
     def test_frames_view(self, rng):
         frames = random_score(rng, 30).frames
