@@ -12,9 +12,15 @@ per run between them, keeping the position in the cycle and the cycles
 spent there; it reads the tables only where the oscillator (re)starts and
 where its mode changes.  One cut (``_cut``) splits the segments and each
 voice's runs at every ``_BLOCK`` samples, and the blocks are filled with
-integer numpy ops over each run's piece, table lookups and the console's
-nonlinear mixer, skipping a voice silent for the whole block.  The mixer's
-table is quantised to 16-bit PCM once, so the output is the WAV's samples.
+integer numpy ops over each run's piece, in buffers allocated once per
+render.  Per block the voices' per-segment params are repeated out to the
+samples in one call; each sounding voice gathers its levels from an int16
+wave table, the first into the block's int16 mixer index and each later one
+added to it, and a voice silent for the whole block is skipped.  The tables
+are scaled so that the index is the two pulses' levels times 256 plus the
+triangle's times 16 plus the noise's, and the console's nonlinear mixer is
+one table over that index, quantised to 16-bit PCM once, so one more gather
+gives the WAV's samples.
 Waveforms are naive (no band-limiting), exactly how the hardware aliases.
 
 ``score_to_writes`` is the inverse path: it schedules the minimal register
@@ -60,13 +66,13 @@ NOISE_PERIODS = (
     4, 8, 16, 32, 64, 96, 128, 160, 202, 254, 380, 508, 762, 1016, 2034, 4068,
 )
 
-_BLOCK = 1 << 13   # samples per whole-block numpy pass; bounds the temporaries
+_BLOCK = 1 << 15   # samples per whole-block numpy pass; bounds the temporaries
 
 # Pulse output level times 256 at (duty * 16 + volume) * 8 + step: one gather per sample.
-_PULSE_WAVE = 256 * np.array([level * volume for duty in DUTY_SEQUENCES
-                              for volume in range(16) for level in duty])
+_PULSE_WAVE = np.array([256 * level * volume for duty in DUTY_SEQUENCES
+                        for volume in range(16) for level in duty], np.int16)
 # Triangle level times 16 at gate * 32 + step; the gated row is silent.
-_TRI_WAVE = 16 * np.array((0,) * 32 + TRIANGLE_SEQUENCE)
+_TRI_WAVE = np.array((0,) * 32 + TRIANGLE_SEQUENCE, np.int16) * 16
 
 
 def lfsr_step(register: int, mode: int) -> int:
@@ -112,6 +118,7 @@ def _lfsr_cycle_tables():
     Each cycle sits in consecutive slots: k steps after state s of mode m comes
     ``states[base + (pos + k) % length]``, with base, pos and length at [m, s].
     Mode 0 has a 32767-cycle, mode 1 has 352 of 93 and one of 31; 0 is fixed in both.
+    Last comes the channel's int16 output at each slot: 1 where bit 0 is clear.
     """
     n = 1 << 15
     s = np.arange(n)
@@ -134,7 +141,7 @@ def _lfsr_cycle_tables():
         base[mode] = (np.cumsum(counts) - counts + mode * n)[label]
         states[base[mode] + pos[mode]] = s
     return (base, pos.astype(np.int16), length.astype(np.int16), states,
-            (states & 1).astype(np.int8))
+            (states & 1) ^ 1)
 
 
 @functools.cache
@@ -209,64 +216,66 @@ class _Voice(NamedTuple):
     end, offset, period, length, base), with first and end counted from the
     block's first sample.  Over a piece it is at step (offset + cycles) //
     period, ``cycles`` being ``_cycle_table`` from the block's first sample
-    on; a piece of period 0 is frozen and silent.  The pieces of block b are
+    on; a piece of period 0 is frozen at step 0.  The pieces of block b are
     ``bounds[b]`` to ``bounds[b + 1] - 1``.  A duty or triangle sequencer
     sounds ``wave[param + (step & mask)]``, ``mask`` being its steps less 1;
     the noise LFSR (``mask`` 0) sounds ``wave[base + step % length] *
-    param``, ``param`` being its volume.  ``param`` is per segment piece.
-    ``sounds[b]`` says whether the voice sounds in block b at all.
+    param``, ``param`` being its volume.  ``wave`` is int16, scaled so that
+    the four voices' levels sum to the index of ``_MIX``.  ``sounds[b]``
+    says whether the voice sounds in block b at all.
     """
 
     wave: np.ndarray
     mask: int
     pieces: list
     bounds: list
-    param: np.ndarray
     sounds: list
 
-    def levels(self, b: int, segments: slice, counts: np.ndarray,
-               cycles: np.ndarray) -> np.ndarray:
-        """The output level at each sample of block b, whose segment pieces
-        are ``segments``, ``counts`` samples each."""
-        step = np.zeros(len(cycles), np.int32)
+    def levels(self, b: int, param: np.ndarray, cycles: np.ndarray, step: np.ndarray,
+               out: np.ndarray) -> None:
+        """Write the level at each sample of block b into ``out``, given the
+        voice's ``param`` at each sample; ``step`` (int32, as long) is scratch."""
         for first, end, offset, period, length, base in self.pieces[self.bounds[b]:
                                                                     self.bounds[b + 1]]:
+            run = step[first:end]
             if period:
-                run = step[first:end]
                 np.add(cycles[first:end], offset, out=run)
                 run //= period
                 if not self.mask:
                     run -= run // length * length - base    # a scalar // is faster than %
+            else:
+                run.fill(0)
         if self.mask:
             step &= self.mask
-            step += self.param[segments].repeat(counts)
-            return self.wave.take(step, mode="clip")
-        level = self.wave.take(step, mode="clip")
-        level *= self.param[segments].repeat(counts)
-        return level
+            step += param
+            self.wave.take(step, out=out, mode="clip")
+        else:
+            self.wave.take(step, out=out, mode="clip")
+            out *= param
 
 
 def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
-            bounds: np.ndarray) -> list[_Voice]:
+            bounds: np.ndarray) -> tuple[list[_Voice], np.ndarray]:
     """P1, P2, TR and NO of replay's ``starts`` and ``rows`` over a stream of
     ``total`` samples, whose segment piece j lies in segment ``seg[j]`` and
-    whose block b holds pieces ``bounds[b]`` to ``bounds[b + 1] - 1``."""
+    whose block b holds pieces ``bounds[b]`` to ``bounds[b + 1] - 1``; and
+    their params, one int16 row per voice, one column per segment piece."""
     cycles = _cycles(starts)
     volume = rows[:, 9]     # noise: 0 where silent, over which the LFSR holds
     p1, p2, tr, no = (np.flatnonzero(run_starts(key) | (restart > 0)) for key, restart in (
         (rows[:, 0], rows[:, 10] & 1), (rows[:, 3], rows[:, 10] & 2), (rows[:, 6], 0),
         (np.where(volume > 0, rows[:, 7] * 2 + rows[:, 8], -1), 0)))
     gate = rows[:, 6] >= 0  # the triangle's timer is -1 where gated: its phase holds
+    lfsr = _lfsr_cycle_tables()
     # wave, mask, run starts, then period, mode and restart at them, tables, first state,
     # param, sounding.  A duty step takes 2(t + 1) cycles, a triangle step t + 1.
     spec = [(_PULSE_WAVE, 7, opens, 2 * (rows[opens, col] + 1), 0 * opens, rows[opens, 10] & bit,
              _ring(8), 0, (rows[:, col + 1] * 16 + rows[:, col + 2]) * 8, rows[:, col + 2] > 0)
             for opens, col, bit in ((p1, 0, 1), (p2, 3, 2))]
     spec += [(_TRI_WAVE, 31, tr, rows[tr, 6] + 1, 0 * tr, 0 * tr, _ring(32), 0, 32 * gate, gate),
-             (_lfsr_cycle_tables()[4] ^ 1, 0, no,
-              np.array(NOISE_PERIODS)[rows[no, 7]] * (volume[no] > 0), rows[no, 8], 0 * no,
-              _lfsr_cycle_tables(), 1, volume, volume > 0)]
-    voices = []
+             (lfsr[4], 0, no, np.array(NOISE_PERIODS)[rows[no, 7]] * (volume[no] > 0),
+              rows[no, 8], 0 * no, lfsr, 1, volume, volume > 0)]
+    voices, params = [], []
     for wave, mask, opens, periods, modes, restarts, tables, first, param, sounding in spec:
         cut, run, block_first_piece = _cut(starts[opens], total)
         carried = _carry(*(a.tolist() for a in (cycles[opens], periods, modes, restarts)),
@@ -283,9 +292,9 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
                                             offsets, periods, lengths, bases)))
         heard = np.concatenate(([0], np.cumsum(sounding[seg])))
         voices.append(_Voice(wave, mask, list(pieces), block_first_piece.tolist(),
-                             param[seg].astype(np.int32),
                              (heard[bounds[1:]] > heard[bounds[:-1]]).tolist()))
-    return voices
+        params.append(param)
+    return voices, np.array(params, np.int16)[:, seg]
 
 
 def render_writes(stream: TimedWriteStream) -> np.ndarray:
@@ -298,22 +307,30 @@ def render_writes(stream: TimedWriteStream) -> np.ndarray:
         raise WavTooLong(total)
     starts, rows = apu.replay(stream)
     begin, seg, bounds = _cut(starts, total)    # the segment pieces
-    voices = _voices(starts, rows, total, seg, bounds)
+    voices, params = _voices(starts, rows, total, seg, bounds)
     counts = np.diff(begin, append=total)
-    del starts, rows, begin
+    del starts, rows, begin, seg
     out = np.empty(total, np.int16)
     cycle_table = _cycle_table(_BLOCK)
+    # scratch reused by every block: oscillator steps, one voice's levels, the mixer index
+    step, level, index = (np.empty(min(_BLOCK, total), t) for t in (np.int32, np.int16, np.int16))
     for b, (j0, j1) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         first = b * _BLOCK
-        last = min(first + _BLOCK, total)
-        cycles = cycle_table[first % SAMPLE_RATE:][:last - first]
-        p1, p2, tr, no = (v.levels(b, slice(j0, j1), counts[j0:j1], cycles) if v.sounds[b]
-                          else 0 for v in voices)
-        index = p1 + p2 + tr + no
-        if isinstance(index, int):
-            out[first:last] = _MIX[index]
-        else:
-            _MIX.take(index, out=out[first:last], mode="clip")
+        if total - first < len(index):  # the last block is short
+            step, level, index = step[:total - first], level[:total - first], index[:total - first]
+        n = len(index)
+        heard = [k for k, v in enumerate(voices) if v.sounds[b]]
+        if not heard:
+            out[first:first + n] = _MIX[0]
+            continue
+        cycles = cycle_table[first % SAMPLE_RATE:][:n]
+        param = params[:, j0:j1].repeat(counts[j0:j1], axis=1)
+        # the first voice's levels start the mixer index, each later one's add to it
+        voices[heard[0]].levels(b, param[heard[0]], cycles, step, index)
+        for k in heard[1:]:
+            voices[k].levels(b, param[k], cycles, step, level)
+            index += level
+        _MIX.take(index, out=out[first:first + n], mode="clip")
     return out
 
 

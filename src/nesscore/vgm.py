@@ -14,8 +14,10 @@ opcode, a truncated command, a second-chip write, a register above 0x17, a
 malformed data block, or the end of the file) raises a ``VgmError`` that
 names its byte offset rather than being skipped: the corpora this feeds are
 NES-only and corruption should be loud.  So does the first wait that carries
-the stream past 2^32 - 1 samples.  The decoder's working memory is at most
-about 26 bytes per byte of the decompressed image (int32 positions).
+the stream past 2^32 - 1 samples, and a header whose NES APU clock (offset
+0x84) is not the NTSC 1,789,773 Hz that replay, the pitch tables and the
+renderer assume.  The decoder's working memory is at most about 26 bytes
+per byte of the decompressed image (int32 positions).
 
 A ``TimedWriteStream`` holds its writes as three read-only int64 columns,
 ``offsets``, ``registers`` and ``values``, plus ``total_samples``;
@@ -83,6 +85,18 @@ class UnsupportedCommand(VgmError):
 
 class DualChipUnsupported(VgmError):
     """0xB4 write addressed to a second APU (address high bit set)."""
+
+
+class UnsupportedClock(VgmError):
+    """A header NES APU clock other than the NTSC 2A03's, which is all the
+    pipeline models.  Per the VGM specification, bit 31 of the field asks for
+    a second APU and bit 30 for the Famicom Disk System's sound; either one
+    set makes the value differ."""
+
+    def __init__(self, clock: int):
+        super().__init__(f"NES APU clock {clock} ({clock:#010x}) at header offset 0x84 "
+                         f"is not {NES_APU_CLOCK_HZ} Hz (NTSC, bits 30 and 31 clear)")
+        self.clock = clock
 
 
 class OffsetOverflow(VgmError):
@@ -257,7 +271,11 @@ def parse_vgm(data: bytes) -> VgmDocument:
         data_offset = 0x34 + rel if rel else 0x40
     else:
         data_offset = 0x40
-    nes_apu_clock = _u32(data, 0x84) if data_offset >= 0x88 and len(data) >= 0x88 else 0
+    nes_apu_clock = 0     # a header whose data starts before 0x88 has no clock field
+    if data_offset >= 0x88 and len(data) >= 0x88:
+        nes_apu_clock = _u32(data, 0x84)
+        if nes_apu_clock != NES_APU_CLOCK_HZ:
+            raise UnsupportedClock(nes_apu_clock)
     return VgmDocument(version=version, nes_apu_clock_hz=nes_apu_clock,
                        data_offset=data_offset, stream=_decode(data, data_offset))
 

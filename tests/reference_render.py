@@ -48,7 +48,7 @@ def _segments(stream: TimedWriteStream):
     return zip(starts.tolist(), ends, map(np.ndarray.tolist, rows))
 
 
-def _render_block(out: np.ndarray, first: int, rows: list, bits: np.ndarray) -> None:
+def _render_block(out: np.ndarray, first: int, rows: list, noise_levels: np.ndarray) -> None:
     """Fill ``out`` from sample ``first`` on with the segments in ``rows``.
 
     A row holds the segment's end, then per voice a period, an offset and table
@@ -60,7 +60,7 @@ def _render_block(out: np.ndarray, first: int, rows: list, bits: np.ndarray) -> 
     cycles = (_cycles(np.arange(first, last)) - _cycles(first)).astype(np.int32)
     p1, p2, tr, no = [(seg[k + 1] + cycles) // seg[k] for k in (0, 3, 6, 9)]
     pulses = _PULSE_WAVE.take(seg[2] + (p1 & 7)) + _PULSE_WAVE.take(seg[5] + (p2 & 7))
-    noise = (bits.take(seg[11] + no % seg[12]) ^ 1) * seg[13]
+    noise = noise_levels.take(seg[11] + no % seg[12]) * seg[13]
     tnd = _TRI_WAVE.take(seg[8] + (tr & 31)) + noise
     np.add(_PULSE_MIX.take(pulses), _TND_MIX.take(tnd), out=out[first:last])
 
@@ -80,7 +80,7 @@ def render_writes(stream: TimedWriteStream) -> np.ndarray:
     # [sequence step, cycles spent in it]; noise steps through the cycle of lfsr
     pulse, tri, noise, lfsr = [[0, 0], [0, 0]], [0, 0], [0, 0], 1
     rows, first, c1 = [], 0, 0
-    cycle_base, cycle_pos, cycle_len, cycle_state, cycle_bit = _lfsr_cycle_tables()
+    cycle_base, cycle_pos, cycle_len, cycle_state, noise_levels = _lfsr_cycle_tables()
     for _start, end, segment in segments:
         (p1_timer, p1_duty, p1_volume, p2_timer, p2_duty, p2_volume,
          tr_timer, no_period, no_mode, no_volume, phase_reset) = segment
@@ -111,7 +111,7 @@ def render_writes(stream: TimedWriteStream) -> np.ndarray:
             row += (1, 0, 0, 1, 0)  # the LFSR only advances while audible
         rows.append(row)
         if end - first >= _BLOCK or end == len(out):
-            _render_block(out, first, rows, cycle_bit)
+            _render_block(out, first, rows, noise_levels)
             first, c1, rows = end, 0, []
     np.clip(out, -1.0, 1.0, out=out)
     out *= 32767.0

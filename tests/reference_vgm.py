@@ -21,6 +21,7 @@ from nesscore.vgm import (
     APU_REGISTER_BASE,
     GZIP_MAGIC,
     MAGIC,
+    NES_APU_CLOCK_HZ,
     WAIT_NTSC_FRAME,
     WAIT_PAL_FRAME,
     BadMagic,
@@ -33,6 +34,7 @@ from nesscore.vgm import (
     TimedWrite,
     TimedWriteStream,
     TruncatedFile,
+    UnsupportedClock,
     UnsupportedCommand,
 )
 
@@ -93,6 +95,8 @@ def parse_commands(data: bytes) -> CommandDocument:
     else:
         data_offset = 0x40
     nes_apu_clock = _u32(data, 0x84) if data_offset >= 0x88 and len(data) >= 0x88 else 0
+    if data_offset >= 0x88 and len(data) >= 0x88 and nes_apu_clock != NES_APU_CLOCK_HZ:
+        raise UnsupportedClock(nes_apu_clock)
 
     commands = _parse_commands(data, data_offset)
     return CommandDocument(version=version, nes_apu_clock_hz=nes_apu_clock,

@@ -152,7 +152,7 @@ class TestLfsr:
         assert lfsr_step(0b000000001000000, 1) == 0b100000000100000
 
 
-BASE, POS, LEN, STATE, BIT = synth._lfsr_cycle_tables()
+BASE, POS, LEN, STATE, LEVEL = synth._lfsr_cycle_tables()
 
 
 def _gather(state, mode, k):
@@ -168,7 +168,7 @@ class TestLfsrTables:
         slot = BASE[mode] + POS[mode]
         nxt = BASE[mode] + (POS[mode] + 1) % LEN[mode]
         assert np.array_equal(STATE[slot], states)
-        assert np.array_equal(BIT[slot], states & 1)
+        assert np.array_equal(LEVEL[slot], (states & 1) ^ 1)   # sounds where bit 0 is clear
         expected = [lfsr_step(s, mode) for s in range(1 << 15)]
         assert STATE[nxt].tolist() == expected
 
@@ -417,6 +417,15 @@ class TestWav:
         assert write_wav(samples[::3])[44:] == samples[::3].tobytes()    # a strided view
 
 
+class TestWaveTables:
+    def test_levels_sum_to_the_last_mixer_index(self):
+        noise = synth._lfsr_cycle_tables()[4]
+        assert {t.dtype for t in (synth._PULSE_WAVE, synth._TRI_WAVE, noise)} == {np.dtype(np.int16)}
+        # two pulses, the triangle and the noise at volume 15, all at their loudest
+        top = 2 * synth._PULSE_WAVE.max() + synth._TRI_WAVE.max() + 15 * noise.max()
+        assert top == len(synth._MIX) - 1 == 7935
+
+
 class TestNoisePeriods:
     def test_table_shape(self):
         assert len(NOISE_PERIODS) == 16
@@ -496,7 +505,7 @@ class TestPinnedPcm:
         assert len(samples) == PINNED_STREAMS[name].total_samples
         assert hashlib.sha256(samples.tobytes()).hexdigest() == PINNED_DIGESTS[name]
 
-    @pytest.mark.parametrize("block", (1, 700))
+    @pytest.mark.parametrize("block", (1, 700, 8192))
     def test_digests_do_not_depend_on_block_size(self, monkeypatch, block):
         monkeypatch.setattr(synth, "_BLOCK", block)
         for name, stream in PINNED_STREAMS.items():
@@ -555,7 +564,7 @@ def _gated(stream: TimedWriteStream, *voices: int) -> TimedWriteStream:
 
 # Streams that break a carry in each way the renderer tells apart, near the
 # block edges of the sizes TestRenderAgainstLoop renders them at (128, 700,
-# 8192); replay cuts a segment at least every 184 samples.
+# 8192 and 32768); replay cuts a segment at least every 184 samples.
 BREAK_STREAMS = {
     # $4003/$4007 rewrites keep the timer and restart the duty sequence
     "phase_reset_inside_a_run": _stream(
@@ -600,6 +609,19 @@ BREAK_STREAMS = {
         (0, 0x4005, 0x01), (0, 0x4006, 0x00), (0, 0x4007, 0x0C),
         (1100, 0x4002, 0x09), (2100, 0x4005, 0x08), (3000, 0x4005, 0xF1),
         (3000, 0x4006, 0xFF), (3001, 0x4007, 0x0F), (5000, 0x4001, 0x00)),
+    # every voice breaks on the three samples around a 32768-sample block edge:
+    # a phase reset and a noise mode switch, periods set, then a phase reset,
+    # the triangle gated and the noise silenced, which both come back later
+    "breaks_around_sample_32768": _stream(
+        34000, (0, 0x4015, 0x0F), (0, 0x4001, 0x08), (0, 0x4005, 0x08),
+        (0, 0x4000, 0xBF), (0, 0x4002, 0x6B), (0, 0x4003, 0x09),
+        (0, 0x4004, 0x7F), (0, 0x4006, 0x11), (0, 0x4007, 0x08),
+        (0, 0x4008, 0xFF), (0, 0x400A, 0x55), (0, 0x400B, 0x08),
+        (0, 0x400C, 0x3F), (0, 0x400E, 0x03), (0, 0x400F, 0x08),
+        (32767, 0x4003, 0x09), (32767, 0x400E, 0x83), (32768, 0x4002, 0x40),
+        (32768, 0x4006, 0x81), (32768, 0x400A, 0x31), (32768, 0x400E, 0x06),
+        (32769, 0x4007, 0x08), (32769, 0x4008, 0x00), (32769, 0x400C, 0x30),
+        (33300, 0x4008, 0xFF), (33301, 0x400B, 0x08), (33500, 0x400C, 0x3A)),
 }
 
 
@@ -626,7 +648,7 @@ class TestRenderAgainstLoop:
     bit.  At block size 1, and at 128 (replay's segments run up to 184
     samples), one segment spans several blocks."""
 
-    @pytest.mark.parametrize("block", (1, 128, 700, synth._BLOCK))
+    @pytest.mark.parametrize("block", (1, 128, 700, 8192, synth._BLOCK))
     @pytest.mark.parametrize("name", sorted(BREAK_STREAMS))
     def test_break_streams(self, monkeypatch, block, name):
         stream = BREAK_STREAMS[name]
@@ -635,14 +657,14 @@ class TestRenderAgainstLoop:
         monkeypatch.setattr(synth, "_BLOCK", block)
         assert np.array_equal(render_writes(stream), expected)
 
-    @pytest.mark.parametrize("block", (128, 700, synth._BLOCK))
+    @pytest.mark.parametrize("block", (128, 700, 8192, synth._BLOCK))
     def test_pinned_streams(self, monkeypatch, block):
         expected = {name: loop_pcm(stream) for name, stream in PINNED_STREAMS.items()}
         monkeypatch.setattr(synth, "_BLOCK", block)
         for name, stream in PINNED_STREAMS.items():
             assert np.array_equal(render_writes(stream), expected[name]), name
 
-    @given(render_streams(), st.sampled_from((128, 700, synth._BLOCK)))
+    @given(render_streams(), st.sampled_from((128, 700, 8192, synth._BLOCK)))
     @example(_stream(0), 700)
     @example(_stream(1, (0, 0x4015, 0x0F)), 128)
     @settings(max_examples=60, deadline=None)

@@ -24,6 +24,7 @@ from nesscore.vgm import (
     TimedWrite,
     TimedWriteStream,
     TruncatedFile,
+    UnsupportedClock,
     UnsupportedCommand,
     check_stream,
     flatten_to_writes,
@@ -126,6 +127,27 @@ class TestParse:
     def test_register_offset_out_of_range(self):
         with pytest.raises(UnsupportedCommand):
             parse_vgm(make_vgm(bytes((0xB4, 0x18, 0x00, 0x66))))
+
+    @pytest.mark.parametrize("clock", [1662607, 0, 4000000, 1789773 | 1 << 30, 1789773 | 1 << 31],
+                             ids=["PAL", "zero", "4 MHz", "FDS bit 30", "dual chip bit 31"])
+    def test_clock_other_than_ntsc_refused(self, clock):
+        image = bytearray(make_vgm(bytes((0xB4, 0x15, 0x0F, 0x62, 0x66))))
+        struct.pack_into("<I", image, 0x84, clock)
+        with pytest.raises(UnsupportedClock) as exc:
+            parse_vgm(bytes(image))
+        assert exc.value.clock == clock
+        assert "0x84" in str(exc.value) and f"clock {clock} " in str(exc.value)
+        assert outcome(decode_reference, bytes(image)) == (UnsupportedClock, str(exc.value))
+
+    def test_clock_field_inside_the_data_is_not_read(self):
+        # v1.50 data starting at 0x80: bytes 0x84-0x87 are commands, not a clock
+        header = bytearray(0x80)
+        header[0:4] = b"Vgm "
+        struct.pack_into("<I", header, 0x08, 0x150)
+        struct.pack_into("<I", header, 0x34, 0x80 - 0x34)
+        doc = parse_vgm(bytes(header) + bytes((0x62, 0x62, 0xB4, 0x15, 0x0F, 0x66)))
+        assert doc.nes_apu_clock_hz == 0
+        assert doc.stream == TimedWriteStream([TimedWrite(1470, 0x4015, 0x0F)], 1470)
 
     def test_old_version_data_at_0x40(self):
         header = bytearray(0x40)
