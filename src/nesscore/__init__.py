@@ -25,7 +25,6 @@ from .score import (
 )
 from .vgm import (
     TimedWriteStream,
-    VgmDocument,
     parse_vgm,
     write_vgm,
 )

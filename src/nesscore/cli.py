@@ -16,7 +16,7 @@ from . import apu, evaluation, midi, score, synth, vgm
 
 
 def cmd_vgm2score(args) -> int:
-    stream = vgm.parse_vgm(Path(args.input).read_bytes()).stream
+    stream = vgm.parse_vgm(Path(args.input).read_bytes())
     timeline = apu.extract_timeline(stream)
     out = score.downsample(timeline, args.rate)
     Path(args.output).write_bytes(score.write_score_text(out))
@@ -38,7 +38,7 @@ def cmd_midi2score(args) -> int:
 def cmd_render(args) -> int:
     data = Path(args.input).read_bytes()
     if data[:2] == vgm.GZIP_MAGIC or data[:4] == vgm.MAGIC:
-        stream = vgm.parse_vgm(data).stream
+        stream = vgm.parse_vgm(data)
     elif data.startswith(b"NESSCORE"):
         stream = synth.score_to_writes(score.read_score_text(data))
     else:

@@ -14,6 +14,7 @@ step, the NESSCORE text format and the composer-disjoint corpus split.
 
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -373,11 +374,14 @@ MAX_FRAMES = 1 << 24
 
 
 def check_rate(rate_hz: float, n_frames: int = 0, error: type = ValueError) -> None:
-    """Raise ``error`` unless 0 < rate_hz <= 44100, n_frames <= ``MAX_FRAMES``
-    and n_frames frames at rate_hz span at most 2^32 - 1 samples (the default
-    0 frames checks the rate alone).  A frame shorter than a sample would only
-    repeat samples.  Readers check before they allocate frames.
+    """Raise ``error`` unless rate_hz is a real number in (0, 44100],
+    n_frames <= ``MAX_FRAMES`` and n_frames frames at rate_hz span at most
+    2^32 - 1 samples (the default 0 frames checks the rate alone).  A frame
+    shorter than a sample would only repeat samples.  Readers check before
+    they allocate frames.
     """
+    if not isinstance(rate_hz, numbers.Real):
+        raise error(f"rate {rate_hz!r} is not a number in (0, {SAMPLE_RATE}]")
     if not 0 < rate_hz <= SAMPLE_RATE:
         raise error(f"rate {rate_hz} Hz is not a number in (0, {SAMPLE_RATE}]")
     # The count is bounded as an integer first, so no count too big for a float

@@ -337,7 +337,8 @@ def render_writes(stream: TimedWriteStream) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # score -> register writes
 
-_LENGTH_LOAD_MAX = 1 << 3   # length table index 1 = 254, the largest entry
+# The longest length-counter load: its LENGTH_TABLE index, in bits 7-3.
+_LENGTH_LOAD_MAX = apu.LENGTH_TABLE.index(max(apu.LENGTH_TABLE)) << 3
 
 
 def score_to_writes(score: ExpressiveScore) -> TimedWriteStream:

@@ -3,17 +3,20 @@
 A VGM file is a little-endian header followed by a command stream.  The
 commands accepted are the four wait encodings (0x61 nn nn, 0x62, 0x63,
 0x7n), the APU write (0xB4 aa dd), skipped data blocks (0x67) and the
-end-of-data marker (0x66).  ``parse_vgm`` decodes the stream with whole-array
-passes and no loop over commands: a table of command lengths by opcode (plus
-the size field of a data block) gives every byte the position of the command
-after it, as if a command started there; pointer doubling (``_arrays.walk``)
-walks the chain from the data offset to its first stop in about log2(commands)
-rounds; the offsets are one ``cumsum`` of the chain's waits, and the writes
-are the chain positions that hold 0xB4.  A stop other than 0x66 (an unknown
-opcode, a truncated command, a second-chip write, a register above 0x17, a
-malformed data block, or the end of the file) raises a ``VgmError`` that
-names its byte offset rather than being skipped: the corpora this feeds are
-NES-only and corruption should be loud.  So does the first wait that carries
+end-of-data marker (0x66).  ``parse_vgm`` returns the ``TimedWriteStream`` the
+commands encode, so ``parse_vgm(write_vgm(s)) == s``; of the header it reads
+only the version and data offset, which locate the commands, and the clock.
+It decodes with whole-array passes and no loop over commands: a table of
+command lengths by opcode (plus the size field of a data block) gives every
+byte the position of the command after it, as if a command started there;
+pointer doubling (``_arrays.walk``) walks the chain from the data offset to
+its first stop in about log2(commands) rounds; the offsets are one ``cumsum``
+of the chain's waits, and the writes are the chain positions that hold 0xB4.
+A stop other than 0x66 (an unknown opcode, a truncated command, a
+second-chip write, a register above 0x17, a malformed data block, or the
+end of the file) raises a ``VgmError`` that names its byte offset rather
+than being skipped: the corpora this feeds are NES-only and corruption
+should be loud.  So does the first wait that carries
 the stream past 2^32 - 1 samples, and a header whose NES APU clock (offset
 0x84) is not the NTSC 1,789,773 Hz that replay, the pitch tables and the
 renderer assume.  The decoder's working memory is at most about 26 bytes
@@ -31,14 +34,13 @@ transparently.
 import gzip
 import struct
 import zlib
-from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ._arrays import byte_buffer, walk
-from .score import MAX_TOTAL_SAMPLES
+from .score import MAX_TOTAL_SAMPLES, SAMPLE_RATE
 
 MAGIC = b"Vgm "
 GZIP_MAGIC = b"\x1f\x8b"
@@ -50,8 +52,8 @@ HEADER_SIZE = 0xC0
 APU_REGISTER_BASE = 0x4000
 APU_REGISTER_LAST = 0x4017
 
-WAIT_NTSC_FRAME = 735   # 44100 / 60
-WAIT_PAL_FRAME = 882    # 44100 / 50
+WAIT_NTSC_FRAME = SAMPLE_RATE // 60
+WAIT_PAL_FRAME = SAMPLE_RATE // 50
 
 # Samples waited by each one-byte opcode (0x62, 0x63, 0x70-0x7F); 0 for the rest.
 _WAIT_SAMPLES = np.array([(op & 0x0F) + 1 if 0x70 <= op <= 0x7F else 0 for op in range(256)])
@@ -204,13 +206,15 @@ def _is_int(column: np.ndarray) -> np.ndarray:
 
 
 def check_stream(stream: TimedWriteStream) -> None:
-    """Raise OffsetOverflow unless ``total_samples`` is in [0, 2^32 - 1], then,
-    for the first bad write: BadWriteOffset if its offset is not an int, is
-    below the one before (or 0) or is past ``total_samples``;
+    """Raise OffsetOverflow unless ``total_samples`` is an int in
+    [0, 2^32 - 1], then, for the first bad write: BadWriteOffset if its offset
+    is not an int, is below the one before (or 0) or is past ``total_samples``;
     RegisterOutOfRange if its register is not an int in $4000-$4017;
     BadWriteValue if its value is not an int in [0, 255].
     """
     total = stream.total_samples
+    if not isinstance(total, Integral):
+        raise OffsetOverflow(f"total_samples {total!r} is not an int")
     if not 0 <= total <= MAX_TOTAL_SAMPLES:
         raise OffsetOverflow(f"total_samples {total} is outside [0, {MAX_TOTAL_SAMPLES}]")
     offsets, registers, values = columns = stream.offsets, stream.registers, stream.values
@@ -241,22 +245,14 @@ def check_stream(stream: TimedWriteStream) -> None:
     raise BadWriteValue(i, value)
 
 
-@dataclass
-class VgmDocument:
-    version: int            # BCD, e.g. 0x161
-    nes_apu_clock_hz: int
-    data_offset: int
-    stream: TimedWriteStream
-
-
 def _u32(data: bytes, offset: int) -> int:
     if offset + 4 > len(data):
         raise TruncatedFile(f"header field at {offset:#x} beyond end of file")
     return struct.unpack_from("<I", data, offset)[0]
 
 
-def parse_vgm(data: bytes) -> VgmDocument:
-    """Decode a VGM (or gzipped .vgz) image into its header and timed writes."""
+def parse_vgm(data: bytes) -> TimedWriteStream:
+    """Decode a VGM (or gzipped .vgz) image into its timed writes."""
     if data[:2] == GZIP_MAGIC:
         try:
             data = gzip.decompress(data)
@@ -265,19 +261,17 @@ def parse_vgm(data: bytes) -> VgmDocument:
     if len(data) < 4 or data[:4] != MAGIC:
         raise BadMagic("missing 'Vgm ' magic")
 
-    version = _u32(data, 0x08)
-    if version >= 0x150:
+    if _u32(data, 0x08) >= 0x150:      # the version, BCD
         rel = _u32(data, 0x34)
         data_offset = 0x34 + rel if rel else 0x40
     else:
         data_offset = 0x40
-    nes_apu_clock = 0     # a header whose data starts before 0x88 has no clock field
+    # a header whose data starts before 0x88 has no clock field
     if data_offset >= 0x88 and len(data) >= 0x88:
-        nes_apu_clock = _u32(data, 0x84)
-        if nes_apu_clock != NES_APU_CLOCK_HZ:
-            raise UnsupportedClock(nes_apu_clock)
-    return VgmDocument(version=version, nes_apu_clock_hz=nes_apu_clock,
-                       data_offset=data_offset, stream=_decode(data, data_offset))
+        clock = _u32(data, 0x84)
+        if clock != NES_APU_CLOCK_HZ:
+            raise UnsupportedClock(clock)
+    return _decode(data, data_offset)
 
 
 def _stop_error(data: bytes, pos: int) -> VgmError:
@@ -345,9 +339,10 @@ def _decode(data: bytes, start: int) -> TimedWriteStream:
     return TimedWriteStream.from_columns(elapsed[writes], registers, buf[at + 2], total)
 
 
-def flatten_to_writes(doc: VgmDocument) -> TimedWriteStream:
-    """The document's timed writes; ``parse_vgm`` has already decoded them."""
-    return doc.stream
+def flatten_to_writes(stream: TimedWriteStream) -> TimedWriteStream:
+    """``stream`` itself: ``parse_vgm`` returns the timed writes already.  Kept
+    only because the benchmark calls it."""
+    return stream
 
 
 def _encode_wait(delta: int, out: bytearray) -> None:

@@ -2,9 +2,9 @@
 check that walked a list of writes.
 
 Kept as the references the decoder and stream-check tests compare against.
-``parse_commands`` parses the command stream into one dataclass per command,
-then ``flatten_to_writes`` walks that list a second time to add up the
-waits; both decoders share the header layout, the error types and the
+``parse_commands`` parses the command stream into a list of one dataclass
+per command, then ``flatten_to_writes`` walks that list a second time to add
+up the waits; both decoders share the header layout, the error types and the
 offsets named in error messages.  ``check_stream`` states the write-stream
 rule one write at a time, in stream order, over ``stream.writes``.
 """
@@ -12,7 +12,7 @@ rule one write at a time, in stream order, over ``stream.writes``.
 import gzip
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Union
 
@@ -64,22 +64,14 @@ class EndOfData:
 VgmCommand = Union[Wait, ApuWrite, DataBlock, EndOfData]
 
 
-@dataclass
-class CommandDocument:
-    version: int            # BCD, e.g. 0x161
-    nes_apu_clock_hz: int
-    data_offset: int
-    commands: list = field(default_factory=list)
-
-
 def _u32(data: bytes, offset: int) -> int:
     if offset + 4 > len(data):
         raise TruncatedFile(f"header field at {offset:#x} beyond end of file")
     return struct.unpack_from("<I", data, offset)[0]
 
 
-def parse_commands(data: bytes) -> CommandDocument:
-    """Parse a VGM (or gzipped .vgz) image into a command document."""
+def parse_commands(data: bytes) -> list:
+    """Parse a VGM (or gzipped .vgz) image into its commands."""
     if data[:2] == GZIP_MAGIC:
         try:
             data = gzip.decompress(data)
@@ -97,10 +89,7 @@ def parse_commands(data: bytes) -> CommandDocument:
     nes_apu_clock = _u32(data, 0x84) if data_offset >= 0x88 and len(data) >= 0x88 else 0
     if data_offset >= 0x88 and len(data) >= 0x88 and nes_apu_clock != NES_APU_CLOCK_HZ:
         raise UnsupportedClock(nes_apu_clock)
-
-    commands = _parse_commands(data, data_offset)
-    return CommandDocument(version=version, nes_apu_clock_hz=nes_apu_clock,
-                           data_offset=data_offset, commands=commands)
+    return _parse_commands(data, data_offset)
 
 
 def _parse_commands(data: bytes, pos: int) -> list:
@@ -156,11 +145,11 @@ def _parse_commands(data: bytes, pos: int) -> list:
             raise UnsupportedCommand(f"command {op:#04x} at offset {pos:#x}")
 
 
-def flatten_to_writes(doc: CommandDocument) -> TimedWriteStream:
+def flatten_to_writes(commands: list) -> TimedWriteStream:
     """Accumulate waits into absolute sample offsets for every APU write."""
     writes: list[TimedWrite] = []
     offset = 0
-    for cmd in doc.commands:
+    for cmd in commands:
         if isinstance(cmd, Wait):
             offset += cmd.samples
         elif isinstance(cmd, ApuWrite):
@@ -174,6 +163,8 @@ def check_stream(stream: TimedWriteStream) -> None:
     """The write-stream rule, one write at a time: the total first, then each
     write's offset, register and value, raising for the first bad one."""
     total = stream.total_samples
+    if not isinstance(total, Integral):
+        raise OffsetOverflow(f"total_samples {total!r} is not an int")
     if not 0 <= total <= MAX_TOTAL_SAMPLES:
         raise OffsetOverflow(f"total_samples {total} is outside [0, {MAX_TOTAL_SAMPLES}]")
     before = 0

@@ -557,6 +557,14 @@ class TestExtractTimeline:
                 consumer(TimedWriteStream(total_samples=total))
             assert str(exc.value) == f"total_samples {total} is outside [0, 4294967295]"
 
+    @pytest.mark.parametrize("total", [1.5, 100.0, "100", None])
+    def test_total_that_is_not_an_int_rejected(self, total):
+        # replay read 1.5 as 1 sample; write_vgm and the rest raised a bare TypeError
+        for consumer in (replay, *CONSUMERS):
+            with pytest.raises(OffsetOverflow) as exc:
+                consumer(_stream(total, (0, 0x4015, 0x01)))
+            assert str(exc.value) == f"total_samples {total!r} is not an int"
+
     def test_total_past_the_replay_bound_rejected(self, monkeypatch):
         # the bound itself replays; one sample more is refused before any work
         monkeypatch.setattr("nesscore.apu.MAX_REPLAY_SAMPLES", 1000)
@@ -679,7 +687,7 @@ def table_changes(stream):
 
 def vgm_changes(stream):
     """The change points of the stream that the stream's VGM image reads back to."""
-    return table_changes(parse_vgm(write_vgm(stream)).stream)
+    return table_changes(parse_vgm(write_vgm(stream)))
 
 
 LOADS_AND_RESETS = [0x03, 0x07, 0x0B, 0x0F, 0x15, 0x17]

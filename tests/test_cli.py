@@ -209,7 +209,7 @@ class TestRender:
         data = wav.read_bytes()
         assert data[:4] == b"RIFF" and len(data) > 44
         # the header, then the samples as they are, is what write_wav returns
-        stream = vgm.parse_vgm(vgm_path.read_bytes()).stream
+        stream = vgm.parse_vgm(vgm_path.read_bytes())
         assert data == synth.write_wav(synth.render_writes(stream))
 
     def test_gzipped_vgm_input(self, song, tmp_path):

@@ -619,6 +619,24 @@ class TestRateBound:
         with pytest.raises(MalformedHeader):
             check_rate(44100.0, n_frames, MalformedHeader)
 
+    RATE_READERS = {
+        "write_score_text": lambda rate: write_score_text(ExpressiveScore(rate, [A_FRAME] * 3)),
+        "score_to_writes": lambda rate: score_to_writes(ExpressiveScore(rate, [A_FRAME] * 3)),
+        "score_to_midi": lambda rate: score_to_midi(ExpressiveScore(rate, [A_FRAME] * 3)),
+        "downsample": lambda rate: downsample(constant_timeline(44100), rate),
+        "midi_to_score": lambda rate: midi_to_score(
+            score_to_midi(ExpressiveScore(24.0, [A_FRAME] * 3)), rate),
+    }
+
+    @pytest.mark.parametrize("rate", ["24", None, 24 + 0j])
+    @pytest.mark.parametrize("use", RATE_READERS.values(), ids=RATE_READERS.keys())
+    def test_rate_that_is_not_a_number_rejected(self, use, rate):
+        # each raised a bare TypeError from comparing the rate with 0
+        with pytest.raises(ValueError) as exc:
+            use(rate)
+        assert str(exc.value) == f"rate {rate!r} is not a number in (0, 44100]"
+        use(np.float32(24))     # numpy reals stay accepted
+
     @pytest.mark.parametrize("rate", [0.0, -24.0, 44101.0, 1e12])
     def test_writers_check_the_rate(self, rate):
         score = ExpressiveScore(rate, [A_FRAME] * 3)

@@ -46,46 +46,43 @@ def make_vgm(body: bytes, version: int = 0x161) -> bytes:
 
 class TestParse:
     def test_header_fields(self):
-        doc = parse_vgm(make_vgm(b"\x66"))
-        assert doc.version == 0x161
-        assert doc.nes_apu_clock_hz == 1789773
-        assert doc.data_offset == 0xC0
-        assert doc.stream == TimedWriteStream()
+        # the v1.61 header's data offset puts the commands at 0xC0: the zero
+        # bytes before it would each be an unknown command
+        stream = parse_vgm(make_vgm(b"\x66"))
+        assert type(stream) is TimedWriteStream and stream == TimedWriteStream()
 
     def test_wait_16bit(self):
         # 0x012C little-endian = 300
-        doc = parse_vgm(make_vgm(bytes((0x61, 0x2C, 0x01, 0x66))))
-        assert doc.stream.total_samples == 300
+        assert parse_vgm(make_vgm(bytes((0x61, 0x2C, 0x01, 0x66)))).total_samples == 300
 
     def test_wait_frame_shorthands(self):
-        doc = parse_vgm(make_vgm(bytes((0x62, 0x63, 0x70, 0x7F, 0x66))))
-        assert doc.stream.total_samples == 735 + 882 + 1 + 16
+        stream = parse_vgm(make_vgm(bytes((0x62, 0x63, 0x70, 0x7F, 0x66))))
+        assert stream.total_samples == 735 + 882 + 1 + 16
         # a write after each wait shows each wait's own length
         waits = (0x62, 0x63, 0x70, 0x7F)
         body = b"".join(bytes((op, 0xB4, 0x15, i)) for i, op in enumerate(waits))
-        doc = parse_vgm(make_vgm(body + b"\x66"))
-        assert [w.sample_offset for w in doc.stream.writes] == [735, 1617, 1618, 1634]
+        stream = parse_vgm(make_vgm(body + b"\x66"))
+        assert [w.sample_offset for w in stream.writes] == [735, 1617, 1618, 1634]
 
     def test_zero_wait_dropped(self):
-        doc = parse_vgm(make_vgm(bytes((0x61, 0x00, 0x00, 0x66))))
-        assert doc.stream == TimedWriteStream()
+        assert parse_vgm(make_vgm(bytes((0x61, 0x00, 0x00, 0x66)))) == TimedWriteStream()
 
     def test_apu_write(self):
-        doc = parse_vgm(make_vgm(bytes((0xB4, 0x15, 0x0F, 0x66))))
-        assert doc.stream.writes == [TimedWrite(0, 0x4015, 0x0F)]
-        w = doc.stream.writes[0]
+        stream = parse_vgm(make_vgm(bytes((0xB4, 0x15, 0x0F, 0x66))))
+        assert stream.writes == [TimedWrite(0, 0x4015, 0x0F)]
+        w = stream.writes[0]
         assert type(w) is TimedWrite and (w.register, w.value) == (0x4015, 0x0F)
 
     def test_data_block_skipped(self):
         body = bytes((0x67, 0x66, 0xC2, 0x04, 0x00, 0x00, 0x00)) + b"\xde\xad\xbe\xef"
-        doc = parse_vgm(make_vgm(body + bytes((0xB4, 0x00, 0x3F, 0x66))))
+        stream = parse_vgm(make_vgm(body + bytes((0xB4, 0x00, 0x3F, 0x66))))
         # the block is skipped: the write after it is unaffected
-        assert doc.stream == TimedWriteStream([TimedWrite(0, 0x4000, 0x3F)])
+        assert stream == TimedWriteStream([TimedWrite(0, 0x4000, 0x3F)])
 
     def test_gzip_transparent(self):
         plain = make_vgm(bytes((0x62, 0x66)))
-        assert parse_vgm(gzip.compress(plain)).stream == parse_vgm(plain).stream
-        assert parse_vgm(plain).stream.total_samples == 735
+        assert parse_vgm(gzip.compress(plain)) == parse_vgm(plain)
+        assert parse_vgm(plain).total_samples == 735
 
     def test_corrupt_gzip_is_vgm_error(self):
         vgz = gzip.compress(make_vgm(bytes((0xB4, 0x15, 0x0F, 0x62, 0x66))))
@@ -145,23 +142,25 @@ class TestParse:
         header[0:4] = b"Vgm "
         struct.pack_into("<I", header, 0x08, 0x150)
         struct.pack_into("<I", header, 0x34, 0x80 - 0x34)
-        doc = parse_vgm(bytes(header) + bytes((0x62, 0x62, 0xB4, 0x15, 0x0F, 0x66)))
-        assert doc.nes_apu_clock_hz == 0
-        assert doc.stream == TimedWriteStream([TimedWrite(1470, 0x4015, 0x0F)], 1470)
+        stream = parse_vgm(bytes(header) + bytes((0x62, 0x62, 0xB4, 0x15, 0x0F, 0x66)))
+        assert stream == TimedWriteStream([TimedWrite(1470, 0x4015, 0x0F)], 1470)
 
     def test_old_version_data_at_0x40(self):
+        # before v1.50 the field at 0x34 is not a data offset: one read here
+        # would point past the end of the file
         header = bytearray(0x40)
         header[0:4] = b"Vgm "
         struct.pack_into("<I", header, 0x08, 0x101)
-        doc = parse_vgm(bytes(header) + b"\x66")
-        assert doc.data_offset == 0x40
-        assert doc.nes_apu_clock_hz == 0
+        struct.pack_into("<I", header, 0x34, 0x100)
+        stream = parse_vgm(bytes(header) + bytes((0x62, 0xB4, 0x15, 0x0F, 0x66)))
+        assert stream == TimedWriteStream([TimedWrite(735, 0x4015, 0x0F)], 735)
 
 
 class TestFlatten:
     def test_wait_then_write(self):
-        doc = parse_vgm(make_vgm(bytes((0x61, 0x64, 0x00, 0xB4, 0x00, 0x3F, 0x66))))
-        stream = flatten_to_writes(doc)
+        parsed = parse_vgm(make_vgm(bytes((0x61, 0x64, 0x00, 0xB4, 0x00, 0x3F, 0x66))))
+        stream = flatten_to_writes(parsed)
+        assert stream is parsed
         assert stream.writes == [TimedWrite(100, 0x4000, 0x3F)]
         assert stream.total_samples == 100
 
@@ -187,13 +186,13 @@ class TestWrite:
         data = write_vgm(TimedWriteStream())
         assert data[-1] == 0x66
         assert len(data) == 0xC0 + 1
-        assert flatten_to_writes(parse_vgm(data)) == TimedWriteStream()
+        assert parse_vgm(data) == TimedWriteStream()
 
     def test_single_write_at_offset_300(self):
         stream = TimedWriteStream([TimedWrite(300, 0x4000, 0xBF)], total_samples=300)
         data = write_vgm(stream)
         assert bytes((0x61, 0x2C, 0x01, 0xB4, 0x00, 0xBF)) in data
-        assert flatten_to_writes(parse_vgm(data)) == stream
+        assert parse_vgm(data) == stream
 
     def test_write_at_zero_has_no_leading_wait(self):
         stream = TimedWriteStream([TimedWrite(0, 0x4015, 1)], total_samples=10)
@@ -210,12 +209,12 @@ class TestWrite:
     def test_long_wait_chains(self):
         stream = TimedWriteStream([TimedWrite(200_000, 0x4002, 7)],
                                   total_samples=200_000)
-        assert flatten_to_writes(parse_vgm(write_vgm(stream))) == stream
+        assert parse_vgm(write_vgm(stream)) == stream
 
     def test_longest_stream_round_trips(self):
         stream = TimedWriteStream([TimedWrite(MAX_TOTAL_SAMPLES, 0x4015, 0)],
                                   total_samples=MAX_TOTAL_SAMPLES)
-        assert flatten_to_writes(parse_vgm(write_vgm(stream))) == stream
+        assert parse_vgm(write_vgm(stream)) == stream
 
 
 # 65,537 of the longest 16-bit wait span 2^32 - 1 samples, the most a stream may.
@@ -224,7 +223,7 @@ LONGEST_WAITS = b"\x61\xff\xff" * 65537
 
 class TestTotalBound:
     def test_longest_waits_parse(self):
-        stream = parse_vgm(make_vgm(LONGEST_WAITS + b"\x66")).stream
+        stream = parse_vgm(make_vgm(LONGEST_WAITS + b"\x66"))
         assert stream.total_samples == MAX_TOTAL_SAMPLES == 2 ** 32 - 1
 
     @pytest.mark.parametrize("wait", [b"\x61\xff\xff", b"\x61\x01\x00", b"\x70"],
@@ -240,7 +239,7 @@ class TestTotalBound:
             parse_vgm(make_vgm(LONGEST_WAITS + b"\x62\x51"))
 
     def test_zero_wait_at_the_bound(self):
-        stream = parse_vgm(make_vgm(LONGEST_WAITS + b"\x61\x00\x00\xb4\x15\x01\x66")).stream
+        stream = parse_vgm(make_vgm(LONGEST_WAITS + b"\x61\x00\x00\xb4\x15\x01\x66"))
         assert stream.writes == [TimedWrite(MAX_TOTAL_SAMPLES, 0x4015, 1)]
 
 
@@ -262,32 +261,24 @@ class TestProperties:
     @given(streams())
     @settings(max_examples=150)
     def test_round_trip_identity(self, stream):
-        assert flatten_to_writes(parse_vgm(write_vgm(stream))) == stream
+        assert parse_vgm(write_vgm(stream)) == stream
 
     @given(streams())
     @settings(max_examples=60)
     def test_wait_conservation(self, stream):
-        doc = parse_vgm(write_vgm(stream))
-        assert doc.stream.total_samples == stream.total_samples
+        assert parse_vgm(write_vgm(stream)).total_samples == stream.total_samples
 
 
 def outcome(decode, data: bytes):
-    """Header fields and timed writes, or the type and message of a VgmError."""
+    """The timed writes, or the type and message of a VgmError."""
     try:
         return decode(data)
     except vgm.VgmError as exc:
         return type(exc), str(exc)
 
 
-def decode_new(data: bytes):
-    doc = parse_vgm(data)
-    return doc.version, doc.nes_apu_clock_hz, doc.data_offset, doc.stream
-
-
 def decode_reference(data: bytes):
-    doc = reference_vgm.parse_commands(data)
-    stream = reference_vgm.flatten_to_writes(doc)
-    return doc.version, doc.nes_apu_clock_hz, doc.data_offset, stream
+    return reference_vgm.flatten_to_writes(reference_vgm.parse_commands(data))
 
 
 @st.composite
@@ -314,7 +305,7 @@ class TestDecoderAgainstReference:
     @given(vgm_images())
     @settings(max_examples=100)
     def test_round_trip(self, image):
-        assert decode_new(image) == decode_reference(image)
+        assert parse_vgm(image) == decode_reference(image)
 
     @pytest.mark.parametrize("body", [
         bytes((0xB4, 0x15)),                                  # truncated APU write
@@ -330,7 +321,7 @@ class TestDecoderAgainstReference:
     ])
     def test_same_error_at_same_offset(self, body):
         for data in (make_vgm(body), gzip.compress(make_vgm(body), mtime=0)):
-            got = outcome(decode_new, data)
+            got = outcome(parse_vgm, data)
             assert got == outcome(decode_reference, data)
             assert issubclass(got[0], vgm.VgmError)
 
@@ -347,18 +338,18 @@ class TestDecoderAgainstReference:
             "payload 51 b4 66", "block ends at EOF", "empty"])
     def test_command_bytes_inside_operands(self, body, writes, total):
         for data in (make_vgm(body), gzip.compress(make_vgm(body), mtime=0)):
-            got = outcome(decode_new, data)
+            got = outcome(parse_vgm, data)
             assert got == outcome(decode_reference, data)
             if writes is None:
                 assert got == (TruncatedFile, "command stream missing end-of-data (0x66)")
             else:
-                assert got[3] == TimedWriteStream([TimedWrite(*w) for w in writes], total)
+                assert got == TimedWriteStream([TimedWrite(*w) for w in writes], total)
 
     @pytest.mark.parametrize("data_offset", [0xC0 + 1, 0xC0 + 2, 0x1000, 0x34 + 0xFFFFFFFF])
     def test_data_offset_past_the_end(self, data_offset):
         image = bytearray(make_vgm(b""))
         struct.pack_into("<I", image, 0x34, data_offset - 0x34)
-        got = outcome(decode_new, bytes(image))
+        got = outcome(parse_vgm, bytes(image))
         assert got == outcome(decode_reference, bytes(image))
         assert got == (TruncatedFile, "command stream missing end-of-data (0x66)")
 
@@ -373,7 +364,7 @@ class TestDecoderAgainstReference:
         else:
             data = mutate(gzip.compress(image, mtime=0), edits)
         # outcome lets any error other than a VgmError escape and fail the test
-        assert outcome(decode_new, data) == outcome(decode_reference, data)
+        assert outcome(parse_vgm, data) == outcome(decode_reference, data)
 
 
 class TestStreamColumns:
@@ -413,7 +404,7 @@ class TestStreamColumns:
         for column in (stream.offsets, stream.registers, stream.values):
             with pytest.raises(ValueError):
                 column[0] = 1
-        assert parse_vgm(write_vgm(stream)).stream.offsets.flags.writeable is False
+        assert parse_vgm(write_vgm(stream)).offsets.flags.writeable is False
 
     def test_items_that_are_not_ints_are_kept_as_given(self):
         stream = TimedWriteStream([TimedWrite(0, 0x4015, 1), TimedWrite(1, 0x4000, 1.5)], 10)
@@ -432,7 +423,7 @@ class TestStreamColumns:
 BAD_VALUES = (1.5, 2 ** 64 + 3, -1, 256, 2.0, "1")
 BAD_OFFSETS = (-1, 1.5, 2 ** 70, -(2 ** 70))
 BAD_REGISTERS = (0x3FFF, 0x4018, -1, 0x4000 + 0.5, 2 ** 64)
-BAD_TOTALS = (-1, MAX_TOTAL_SAMPLES + 1, 2 ** 70)
+BAD_TOTALS = (-1, MAX_TOTAL_SAMPLES + 1, 2 ** 70, 1.5, 100.0, "100", None)
 
 
 @st.composite
