@@ -147,8 +147,11 @@ def _transitions(idx, first, size):
 class Bigram:
     """Add-1-smoothed order-1 transitions within each song.
 
-    The argmax prediction is the previous value itself, so a timestep is a
-    hit exactly when it is not a POI, and accuracy at POIs is identically 0.
+    Its accuracy does not read the table: a timestep is a hit exactly when
+    it is not a POI, so accuracy at POIs is identically 0.  That is the
+    table's argmax only where each row's argmax is its previous value; it
+    is not where values step, as decaying noise velocity does, nor at the
+    first timestep of a song.
     """
 
     def __init__(self, idx, first, size):

@@ -18,20 +18,19 @@ The reader has no loop over events either.  A table gives every byte of the
 file the position of the event after it, as if an event started there: a
 delta VLQ of 1-4 bytes, then a note off, note on or controller status and
 two data bytes, two data bytes under running status, or a meta (0xFF, its
-type, a VLQ length and the payload).  Any other event is a stop: sysex,
-the other channel statuses, a data byte of 0x80 or more, a controller other
-than 11 and 12, a tempo other than 500000, a VLQ of 5 or more bytes, and an
-event that runs past its chunk.  Pointer doubling (``_arrays.walk``) walks
-every track from its first byte to its first stop in about log2(events)
-rounds; ticks are one ``cumsum`` of the deltas, and running status is a
-forward fill over the walked events.  The rules that depend on the events
-before one (a running status needs a status before it in the track, and
-under a controller status its first data byte is the controller) are masks
-over the walk.  The first event that breaks a rule, or the stop short of
-its chunk's end, is re-read on its own to raise the error an event-by-event
-parser raises there.  Each voice's (note, velocity, timbre) is then filled
-frame run by frame run, from the first frame at or after each event's tick,
-so the reader's working memory is O(events) beside the frames it returns.
+type, a VLQ length and the payload).  The table only sizes events; any other
+event is a stop: sysex, the other channel statuses, a VLQ of 5 or more
+bytes, and an event that runs past its chunk.  Pointer doubling
+(``_arrays.walk``) walks every track from its first byte to its first stop
+in about log2(events) rounds; ticks are one ``cumsum`` of the deltas, and
+running status is a forward fill over the walked events.  One mask over the
+walked events checks what each holds: a running status has a status before
+it in the track, data bytes are below 0x80, a controller is 11 or 12 and a
+tempo is 500000.  The first event it flags, or the stop short of its chunk's
+end, is re-read on its own to raise the error an event-by-event parser
+raises there.  Each voice's (note, velocity, timbre) is then filled frame
+run by frame run, from the first frame at or after each event's tick, so the
+reader's working memory is O(events) beside the frames it returns.
 """
 
 import struct
@@ -190,33 +189,27 @@ def _vlq_value(buf: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
     return value
 
 
+def _meta_payloads(buf: np.ndarray, sizes: np.ndarray, q: np.ndarray) -> tuple:
+    """The payload start and end of the meta at each ``q``; whether its length has 1-4 bytes."""
+    length_at = q + 2
+    length_size = sizes.take(length_at)
+    start = length_at + length_size
+    return start, start + _vlq_value(buf, length_at, length_size), length_size > 0
+
+
 def _steps(buf: np.ndarray, sizes: np.ndarray, limit: np.ndarray) -> np.ndarray:
-    """step[p]: where the event after one that starts at p starts; p itself
-    where an event there is a stop.  ``sizes`` are ``_vlq_sizes(buf)``, and
+    """step[p]: where the event after one that starts at p starts, by its size alone;
+    p itself where an event there is a stop.  ``sizes`` are ``_vlq_sizes(buf)``, and
     ``limit[p]`` is the end of p's chunk, or p outside every chunk."""
     p = np.arange(len(limit), dtype=limit.dtype)
     size = sizes[:len(limit)]
     q = p + size                            # the status or first data byte
-    first, d1, d2 = buf.take(q), buf.take(q + 1), buf.take(q + 2)
+    first = buf.take(q)
     nxt = q + _BODY_BYTES.take(first)
-    ok = ((size > 0) & (nxt > q) & (d1 < 0x80) & ((first < 0x80) | (d2 < 0x80))
-          & ((first & 0xF0 != 0xB0) | (d1 == CC_EXPRESSION) | (d1 == CC_TIMBRE)))
-    # metas: 0xFF, the type, a VLQ length, then the payload
+    ok = (size > 0) & (nxt > q)
     m = np.flatnonzero((first == 0xFF) & (size > 0))
-    length_at = q.take(m) + 2
-    length_size = sizes.take(length_at)
-    start = length_at + length_size
-    end = start + _vlq_value(buf, length_at, length_size)
-    meta_ok = (length_size > 0) & (end <= limit.take(m))
-    # a tempo is 500000: its last 3 payload bytes, after only zeros
-    tempo = np.flatnonzero(meta_ok & (d1.take(m) == 0x51))
-    t_start, t_end = start.take(tempo), end.take(tempo)
-    right = (t_end - t_start >= 3) & (buf[t_end[:, None] - [3, 2, 1]] == _TEMPO_BYTES).all(1)
-    if (t_end - t_start > 3).any():
-        nonzero = np.concatenate(([0], np.cumsum(buf != 0)))
-        right &= nonzero[t_end - 3] == nonzero[t_start]
-    meta_ok[tempo] = right
-    ok[m] = meta_ok
+    _start, end, sized = _meta_payloads(buf, sizes, q.take(m))
+    ok[m] = meta_ok = sized & (end <= limit.take(m))
     nxt[m] = np.where(meta_ok, end, 0)      # an end past the chunk may not fit nxt's type
     ok &= nxt <= limit
     return np.where(ok, nxt, p)
@@ -311,6 +304,7 @@ def _read_tracks(data: bytes, tracks) -> tuple[tuple, list, int]:
         limit[offset:offset + len(chunk)] = offset + len(chunk)
     sizes = _vlq_sizes(buf)
     step = _steps(buf, sizes, limit)
+    del limit           # 4 bytes a file byte that the walk does not read
     chains, stops = walk(step, [offset for _chunk, offset in tracks])
     counts, at = [len(chain) for chain in chains], np.concatenate(chains)
     del step, chains
@@ -328,21 +322,27 @@ def _read_tracks(data: bytes, tracks) -> tuple[tuple, list, int]:
     # The status each event runs under: the last status at or before it in its track.
     running_status = held(status | (begin == np.arange(len(at))), np.where(status, first, 0))[1:]
     kind = running_status & 0xF0
-    d1 = buf.take(q + status)
-    d2 = buf.take(q + status + 1)
-    # running status with no status before it in the track, or a controller
-    # status that a foreign controller runs under
-    bad_running = channel & ~status & ((running_status == 0) | (kind == 0xB0)
-                                       & (d1 != CC_EXPRESSION) & (d1 != CC_TIMBRE))
-    end_of_track = meta & (buf.take(q + 1) == 0x2F)
+    d1_at = q + (first >= 0x80)             # for a meta, its type
+    d1, d2 = buf.take(d1_at), buf.take(d1_at + 1)
+    end_of_track = meta & (d1 == 0x2F)
+    # the rules about what a channel event holds, then a tempo is 500000
+    bad = channel & ((running_status == 0) | (d1 >= 0x80) | (d2 >= 0x80)
+                     | (kind == 0xB0) & (d1 != CC_EXPRESSION) & (d1 != CC_TIMBRE))
+    tempo = np.flatnonzero(meta & (d1 == 0x51))
+    start, end, _sized = _meta_payloads(buf, sizes, q.take(tempo))
+    # its last 3 payload bytes, after only zeros; walked payloads are disjoint, in order
+    right = (end - start >= 3) & (buf[end[:, None] - [3, 2, 1]] == _TEMPO_BYTES).all(1)
+    long = end - start > 3
+    spans = np.stack((start, end - 3), 1)[long].ravel()
+    right[long] &= np.bitwise_or.reduceat(buf, spans)[::2] == 0
+    bad[tempo] |= ~right
 
     end_tick = 0
     bounds = np.cumsum([0, *counts]).tolist()
     for t, (chunk, offset) in enumerate(tracks):
         a, b = bounds[t], bounds[t + 1]
-        bad = np.flatnonzero(bad_running[a:b])
-        if len(bad):
-            i = a + int(bad[0])
+        if bad[a:b].any():
+            i = a + int(bad[a:b].argmax())
             _reject_event(chunk, offset, int(at[i]) - offset, int(running_status[i]) or None)
         if stops[t] != offset + len(chunk):
             before = int(running_status[b - 1]) if b > a else 0

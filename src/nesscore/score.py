@@ -95,8 +95,11 @@ class ExpressiveScore:
 
     def __init__(self, rate_hz: float = DEFAULT_RATE_HZ, frames=()):
         given = np.asarray(frames if len(frames) else np.empty((0, 10), np.int16))
-        values = given.astype(np.int16, order="C")
-        if values.shape[1:] != (10,) or (given.dtype != np.int16 and (values != given).any()):
+        # bounds first: the cast warns on NaN, inf and floats past int16
+        fits = given.dtype.kind != "f" or ((given >= -2 ** 15) & (given < 2 ** 15)).all()
+        values = given.astype(np.int16, order="C") if fits else given
+        if values.dtype != np.int16 or values.shape[1:] != (10,) or (
+                given.dtype != np.int16 and (values != given).any()):
             raise ValueError(f"frames are not T x 10 int16 values: {given.shape} {given.dtype}")
         values.flags.writeable = False
         self.rate_hz = rate_hz
@@ -220,12 +223,22 @@ def to_blended(score: SeparatedScore) -> BlendedScore:
     """Union the melodic voices (P1, P2, TR) onto the 88-key binary grid.
 
     The noise voice is discarded; voices playing the same note collapse to a
-    single cell, so a column never has more than three ones.
+    single cell, so a column never has more than three ones.  Raises
+    ValueError unless the notes are 4 x T, naming the first frame, by frame
+    then voice, whose melodic note is neither 0 nor on the grid.
     """
-    n_t = score.notes.shape[1]
-    grid = np.zeros((BLENDED_ROWS, n_t), dtype=np.uint8)
-    for v in range(3):
-        row = score.notes[v]
+    notes = score.notes
+    if notes.ndim != 2 or len(notes) != len(VOICES):
+        raise ValueError(f"notes are not 4 x T: shape {notes.shape}")
+    melodic = notes[:3]
+    off_grid = (melodic != 0) & ((melodic < BLENDED_NOTE_MIN)
+                                 | (melodic >= BLENDED_NOTE_MIN + BLENDED_ROWS))
+    if off_grid.any():
+        k, v = np.argwhere(off_grid.T)[0]
+        raise ValueError(f"frame {k}: {VOICES[v]} note {notes[v, k]} outside {{0}} u "
+                         f"[{BLENDED_NOTE_MIN},{BLENDED_NOTE_MIN + BLENDED_ROWS - 1}]")
+    grid = np.zeros((BLENDED_ROWS, notes.shape[1]), dtype=np.uint8)
+    for row in melodic:
         on = np.nonzero(row > 0)[0]
         grid[row[on] - BLENDED_NOTE_MIN, on] = 1
     return BlendedScore(rate_hz=score.rate_hz, grid=grid)

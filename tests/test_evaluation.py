@@ -233,6 +233,10 @@ class TestBlendedModels:
         with pytest.raises(ValueError):
             ev.fit("note-unigram", [], "separated")
 
+    def test_unknown_task(self):
+        with pytest.raises(ValueError, match="^unknown task 'melodic'$"):
+            ev.fit("bigram", [], "melodic")
+
     def test_refuses_separated_and_blended_inputs(self):
         # the blended task takes ExpressiveScores only, not its own views
         assert_refused("blended")

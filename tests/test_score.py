@@ -19,10 +19,12 @@ from nesscore.score import (
     VOICE_COLUMNS,
     _FIELDS,
     BadFieldValue,
+    BlendedScore,
     CorpusEntry,
     ExpressiveFrame,
     ExpressiveScore,
     MalformedHeader,
+    SeparatedScore,
     check_frames,
     check_rate,
     downsample,
@@ -187,10 +189,18 @@ class TestArrayStore:
         [(1, 2, 3)], [A_FRAME, (0,) * 9], [0] * 10,
         # values int16 cannot hold must not wrap into valid ones (65605 -> 69)
         np.full((1, 10), 65605), np.full((1, 10), 1.5), [(0,) * 9 + (65605,)],
+        # under the suite's warnings-as-errors filter: a cast to int16 of these
+        # warns "invalid value encountered in cast"
+        *(np.full((2, 10), value) for value in (np.nan, np.inf, -np.inf, 1e10, -1e10, 32768.0)),
     ])
     def test_bad_frames_rejected(self, frames):
         with pytest.raises(ValueError):
             ExpressiveScore(24.0, frames)
+
+    def test_floats_int16_holds_accepted(self):
+        values = np.zeros((2, 10))
+        values[0, :3] = [69, 15, 2]
+        assert ExpressiveScore(24.0, values) == ExpressiveScore(24.0, values.astype(np.int16))
 
 
 class TestConversions:
@@ -227,6 +237,47 @@ class TestConversions:
         for _ in range(50):
             grid = to_blended(to_separated(random_score(rng, 40))).grid
             assert grid.sum(axis=0).max(initial=0) <= 3
+
+    @pytest.mark.parametrize("voice, note", [(0, 5), (0, 20), (1, 109), (2, 120), (2, -3)])
+    def test_blended_refuses_notes_off_the_grid(self, voice, note):
+        # note 5 used to wrap round to key 93; note 120 was a bare IndexError
+        notes = np.zeros((4, 3), np.int16)
+        notes[:3, 0] = 60
+        notes[voice, 2] = note
+        name = ("P1", "P2", "TR")[voice]
+        with pytest.raises(ValueError,
+                           match=rf"^frame 2: {name} note {note} outside \{{0\}} u \[21,108\]$"):
+            to_blended(SeparatedScore(24.0, notes))
+
+    def test_blended_names_the_first_frame_then_voice(self):
+        notes = np.zeros((4, 3), np.int16)
+        notes[1, 1], notes[0, 2], notes[2, 1] = 5, 6, 7
+        with pytest.raises(ValueError, match="^frame 1: P2 note 5 "):
+            to_blended(SeparatedScore(24.0, notes))
+
+    def test_blended_keeps_grid_edges_and_ignores_noise(self):
+        notes = np.array([[21, 0], [108, 0], [0, 60], [200, 99]], np.int16)
+        grid = to_blended(SeparatedScore(24.0, notes)).grid
+        assert np.flatnonzero(grid[:, 0]).tolist() == [0, 87]
+        assert np.flatnonzero(grid[:, 1]).tolist() == [39]
+
+    @pytest.mark.parametrize("shape", [(1, 5), (3, 5), (5, 5), (4,), (4, 5, 1)])
+    def test_blended_refuses_notes_not_4_by_t(self, shape):
+        with pytest.raises(ValueError, match=r"^notes are not 4 x T: shape "):
+            to_blended(SeparatedScore(24.0, np.zeros(shape, np.int16)))
+
+    def test_separated_and_blended_equality(self):
+        notes = np.array([[69], [0], [57], [12]], np.int16)
+        separated = SeparatedScore(24.0, notes)
+        assert separated == SeparatedScore(24.0, notes.copy())
+        assert separated != SeparatedScore(12.0, notes)
+        assert separated != SeparatedScore(24.0, notes + 1)
+        assert separated != to_blended(separated)
+        blended = to_blended(separated)
+        assert blended == BlendedScore(24.0, blended.grid.copy())
+        assert blended != BlendedScore(12.0, blended.grid)
+        assert blended != BlendedScore(24.0, 1 - blended.grid)
+        assert blended != separated and blended != blended.grid.tolist()
 
 
 class TestValidate:
@@ -316,6 +367,10 @@ class TestValidate:
         assert accepted == voice_state_space(voice)
         assert len(SCHEMA[voice]) == len(maxima)
 
+    def test_state_space_of_an_unknown_voice(self):
+        with pytest.raises(ValueError, match="^unknown voice 'XX'$"):
+            voice_state_space("XX")
+
     def test_frame_layout_derived_from_the_schema(self):
         # the column order NESSCORE lines and MIDI tracks depend on
         assert VOICE_COLUMNS == {"P1": (0, 1, 2), "P2": (3, 4, 5), "TR": (6,), "NO": (7, 8, 9)}
@@ -350,6 +405,14 @@ class TestTextFormat:
     def test_bad_magic(self):
         with pytest.raises(MalformedHeader):
             read_score_text(b"SCORE 1 24 0\n")
+
+    def test_empty_file(self):
+        with pytest.raises(MalformedHeader, match="^empty file$"):
+            read_score_text(b"")
+
+    def test_negative_frame_count_rejected(self):
+        with pytest.raises(MalformedHeader, match="^frame count -1 out of range$"):
+            read_score_text(b"NESSCORE 1 24 -1\n")
 
     def test_frame_count_mismatch(self):
         with pytest.raises(MalformedHeader):
@@ -575,6 +638,11 @@ class TestSplit:
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
             split_corpus(entries(3), ratios=(8, 0, 1))
+
+    def test_entry_without_composers_rejected(self):
+        es = entries(3) + [CorpusEntry("lone", "g9", frozenset())]
+        with pytest.raises(ValueError, match="^entry 'lone' has no composers$"):
+            split_corpus(es)
 
 
 class TestFrameArithmetic:

@@ -382,6 +382,12 @@ class TestStreamColumns:
             assert [c.dtype for c in (stream.offsets, stream.registers, stream.values)] == \
                 [np.int64] * 3
 
+    @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 0)])
+    def test_columns_of_different_lengths_rejected(self, lengths):
+        offsets, registers, values = (np.zeros(n, np.int64) for n in lengths)
+        with pytest.raises(ValueError, match="^the offset, register and value columns differ"):
+            TimedWriteStream.from_columns(offsets, registers, values, 10)
+
     def test_writes_gives_back_the_tuples(self):
         stream = TimedWriteStream(self.WRITES, total_samples=800)
         assert stream.writes == self.WRITES
