@@ -1,7 +1,7 @@
 """Waveform synthesis: timed register writes -> 44.1 kHz PCM.
 
-The renderer reads the arrays of ``apu.replay``, the same rows extraction
-derives its frames from, so a voice sounds exactly where it is scored.
+The renderer plays the rows of ``apu.replay`` as the APU does; extraction
+reads the same rows but drops pitches outside the score's alphabet.
 Every oscillator walks a cycle of states, one step every ``period`` CPU
 cycles: a duty sequencer ``_ring(8)``, the triangle ``_ring(32)``, the
 noise the LFSR cycles of ``_lfsr_cycle_tables``.  Its phase only changes at
@@ -13,10 +13,10 @@ spent there; it reads the tables only where the oscillator (re)starts and
 where its mode changes.  One cut (``_cut``) splits the segments and each
 voice's runs at every ``_BLOCK`` samples, and the blocks are filled with
 integer numpy ops over each run's piece, in buffers allocated once per
-render.  Per block the voices' per-segment params are repeated out to the
-samples in one call; each sounding voice gathers its levels from an int16
-wave table, the first into the block's int16 mixer index and each later one
-added to it, and a voice silent for the whole block is skipped.  The tables
+render.  Per block the voices' per-segment params, 0 exactly where a voice
+is silent, are repeated out to the samples in one call; each voice with a
+param above 0 gathers its levels from an int16 wave table, the first into
+the block's int16 mixer index and each later one added to it.  The tables
 are scaled so that the index is the two pulses' levels times 256 plus the
 triangle's times 16 plus the noise's, and the console's nonlinear mixer is
 one table over that index, quantised to 16-bit PCM once, so one more gather
@@ -50,7 +50,7 @@ from .score import (
     schedule,
     voice_changes,
 )
-from .vgm import TimedWriteStream, check_stream
+from .vgm import TimedWriteStream
 
 DUTY_SEQUENCES = (
     (0, 1, 0, 0, 0, 0, 0, 0),   # 12.5%
@@ -221,15 +221,13 @@ class _Voice(NamedTuple):
     sounds ``wave[param + (step & mask)]``, ``mask`` being its steps less 1;
     the noise LFSR (``mask`` 0) sounds ``wave[base + step % length] *
     param``, ``param`` being its volume.  ``wave`` is int16, scaled so that
-    the four voices' levels sum to the index of ``_MIX``.  ``sounds[b]``
-    says whether the voice sounds in block b at all.
+    the four voices' levels sum to the index of ``_MIX``.
     """
 
     wave: np.ndarray
     mask: int
     pieces: list
     bounds: list
-    sounds: list
 
     def levels(self, b: int, param: np.ndarray, cycles: np.ndarray, step: np.ndarray,
                out: np.ndarray) -> None:
@@ -254,12 +252,12 @@ class _Voice(NamedTuple):
             out *= param
 
 
-def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
-            bounds: np.ndarray) -> tuple[list[_Voice], np.ndarray]:
+def _voices(starts: np.ndarray, rows: np.ndarray, total: int,
+            seg: np.ndarray) -> tuple[list[_Voice], np.ndarray]:
     """P1, P2, TR and NO of replay's ``starts`` and ``rows`` over a stream of
-    ``total`` samples, whose segment piece j lies in segment ``seg[j]`` and
-    whose block b holds pieces ``bounds[b]`` to ``bounds[b + 1] - 1``; and
-    their params, one int16 row per voice, one column per segment piece."""
+    ``total`` samples, whose segment piece j lies in segment ``seg[j]``; and
+    their params, one int16 row per voice, one column per segment piece, 0
+    exactly where the voice is silent."""
     cycles = _cycles(starts)
     volume = rows[:, 9]     # noise: 0 where silent, over which the LFSR holds
     p1, p2, tr, no = (np.flatnonzero(run_starts(key) | (restart > 0)) for key, restart in (
@@ -268,15 +266,15 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
     gate = rows[:, 6] >= 0  # the triangle's timer is -1 where gated: its phase holds
     lfsr = _lfsr_cycle_tables()
     # wave, mask, run starts, then period, mode and restart at them, tables, first state,
-    # param, sounding.  A duty step takes 2(t + 1) cycles, a triangle step t + 1.
+    # param.  A duty step takes 2(t + 1) cycles, a triangle step t + 1.
     spec = [(_PULSE_WAVE, 7, opens, 2 * (rows[opens, col] + 1), 0 * opens, rows[opens, 10] & bit,
-             _ring(8), 0, (rows[:, col + 1] * 16 + rows[:, col + 2]) * 8, rows[:, col + 2] > 0)
+             _ring(8), 0, (rows[:, col + 1] * 16 + rows[:, col + 2]) * 8 * (rows[:, col + 2] > 0))
             for opens, col, bit in ((p1, 0, 1), (p2, 3, 2))]
-    spec += [(_TRI_WAVE, 31, tr, rows[tr, 6] + 1, 0 * tr, 0 * tr, _ring(32), 0, 32 * gate, gate),
+    spec += [(_TRI_WAVE, 31, tr, rows[tr, 6] + 1, 0 * tr, 0 * tr, _ring(32), 0, 32 * gate),
              (lfsr[4], 0, no, np.array(NOISE_PERIODS)[rows[no, 7]] * (volume[no] > 0),
-              rows[no, 8], 0 * no, lfsr, 1, volume, volume > 0)]
+              rows[no, 8], 0 * no, lfsr, 1, volume)]
     voices, params = [], []
-    for wave, mask, opens, periods, modes, restarts, tables, first, param, sounding in spec:
+    for wave, mask, opens, periods, modes, restarts, tables, first, param in spec:
         cut, run, block_first_piece = _cut(starts[opens], total)
         carried = _carry(*(a.tolist() for a in (cycles[opens], periods, modes, restarts)),
                          tables, first)
@@ -290,25 +288,21 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int, seg: np.ndarray,
         pieces = zip(*(c.tolist() for c in (cut - block_first,
                                             np.append(cut[1:], total) - block_first,
                                             offsets, periods, lengths, bases)))
-        heard = np.concatenate(([0], np.cumsum(sounding[seg])))
-        voices.append(_Voice(wave, mask, list(pieces), block_first_piece.tolist(),
-                             (heard[bounds[1:]] > heard[bounds[:-1]]).tolist()))
+        voices.append(_Voice(wave, mask, list(pieces), block_first_piece.tolist()))
         params.append(param)
     return voices, np.array(params, np.int16)[:, seg]
 
 
 def render_writes(stream: TimedWriteStream) -> np.ndarray:
     """Render a timed write stream to mono 16-bit PCM at 44.1 kHz, one int16
-    sample per stream sample.  Raises WavTooLong past ``MAX_WAV_SAMPLES``, then
-    what ``apu.replay`` raises, before it allocates the output."""
-    check_stream(stream)    # so total_samples is an int in range
-    total = int(stream.total_samples)
-    if total > MAX_WAV_SAMPLES:
-        raise WavTooLong(total)
+    sample per stream sample.  Raises what ``apu.replay`` raises, before it
+    allocates the output."""
     starts, rows = apu.replay(stream)
+    total = int(stream.total_samples)
     begin, seg, bounds = _cut(starts, total)    # the segment pieces
-    voices, params = _voices(starts, rows, total, seg, bounds)
+    voices, params = _voices(starts, rows, total, seg)
     counts = np.diff(begin, append=total)
+    sounding = np.logical_or.reduceat(params, bounds[:-1], axis=1)  # voice k in block b at [k, b]
     del starts, rows, begin, seg
     out = np.empty(total, np.int16)
     cycle_table = _cycle_table(_BLOCK)
@@ -319,7 +313,7 @@ def render_writes(stream: TimedWriteStream) -> np.ndarray:
         if total - first < len(index):  # the last block is short
             step, level, index = step[:total - first], level[:total - first], index[:total - first]
         n = len(index)
-        heard = [k for k, v in enumerate(voices) if v.sounds[b]]
+        heard = np.flatnonzero(sounding[:, b]).tolist()
         if not heard:
             out[first:first + n] = _MIX[0]
             continue

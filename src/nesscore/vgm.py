@@ -158,8 +158,8 @@ class TimedWriteStream:
     The writes are three read-only columns: ``offsets``, ``registers``
     (absolute, 0x4000-0x4017) and ``values``, int64 unless an item is not an
     int that int64 holds, which ``check_stream`` rejects.  Build a stream
-    from ``TimedWrite`` tuples, ``TimedWriteStream(writes, total_samples)``,
-    or from arrays with ``from_columns``; either way the columns are copies.
+    from ``TimedWrite`` tuples, ``TimedWriteStream(writes, total_samples)``, or
+    from 1-D arrays of one length with ``from_columns``; the columns are copies.
     """
 
     __slots__ = ("offsets", "registers", "values", "total_samples")
@@ -174,8 +174,10 @@ class TimedWriteStream:
     def from_columns(cls, offsets, registers, values, total_samples: int) -> "TimedWriteStream":
         if not len(offsets) == len(registers) == len(values):
             raise ValueError("the offset, register and value columns differ in length")
+        columns = [_column(c) for c in (offsets, registers, values)]
+        if any(c.ndim != 1 for c in columns):
+            raise ValueError(f"the columns are not all 1-D: shapes {[c.shape for c in columns]}")
         stream = cls.__new__(cls)
-        columns = map(_column, (offsets, registers, values))
         stream.offsets, stream.registers, stream.values = columns
         stream.total_samples = total_samples
         return stream

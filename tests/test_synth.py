@@ -32,14 +32,7 @@ from nesscore.synth import (
     score_to_writes,
     write_wav,
 )
-from nesscore.vgm import (
-    BadWriteOffset,
-    BadWriteValue,
-    OffsetOverflow,
-    RegisterOutOfRange,
-    TimedWrite,
-    TimedWriteStream,
-)
+from nesscore.vgm import TimedWrite, TimedWriteStream
 
 A440 = ExpressiveFrame(p1_note=69, p1_vel=15, p1_timbre=2)
 TRI220 = ExpressiveFrame(tr_note=57)
@@ -313,23 +306,40 @@ class TestRender:
         two = render_writes(score_to_writes(ExpressiveScore(24.0, [A440] * 8)))
         assert np.array_equal(one, two[:len(one)])
 
-    @pytest.mark.parametrize("stream, error", [
-        (TimedWriteStream(total_samples=2 ** 32), OffsetOverflow),
-        (TimedWriteStream([TimedWrite(44_100_001, 0x4015, 0)], total_samples=44_100_000),
-         BadWriteOffset),
-        (TimedWriteStream([TimedWrite(44_100_000, 0x4018, 0)], total_samples=44_100_000),
-         RegisterOutOfRange),
-        (TimedWriteStream([TimedWrite(44_100_000, 0x4015, 256)], total_samples=44_100_000),
-         BadWriteValue),
-        (TimedWriteStream(total_samples=MAX_WAV_SAMPLES + 1), WavTooLong),
+    @pytest.mark.parametrize("stream", [
+        TimedWriteStream(total_samples=2 ** 32),
+        TimedWriteStream([TimedWrite(44_100_001, 0x4015, 0)], total_samples=44_100_000),
+        TimedWriteStream([TimedWrite(44_100_000, 0x4018, 0)], total_samples=44_100_000),
+        TimedWriteStream([TimedWrite(44_100_000, 0x4015, 256)], total_samples=44_100_000),
+        TimedWriteStream(total_samples=MAX_WAV_SAMPLES + 1),
+        TimedWriteStream(total_samples=apu.MAX_REPLAY_SAMPLES + 1),
+        TimedWriteStream(total_samples=2 ** 32 - 1),
+        TimedWriteStream(total_samples=-1),
+        TimedWriteStream(total_samples=1.5),
+        TimedWriteStream(total_samples="100"),
+        TimedWriteStream(total_samples=None),
+        TimedWriteStream([TimedWrite(1.5, 0x4015, 0)], total_samples=10),
+        TimedWriteStream([TimedWrite(5, 0x4015, 0), TimedWrite(4, 0x4015, 0)], total_samples=10),
+        TimedWriteStream([TimedWrite(-1, 0x4015, 0)], total_samples=10),
+        TimedWriteStream([TimedWrite(0, 0x4000 + 0.5, 0)], total_samples=10),
+        TimedWriteStream([TimedWrite(0, 0x3FFF, 0)], total_samples=10),
+        TimedWriteStream([TimedWrite(0, 0x4015, -1)], total_samples=10),
+        TimedWriteStream([TimedWrite(0, 0x4015, 2.0)], total_samples=10),
     ], ids=["total past 32 bits", "write past the end", "register past $4017",
-            "value past a byte", "total past the WAV limit"])
-    def test_rejected_stream_allocates_nothing(self, monkeypatch, stream, error):
+            "value past a byte", "total past the WAV limit", "total past the replay limit",
+            "longest total", "negative total", "float total", "str total", "no total",
+            "float offset", "decreasing offset", "negative offset", "float register",
+            "register before $4000", "negative value", "float value"])
+    def test_rejected_stream_allocates_nothing(self, monkeypatch, stream):
         def allocate(*args, **kwargs):
             raise AssertionError("the output was allocated before the stream was checked")
         monkeypatch.setattr(synth.np, "empty", allocate)
-        with pytest.raises(error):
+        with pytest.raises(ValueError) as replayed:
+            apu.replay(stream)
+        with pytest.raises(ValueError) as rendered:
             render_writes(stream)
+        assert type(rendered.value) is type(replayed.value)
+        assert str(rendered.value) == str(replayed.value)
 
 
 def estimate_fundamental(samples: np.ndarray, lo_hz=20.0, hi_hz=2000.0) -> float:
@@ -535,7 +545,23 @@ def edge_pitch(samples: np.ndarray) -> float | None:
 
 
 class TestRenderMatchesExtraction:
-    """Each voice rendered alone sounds exactly on the frames extraction scores it on."""
+    """The render plays what the APU plays, and extraction scores it, less
+    the pitches outside the score's alphabet.  So each voice of a score's
+    stream, rendered alone, sounds exactly on the frames extraction scores it on."""
+
+    @pytest.mark.parametrize("writes, levels", [
+        # P1 at timer 20, constant volume 15: 5.3 kHz, audible but past every scored note
+        (((0x4015, 0x01), (0x4000, 0xBF), (0x4002, 20), (0x4003, 0x08)),
+         {pcm(mix(0, 0, 0, 0)), pcm(mix(15, 0, 0, 0))}),
+        # the triangle at timer 5: 9.3 kHz, the same
+        (((0x4015, 0x04), (0x4008, 0xFF), (0x400A, 5), (0x400B, 0x08), (0x4017, 0x80)),
+         {pcm(mix(0, 0, t, 0)) for t in range(16)}),
+    ], ids=["pulse timer 20", "triangle timer 5"])
+    def test_pitches_outside_the_alphabet_sound_unscored(self, writes, levels):
+        stream = _stream(4410, *((0, register, value) for register, value in writes))
+        assert apu.PULSE_NOTES[20] == apu.TRIANGLE_NOTES[5] == 0
+        assert not apu.extract_timeline(stream).frames.any()
+        assert set(render_writes(stream).tolist()) == levels
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16))
     @settings(derandomize=True, max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 """VGM parsing and emission, checked against the public v1.61 format docs."""
 
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -386,6 +387,13 @@ class TestStreamColumns:
     def test_columns_of_different_lengths_rejected(self, lengths):
         offsets, registers, values = (np.zeros(n, np.int64) for n in lengths)
         with pytest.raises(ValueError, match="^the offset, register and value columns differ"):
+            TimedWriteStream.from_columns(offsets, registers, values, 10)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 3), (2, 3)), ((2,), (2, 1), (2,))])
+    def test_columns_not_1d_rejected(self, shapes):
+        offsets, registers, values = (np.full(shape, 0x4015) for shape in shapes)
+        message = f"the columns are not all 1-D: shapes {list(shapes)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TimedWriteStream.from_columns(offsets, registers, values, 10)
 
     def test_writes_gives_back_the_tuples(self):
