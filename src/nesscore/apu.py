@@ -25,7 +25,6 @@ allocates.  No audio is produced here; waveform generation lives in
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -80,28 +79,25 @@ class ReplayTooLong(ValueError):
 def _pitch_tables(divisor: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The note of each 11-bit timer period, 0 where it is outside [lo, hi], and
     per note 0..hi the timer period that sounds it, -1 where none does."""
-    notes = np.zeros(0x800, np.int16)
-    for t in range(0x800):
-        freq = CPU_HZ / (divisor * (t + 1))
-        note = round(69 + 12 * math.log2(freq / 440.0))
-        if lo <= note <= hi:
-            notes[t] = note
-    timers = np.full(hi + 1, -1, np.int16)
-    for note in range(lo, hi + 1):
-        freq = 440.0 * 2.0 ** ((note - 69) / 12)
-        t0 = round(CPU_HZ / (divisor * freq) - 1)
-        for t in (t0, t0 - 1, t0 + 1, t0 - 2, t0 + 2):
-            if 0 <= t <= 0x7FF and notes[t] == note:
-                timers[note] = t
-                break
+    freq = CPU_HZ / (divisor * np.arange(1, 0x801))
+    notes = np.rint(69 + 12 * np.log2(freq / 440.0)).astype(np.int16)
+    notes *= (notes >= lo) & (notes <= hi)
+    note = np.arange(hi + 1)
+    t = np.rint(CPU_HZ / (divisor * (440.0 * 2.0 ** ((note - 69) / 12))) - 1).astype(np.int64)
+    fits = (note >= lo) & (t <= 0x7FF)
+    timers = np.where(fits & (notes[t * fits] == note), t, -1).astype(np.int16)
     notes.flags.writeable = timers.flags.writeable = False
     return notes, timers
 
 
-# The pitch lookup, built at import in about 2 ms.  The note of timer period
-# t is round(69 + 12 * log2(f / 440)) for f = 1789773 / (16 * (t + 1)) on a
-# pulse and / (32 * (t + 1)) on the triangle; PULSE_NOTES[t] and
-# TRIANGLE_NOTES[t] hold it, 0 where it is out of the voice's range.
+# The pitch lookup, each table one array expression of the CPU clock.  The
+# note of timer period t is rint(69 + 12 * log2(f / 440)) for f = CPU_HZ /
+# (16 * (t + 1)) on a pulse and / (32 * (t + 1)) on the triangle;
+# PULSE_NOTES[t] and TRIANGLE_NOTES[t] hold it, 0 where it is out of the
+# voice's range.  The timer of note n is the period nearest to its frequency
+# 440 * 2^((n - 69) / 12), where that period fits in 11 bits and sounds n.
+# Both rounded quantities stay at least 3e-4 from a half, far beyond any
+# platform's log2 or pow error, so the tables do not depend on the platform.
 PULSE_NOTES, PULSE_TIMERS = _pitch_tables(16, PULSE_NOTE_MIN, PULSE_NOTE_MAX)
 TRIANGLE_NOTES, TRIANGLE_TIMERS = _pitch_tables(32, TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX)
 # kind -> (lowest note, timer period of each note)
@@ -167,10 +163,10 @@ class _Program:
     applied); the register column is read once, to group the write indices
     by register.  Register state changes only at a write group, the writes
     at one sample: after the first g groups, the first ``group_w[g]`` writes
-    have run.  Clock c runs after the first ``clock_keys[K[c]]`` writes
-    (``clock_keys`` holds each count once, ascending; ``_key_first[j]`` is
-    the first clock of count ``clock_keys[j]``, and its last entry the
-    clock count); ``half[c]`` marks a half clock.  At segment start
+    have run.  Clock c runs after the first ``clock_w[c]`` writes, a count
+    that never falls from clock to clock, and ``clock_keys`` holds each
+    count once, ascending, with ``clock_keys[K[c]] == clock_w[c]``;
+    ``half[c]`` marks a half clock.  At segment start
     ``starts[p]`` the state is the one after the first ``G[p]`` groups and
     the first ``C[p]`` clocks.  So a register is looked up once per distinct
     write count, at ``group_w`` or ``clock_keys``, and gathered to the
@@ -182,15 +178,13 @@ class _Program:
         n = int(stream.offsets.searchsorted(total))
         self.offsets, self.vals = stream.offsets[:n], stream.values[:n]
         regs = (stream.registers[:n] - 0x4000).astype(np.int8)
-        # Per register: the indices of its writes, and after a -1 (a 0) for
-        # "not yet written" the same indices (their values).
+        # Per register: the indices of its writes, and after a 0 for "not yet
+        # written" their values.
         order = np.argsort(regs, kind="stable")
         bounds = regs[order].searchsorted(np.arange(0x19))
-        last = np.insert(order, bounds[:-1], -1)
         held = np.insert(self.vals[order], bounds[:-1], 0)
         spans = list(enumerate(zip(bounds.tolist(), bounds[1:].tolist())))
         self._writes = [order[a:b] for _r, (a, b) in spans]
-        self._last = [last[a + r:b + r + 1] for r, (a, b) in spans]
         self._held = [held[a + r:b + r + 1] for r, (a, b) in spans]
         groups = np.flatnonzero(run_starts(self.offsets))   # offsets are sorted
         self.group_w = np.append(groups, n)
@@ -224,10 +218,9 @@ class _Program:
         w = np.concatenate((now + 1, self.group_w[group_at.searchsorted(ticks[clocked], "right")]))
         half = np.concatenate((np.ones(len(now), bool), kind[clocked] == 2))
         order = np.argsort(at, kind="stable")
-        w, self.half = w[order], half[order]
-        new = run_starts(w)
-        self.clock_keys, self.K = w[new], np.cumsum(new) - 1
-        self._key_first = np.append(np.flatnonzero(new), len(new))
+        self.clock_w, self.half = w[order], half[order]
+        new = run_starts(self.clock_w)
+        self.clock_keys, self.K = self.clock_w[new], np.cumsum(new) - 1
         self.G = group_at.searchsorted(self.starts, "right")
         self.C = at[order].searchsorted(self.starts, "right")
 
@@ -238,7 +231,7 @@ class _Program:
     def clock_after(self, writes: np.ndarray) -> np.ndarray:
         """The first clock to run after each of ``writes`` (indices; the
         clock count where none does)."""
-        return self._key_first[self.clock_keys.searchsorted(writes, "right")]
+        return self.clock_w.searchsorted(writes, "right")
 
     def held(self, register: int, w: np.ndarray) -> np.ndarray:
         """The value ``register`` holds after the first ``w`` writes (0 before any)."""
@@ -250,7 +243,7 @@ class _Program:
         among the first ``w`` writes."""
         r = register - 0x4000
         j = self._writes[r].searchsorted(w)
-        return self._last[r][j], self._held[r][j]
+        return np.insert(self._writes[r], 0, -1)[j], self._held[r][j]
 
     def length_on(self, load: int, bit: int, halted: np.ndarray) -> np.ndarray:
         """Where a length counter is above 0 at each start.  It holds its last
@@ -301,10 +294,10 @@ class _Program:
         restarts = self.clock_after(self.writes_to(start))
         first = sorted_unique(np.concatenate(
             ([0], restarts, self.clock_after(self.writes_to(control)))))
-        first = first[first < len(self.K)]
-        setting = self.held(control, self.clock_keys[self.K[first]]) & 0x2F
+        first = first[first < len(self.clock_w)]
+        setting = self.held(control, self.clock_w[first]) & 0x2F
         restart = np.isin(first, restarts)
-        keep = restart | (setting != self.held(control, self.clock_keys[self.K[first - 1]]) & 0x2F)
+        keep = restart | (setting != self.held(control, self.clock_w[first - 1]) & 0x2F)
         keep[:1] = True
         first, restart, setting = first[keep], restart[keep], setting[keep]
         # Epoch 0 stands for the state before the first clock: divider 0, decay 0.
@@ -343,7 +336,7 @@ class _Program:
         -1 on negate.
         """
         halves = np.flatnonzero(self.half)
-        hw = self.clock_keys[self.K[halves]]
+        hw = self.clock_w[halves]
         reload = sorted_unique(hw.searchsorted(self.writes_to(base + 1), "right"))
         reload = reload[reload < len(halves)]
         anchor = np.concatenate(([-1], reload))

@@ -395,7 +395,9 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
     A frame ``validate`` rejects is an UnmappableEvent naming the frame and
     its track (1-4 for P1, P2, TR, NO; track 0 holds the tempo).
     """
-    _fmt, division, tracks = _chunks(data)
+    fmt, division, tracks = _chunks(data)
+    if fmt != 1:
+        raise UnmappableEvent(f"format {fmt}; profile requires 1")
     if division != PPQ:
         raise UnmappableEvent(f"division {division}; profile requires {PPQ}")
     if len(tracks) != 5:
@@ -403,14 +405,14 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
     (tick, kind, d1, d2), counts, end_tick = _read_tracks(data, tracks)
 
     # One frame, and then the frames the file is read into, must fit in a stream.
-    check_rate(rate_hz, 1)
+    rate = check_rate(rate_hz, 1)
     if end_tick > MAX_TOTAL_SAMPLES:   # one tick is one sample
         raise UnmappableEvent(f"end of track at tick {end_tick}, past the "
                               f"{MAX_TOTAL_SAMPLES} samples a stream can span")
-    n_frames = round(end_tick * rate_hz / SAMPLE_RATE)
-    check_rate(rate_hz, n_frames)
+    n_frames = round(end_tick * rate / SAMPLE_RATE)
+    check_rate(rate, n_frames)
     frames = np.zeros((n_frames, 10), np.int16)
-    first = _first_frames(tick, rate_hz)
+    first = _first_frames(tick, rate)
     control = kind == 0xB0
     fields = [(~control, d1 * (kind == 0x90)),
               ((kind == 0x90) | control & (d1 == CC_EXPRESSION), _VELOCITY_OF.take(d2)),
@@ -419,7 +421,7 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
     for columns, a, b in zip(VOICE_COLUMNS.values(), edges, edges[1:]):
         _voice_frames(frames, columns, first[a:b],
                       [(mask[a:b], values[a:b]) for mask, values in fields[:len(columns)]])
-    score = ExpressiveScore._adopt(float(rate_hz), frames)
+    score = ExpressiveScore._adopt(rate, frames)
     check_frames(score, lambda d: UnmappableEvent(
         f"frame {d.frame_index}, track {VOICES.index(d.voice) + 1}: {d.voice} {d.message}"))
     return score

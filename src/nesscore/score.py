@@ -169,12 +169,12 @@ class Diagnostic(NamedTuple):
 # ---------------------------------------------------------------------------
 # the frame clock shared by downsampling, synthesis and MIDI
 #
-# Frame k sits at k*44100/rate samples, one float64 quotient.  check_rate keeps
-# k*44100 below 2^53, where that quotient is the correctly rounded true one.
+# Frame k sits at k*44100/rate samples, one float64 quotient for any real rate.
+# check_rate keeps k*44100 below 2^53, where it is the correctly rounded one.
 
 def frame_position(k, rate_hz: float):
     """Where frame k (an int or an integer array) sits, in samples, as float64."""
-    return k * SAMPLE_RATE / rate_hz
+    return k * SAMPLE_RATE / float(rate_hz)
 
 
 def frame_sample_index(k, rate_hz: float):
@@ -188,7 +188,7 @@ def frame_sample_index(k, rate_hz: float):
 
 def frame_count(total_samples: int, rate_hz: float) -> int:
     """Number of frames covering total_samples: ceil(total*rate/44100)."""
-    return math.ceil(total_samples * rate_hz / SAMPLE_RATE)
+    return math.ceil(total_samples * float(rate_hz) / SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +202,14 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
     Raises ValueError for a rate ``check_rate`` rejects, so every score made
     here can be written and read back.
     """
-    check_rate(rate_hz)                    # frame_count needs a usable rate
-    n = frame_count(timeline.total_samples, rate_hz)
-    check_rate(rate_hz, n)
-    points = frame_sample_index(np.arange(n), rate_hz)
+    rate = check_rate(rate_hz)             # frame_count needs a usable rate
+    n = frame_count(timeline.total_samples, rate)
+    check_rate(rate, n)
+    points = frame_sample_index(np.arange(n), rate)
     # Point k falls in the run of change i - 1, i = searchsorted(...)[k]; i = 0 is
     # the silence (every field 0) before the first change.
     table = np.concatenate((np.zeros((1, 10), np.int16), timeline.frames))
-    return ExpressiveScore._adopt(float(rate_hz),
-                                  table[np.searchsorted(timeline.starts, points, "right")])
+    return ExpressiveScore._adopt(rate, table[np.searchsorted(timeline.starts, points, "right")])
 
 
 def to_separated(score: ExpressiveScore) -> SeparatedScore:
@@ -386,8 +385,8 @@ MAX_TOTAL_SAMPLES = 0xFFFFFFFF
 MAX_FRAMES = 1 << 24
 
 
-def check_rate(rate_hz: float, n_frames: int = 0, error: type = ValueError) -> None:
-    """Raise ``error`` unless rate_hz is a real number in (0, 44100],
+def check_rate(rate_hz: float, n_frames: int = 0, error: type = ValueError) -> float:
+    """rate_hz as a float; ``error`` unless it is a real number in (0, 44100],
     n_frames <= ``MAX_FRAMES`` and n_frames frames at rate_hz span at most
     2^32 - 1 samples (the default 0 frames checks the rate alone).  A frame
     shorter than a sample would only repeat samples.  Readers check before
@@ -395,7 +394,7 @@ def check_rate(rate_hz: float, n_frames: int = 0, error: type = ValueError) -> N
     """
     if not isinstance(rate_hz, numbers.Real):
         raise error(f"rate {rate_hz!r} is not a number in (0, {SAMPLE_RATE}]")
-    if not 0 < rate_hz <= SAMPLE_RATE:
+    if not (0 < rate_hz <= SAMPLE_RATE and float(rate_hz) > 0):   # a tiny Fraction is 0.0
         raise error(f"rate {rate_hz} Hz is not a number in (0, {SAMPLE_RATE}]")
     # The count is bounded as an integer first, so no count too big for a float
     # reaches the division.
@@ -405,6 +404,7 @@ def check_rate(rate_hz: float, n_frames: int = 0, error: type = ValueError) -> N
     if frame_position(n_frames, rate_hz) >= MAX_TOTAL_SAMPLES + 1:
         raise error(f"{n_frames} frames at {rate_hz} Hz span more than "
                     f"{MAX_TOTAL_SAMPLES} samples")
+    return float(rate_hz)
 
 
 def _format_rate(rate_hz: float) -> str:
@@ -559,7 +559,8 @@ def split_corpus(entries: Sequence[CorpusEntry], ratios: tuple = (8, 1, 1),
     lowest fill fraction (song count / target), ties in train/valid/test
     order.  Deterministic given the seed.
     """
-    if len(ratios) != len(SPLIT_NAMES) or any(r <= 0 for r in ratios):
+    positive = all(isinstance(r, numbers.Real) and r > 0 for r in ratios)   # nan is not
+    if len(ratios) != len(SPLIT_NAMES) or not positive or not math.isfinite(sum(ratios)):
         raise ValueError("ratios must be three positive numbers")
 
     parent: dict = {}

@@ -127,7 +127,9 @@ def _parse_track_body(chunk: bytes, offset: int) -> tuple[list[_TrackEvent], int
 
 
 def midi_to_score_by_frame(data: bytes, rate_hz: float) -> ExpressiveScore:
-    _fmt, division, tracks = _chunks(data)
+    fmt, division, tracks = _chunks(data)
+    if fmt != 1:
+        raise UnmappableEvent(f"format {fmt}; profile requires 1")
     if division != PPQ:
         raise UnmappableEvent(f"division {division}; profile requires {PPQ}")
     if len(tracks) != 5:

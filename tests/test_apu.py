@@ -16,8 +16,10 @@ from nesscore.apu import (
     CPU_HZ,
     LENGTH_TABLE,
     PULSE_NOTES,
+    PULSE_TIMERS,
     ROW_FIELDS,
     TRIANGLE_NOTES,
+    TRIANGLE_TIMERS,
     NoteOutOfRange,
     ReplayTooLong,
     extract_timeline,
@@ -344,6 +346,17 @@ class TestPitchMaps:
             for timer in range(0x800):
                 expected = formula_midi(timer, divisor)
                 assert notes[timer] == (expected if lo <= expected <= 108 else 0)
+
+    def test_timers_match_formula_everywhere(self):
+        # per note, the period nearest its frequency, kept where it fits in 11
+        # bits and sounds the note
+        for timers, divisor, lo in ((PULSE_TIMERS, 16, 32), (TRIANGLE_TIMERS, 32, 21)):
+            assert len(timers) == 109
+            for note in range(109):
+                t = round(CPU_HZ / (divisor * 440.0 * 2.0 ** ((note - 69) / 12)) - 1)
+                fits = lo <= note and 0 <= t <= 0x7FF and formula_midi(t, divisor) == note
+                assert timers[note] == (t if fits else -1)
+        assert PULSE_TIMERS[32] == -1 and 32 not in PULSE_NOTES    # no period sounds it
 
     def test_floor_timer_maps_to_33(self):
         # 1789773/(16*2048) = 54.62 Hz = MIDI 32.88, rounding to 33: the

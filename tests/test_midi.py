@@ -203,6 +203,14 @@ class TestImportErrors:
         with pytest.raises(UnmappableEvent):
             midi_to_score(bytes(data), 24.0)
 
+    @pytest.mark.parametrize("fmt", [0, 2, 7])
+    def test_format_other_than_1_rejected(self, fmt):
+        # the header's format was read and ignored: each of these imported
+        data = bytearray(score_to_midi(ExpressiveScore(24.0, [A440])))
+        struct.pack_into(">H", data, 8, fmt)
+        with pytest.raises(UnmappableEvent, match=f"^format {fmt}; profile requires 1$"):
+            midi_to_score(bytes(data), 24.0)
+
     def test_wrong_tempo(self):
         body = five_track_file(b"")
         patched = body.replace(b"\x07\xa1\x20", b"\x06\x1a\x80")  # 400000 us

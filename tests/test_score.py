@@ -1,6 +1,7 @@
 """Score containers, downsampling, conversions, text format and the split."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -639,6 +640,15 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_corpus(entries(3), ratios=(8, 0, 1))
 
+    @pytest.mark.parametrize("ratios", [(8, 1, float("nan")), (8, 1, float("inf")),
+                                        (8, 1, "1"), (8, 1, None), (1e308, 1e308, 1), (8, 1)],
+                             ids=repr)
+    def test_ratios_not_finite_positive_rejected(self, ratios):
+        # nan put every song in train, an infinite ratio or sum divided by
+        # zero, and "1" or None raised TypeError
+        with pytest.raises(ValueError, match="^ratios must be three positive numbers$"):
+            split_corpus(entries(3), ratios=ratios)
+
     def test_entry_without_composers_rejected(self):
         es = entries(3) + [CorpusEntry("lone", "g9", frozenset())]
         with pytest.raises(ValueError, match="^entry 'lone' has no composers$"):
@@ -703,7 +713,24 @@ class TestRateBound:
         with pytest.raises(ValueError) as exc:
             use(rate)
         assert str(exc.value) == f"rate {rate!r} is not a number in (0, 44100]"
-        use(np.float32(24))     # numpy reals stay accepted
+
+    @pytest.mark.parametrize("rate", [24, np.int64(24), np.float16(24), np.float32(24),
+                                      Fraction(24)], ids=repr)
+    @pytest.mark.parametrize("use", RATE_READERS.values(), ids=RATE_READERS.keys())
+    def test_every_real_rate_gives_the_float_rates_output(self, use, rate):
+        # np.float16 overflowed the span check, and a Fraction reached np.rint
+        assert use(rate) == use(24.0)
+
+    def test_float32_rate_runs_the_float64_clock(self):
+        rate = np.float32(24)
+        assert frame_sample_index(10 ** 6, rate) == 1_837_500_000      # was 1_837_500_032
+        assert frame_count(734_676_600, rate) == frame_count(734_676_600, 24.0) == 399_824
+        assert len(downsample(constant_timeline(734_676_600), rate)) == 399_824
+
+    def test_rate_below_the_float_range_rejected(self):
+        rate = Fraction(1, 10 ** 400)       # a positive real that converts to 0.0
+        with pytest.raises(ValueError, match="is not a number in"):
+            check_rate(rate)
 
     @pytest.mark.parametrize("rate", [0.0, -24.0, 44101.0, 1e12])
     def test_writers_check_the_rate(self, rate):
