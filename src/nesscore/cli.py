@@ -72,7 +72,7 @@ def cmd_eval(args) -> int:
 
 def cmd_split(args) -> int:
     entries = evaluation.read_manifest(args.manifest)
-    ratios = tuple(int(r) for r in args.ratios.split(","))
+    ratios = tuple(float(r) for r in args.ratios.split(","))
     assignment = score.split_corpus(entries, ratios=ratios, seed=args.seed)
     doc = {name: [e.song_id for e in group] for name, group in assignment.items()}
     print(json.dumps(doc, indent=2, sort_keys=True))

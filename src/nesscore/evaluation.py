@@ -257,33 +257,27 @@ class CategoryResult:
     acc_all: float
 
 
+# The metrics, and whether a report aggregates each over its categories by
+# mean (accuracy) or by sum (NLL).
+METRICS = {"nll_poi": False, "nll_all": False, "acc_poi": True, "acc_all": True}
+
+
 @dataclass
 class EvalReport:
     task: str
     model: str
     categories: list[CategoryResult] = field(default_factory=list)
 
-    def _agg(self, attr: str, mean: bool) -> float:
-        values = [getattr(c, attr) for c in self.categories]
-        if not values:
-            return 0.0
-        return sum(values) / len(values) if mean else sum(values)
+    def _agg(self, metric: str) -> float:
+        """The metric over the categories, by ``METRICS``; 0.0 for none."""
+        values = [getattr(c, metric) for c in self.categories]
+        total = sum(values, 0.0)
+        return total / len(values) if METRICS[metric] and values else total
 
-    @property
-    def nll_poi(self):
-        return self._agg("nll_poi", mean=False)
-
-    @property
-    def nll_all(self):
-        return self._agg("nll_all", mean=False)
-
-    @property
-    def acc_poi(self):
-        return self._agg("acc_poi", mean=True)
-
-    @property
-    def acc_all(self):
-        return self._agg("acc_all", mean=True)
+    nll_poi = property(lambda self: self._agg("nll_poi"))
+    nll_all = property(lambda self: self._agg("nll_all"))
+    acc_poi = property(lambda self: self._agg("acc_poi"))
+    acc_all = property(lambda self: self._agg("acc_all"))
 
 
 def evaluate(model: Baseline, corpus, task: str) -> EvalReport:
@@ -309,27 +303,23 @@ def evaluate(model: Baseline, corpus, task: str) -> EvalReport:
 
 
 def report_to_json(report: EvalReport) -> str:
+    """The report as JSON: its task, model, per-category results and, per
+    metric in ``METRICS``, its aggregate."""
     doc = {
         "task": report.task,
         "model": report.model,
         "categories": [vars(c).copy() for c in report.categories],
-        "aggregates": {
-            "nll_poi": report.nll_poi,
-            "nll_all": report.nll_all,
-            "acc_poi": report.acc_poi,
-            "acc_all": report.acc_all,
-        },
+        "aggregates": {m: getattr(report, m) for m in METRICS},
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def report_to_table(report: EvalReport) -> str:
-    """Human-readable table: one row per category plus the aggregates."""
-    headers = ("category", "nll_poi", "nll_all", "acc_poi", "acc_all")
-    rows = [[c.category, f"{c.nll_poi:.3f}", f"{c.nll_all:.3f}",
-             f"{c.acc_poi:.3f}", f"{c.acc_all:.3f}"] for c in report.categories]
-    rows.append(["aggregate", f"{report.nll_poi:.3f}", f"{report.nll_all:.3f}",
-                 f"{report.acc_poi:.3f}", f"{report.acc_all:.3f}"])
+    """Human-readable table: a column per metric in ``METRICS``, a row per
+    category plus the aggregates."""
+    headers = ("category", *METRICS)
+    rows = [[c.category, *(f"{getattr(c, m):.3f}" for m in METRICS)] for c in report.categories]
+    rows.append(["aggregate", *(f"{getattr(report, m):.3f}" for m in METRICS)])
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
     lines.extend("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows)
@@ -364,14 +354,12 @@ def corpus_stats(corpus) -> CorpusStats:
     corpus = list(corpus)
     notes, first = _category_values(corpus, "separated")   # index 0 is note 0
     duration = sum(len(s) / s.rate_hz for s in corpus)
-    total_frames = len(first)
-    if total_frames == 0:
-        return CorpusStats(len(corpus), 0, duration, dict.fromkeys(sc.VOICES, 0.0), 0.0)
+    frames = max(len(first), 1)      # an empty corpus has on-rates and polyphony 0
     on_counts = {v: int(np.count_nonzero(notes[v])) for v in sc.VOICES}
     note_count = sum(int(np.count_nonzero(_poi_mask(notes[v], first) & (notes[v] > 0)))
                      for v in sc.VOICES)
-    probs = {v: on_counts[v] / total_frames for v in sc.VOICES}
-    polyphony = sum(on_counts.values()) / total_frames
+    probs = {v: on_counts[v] / frames for v in sc.VOICES}
+    polyphony = sum(on_counts.values()) / frames
     return CorpusStats(len(corpus), note_count, duration, probs, polyphony)
 
 

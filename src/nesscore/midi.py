@@ -421,7 +421,5 @@ def midi_to_score(data: bytes, rate_hz: float) -> ExpressiveScore:
     for columns, a, b in zip(VOICE_COLUMNS.values(), edges, edges[1:]):
         _voice_frames(frames, columns, first[a:b],
                       [(mask[a:b], values[a:b]) for mask, values in fields[:len(columns)]])
-    score = ExpressiveScore._adopt(rate, frames)
-    check_frames(score, lambda d: UnmappableEvent(
+    return ExpressiveScore._adopt(rate, frames, lambda d: UnmappableEvent(
         f"frame {d.frame_index}, track {VOICES.index(d.voice) + 1}: {d.voice} {d.message}"))
-    return score

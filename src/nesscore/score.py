@@ -90,7 +90,7 @@ class ExpressiveScore:
     ``frames`` (ExpressiveFrames or a (T, 10) integer array) is copied in, else
     ValueError.  ``to_array()`` is the store; ``.frames`` rebuilds tuples per access.
     The readers hand their own fresh arrays over with ``_adopt``, which does
-    not copy.
+    not copy but checks the schema.
     """
 
     def __init__(self, rate_hz: float = DEFAULT_RATE_HZ, frames=()):
@@ -106,12 +106,15 @@ class ExpressiveScore:
         self._values = values
 
     @classmethod
-    def _adopt(cls, rate_hz: float, values: np.ndarray) -> "ExpressiveScore":
+    def _adopt(cls, rate_hz: float, values: np.ndarray, error) -> "ExpressiveScore":
         """A score that holds ``values``, a (T, 10) C-contiguous int16 array
-        no one else writes to, which it marks read-only instead of copying."""
+        no one else writes to, which it marks read-only instead of copying;
+        ``check_frames(score, error)`` raises at the first frame ``validate``
+        rejects, so no reader hands out an invalid score."""
         values.flags.writeable = False
         score = cls.__new__(cls)
         score.rate_hz, score._values = rate_hz, values
+        check_frames(score, error)
         return score
 
     @property
@@ -199,8 +202,9 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
 
     Frame k takes the timeline state at sample floor(k*44100/rate_hz); no
     aggregation or filtering.  Trailing partial frames are kept (ceiling).
-    Raises ValueError for a rate ``check_rate`` rejects, so every score made
-    here can be written and read back.
+    Raises ValueError for a rate ``check_rate`` rejects, or naming the first
+    frame ``validate`` rejects, so every score made here can be written and
+    read back.
     """
     rate = check_rate(rate_hz)             # frame_count needs a usable rate
     n = frame_count(timeline.total_samples, rate)
@@ -209,7 +213,8 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
     # Point k falls in the run of change i - 1, i = searchsorted(...)[k]; i = 0 is
     # the silence (every field 0) before the first change.
     table = np.concatenate((np.zeros((1, 10), np.int16), timeline.frames))
-    return ExpressiveScore._adopt(rate, table[np.searchsorted(timeline.starts, points, "right")])
+    return ExpressiveScore._adopt(rate, table[np.searchsorted(timeline.starts, points, "right")],
+                                  _frame_error)
 
 
 def to_separated(score: ExpressiveScore) -> SeparatedScore:
@@ -299,9 +304,13 @@ def _diagnostics(values: np.ndarray) -> Iterator[Diagnostic]:
             yield Diagnostic(start + i, voice, text.replace("{value}", str(block[i, column])))
 
 
-def check_frames(score: ExpressiveScore, error=lambda d: ValueError(
-        f"frame {d.frame_index}: {d.voice} {d.message}")) -> None:
-    """Raise ``error(d)`` at the first diagnostic d, if any: later blocks go unread."""
+def _frame_error(d: Diagnostic) -> ValueError:
+    return ValueError(f"frame {d.frame_index}: {d.voice} {d.message}")
+
+
+def check_frames(score: ExpressiveScore, error=_frame_error) -> None:
+    """Raise ``error(d)`` at the first diagnostic d, if any: later blocks go
+    unread.  The writers call it, and the readers through ``ExpressiveScore._adopt``."""
     for diagnostic in _diagnostics(score.to_array()):
         raise error(diagnostic)
 
@@ -468,9 +477,8 @@ def read_score_text(data: bytes) -> ExpressiveScore:
     n_lines = int(np.count_nonzero(newline))
     if n_lines != n_frames:
         raise MalformedHeader(f"expected {n_frames} frame lines, found {n_lines}")
-    score = ExpressiveScore._adopt(rate_hz, _read_body(body, newline, n_lines))
-    check_frames(score, lambda d: BadFieldValue(d.frame_index + 2, f"{d.voice} {d.message}"))
-    return score
+    return ExpressiveScore._adopt(rate_hz, _read_body(body, newline, n_lines), lambda d: (
+        BadFieldValue(d.frame_index + 2, f"{d.voice} {d.message}")))
 
 
 def _read_body(body: bytes, newline: np.ndarray, n_lines: int) -> np.ndarray:
@@ -557,34 +565,30 @@ def split_corpus(entries: Sequence[CorpusEntry], ratios: tuple = (8, 1, 1),
     Connected components of the game-composer graph are the split units;
     they are shuffled by seed and each is assigned to the subset with the
     lowest fill fraction (song count / target), ties in train/valid/test
-    order.  Deterministic given the seed.
+    order.  Deterministic given the seed.  ValueError unless the ratios are
+    three real numbers above 0 with a finite sum that give each subset of a
+    non-empty corpus a target above 0.
     """
     positive = all(isinstance(r, numbers.Real) and r > 0 for r in ratios)   # nan is not
-    if len(ratios) != len(SPLIT_NAMES) or not positive or not math.isfinite(sum(ratios)):
+    valid = len(ratios) == len(SPLIT_NAMES) and positive and math.isfinite(sum(ratios))
+    targets = [len(entries) * r / sum(ratios) for r in ratios] if valid else []
+    if not valid or entries and 0 in targets:    # a tiny ratio's target can round to 0
         raise ValueError("ratios must be three positive numbers")
 
     parent: dict = {}
 
     def find(x):
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a, b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
     for e in entries:
         if not e.composer_ids:
             raise ValueError(f"entry {e.song_id!r} has no composers")
-        gkey = ("game", e.game_id)
-        parent.setdefault(gkey, gkey)
         for c in e.composer_ids:
-            union(gkey, ("composer", c))
+            parent[find(("composer", c))] = find(("game", e.game_id))
 
     by_root: dict = {}
     for e in entries:
@@ -593,9 +597,6 @@ def split_corpus(entries: Sequence[CorpusEntry], ratios: tuple = (8, 1, 1),
     components = sorted(by_root.values(), key=lambda comp: min(e.song_id for e in comp))
     random.Random(seed).shuffle(components)
 
-    total = len(entries)
-    ratio_sum = sum(ratios)
-    targets = [total * r / ratio_sum for r in ratios]
     counts = [0, 0, 0]
     out: dict[str, list[CorpusEntry]] = {name: [] for name in SPLIT_NAMES}
     for comp in components:

@@ -308,6 +308,18 @@ class TestCorpusCommands:
         main(["split", str(manifest), "--seed", "7"])
         assert capsys.readouterr().out == first
 
+    def test_split_real_ratios(self, manifest, capsys):
+        assert main(["split", str(manifest), "--ratios", "0.8,0.1,0.1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [len(doc["train"]), len(doc["valid"]), len(doc["test"])] == [8, 1, 1]
+
+    def test_split_ratio_rounding_to_zero_is_one_error_line(self, manifest, capsys):
+        manifest.write_text("s0.nesscore game=g0 composer=c0\n")
+        assert main(["split", str(manifest), "--ratios", "1,1,5e-324"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ratios must be three positive numbers\n"
+
     def test_eval_with_train_manifest(self, manifest, capsys):
         assert main(["eval", str(manifest), "--task", "separated",
                      "--model", "unigram", "--train", str(manifest)]) == 0

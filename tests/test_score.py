@@ -80,6 +80,12 @@ class TestDownsample:
         with pytest.raises(ValueError):
             downsample(constant_timeline(100), 0)
 
+    def test_invalid_frame_rejected(self):
+        # a timeline holding a frame the schema rejects gives no score
+        tl = timeline_of(44100, [(0, ExpressiveFrame(p1_note=5, p1_vel=3))])
+        with pytest.raises(ValueError, match=r"^frame 0: P1 note 5 outside \{0\} u \[32,108\]$"):
+            downsample(tl, 24)
+
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
     @settings(max_examples=60)
     def test_stable_runs_never_skipped(self, run_lengths):
@@ -648,6 +654,12 @@ class TestSplit:
         # zero, and "1" or None raised TypeError
         with pytest.raises(ValueError, match="^ratios must be three positive numbers$"):
             split_corpus(entries(3), ratios=ratios)
+
+    def test_ratio_whose_target_rounds_to_zero_rejected(self):
+        # one song's test target, 1 * 5e-324 / 2, rounds to 0.0
+        with pytest.raises(ValueError, match="^ratios must be three positive numbers$"):
+            split_corpus(entries(1), ratios=(1, 1, 5e-324))
+        assert split_corpus([], ratios=(1, 1, 5e-324)) == {"train": [], "valid": [], "test": []}
 
     def test_entry_without_composers_rejected(self):
         es = entries(3) + [CorpusEntry("lone", "g9", frozenset())]
