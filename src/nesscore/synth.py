@@ -15,12 +15,13 @@ voice's runs at every ``_BLOCK`` samples, and the blocks are filled with
 integer numpy ops over each run's piece, in buffers allocated once per
 render.  Per block the voices' per-segment params, 0 exactly where a voice
 is silent, are repeated out to the samples in one call; each voice with a
-param above 0 gathers its levels from an int16 wave table, the first into
-the block's int16 mixer index and each later one added to it.  The tables
-are scaled so that the index is the two pulses' levels times 256 plus the
-triangle's times 16 plus the noise's, and the console's nonlinear mixer is
-one table over that index, quantised to 16-bit PCM once, so one more gather
-gives the WAV's samples.
+param above 0 writes its int16 levels, the first into the block's int16
+mixer index and each later one added to it.  Pulses and triangle compute
+theirs from the step's low bits in int16 ops; only the noise gathers, from
+its LFSR's cycle tables.  Levels are scaled so that the index is the two
+pulses' levels times 256 plus the triangle's times 16 plus the noise's, and
+the console's nonlinear mixer is one table over that index, quantised to
+16-bit PCM once, so one more gather gives the WAV's samples.
 Waveforms are naive (no band-limiting), exactly how the hardware aliases.
 
 ``score_to_writes`` is the inverse path: it schedules the minimal register
@@ -68,11 +69,8 @@ NOISE_PERIODS = (
 
 _BLOCK = 1 << 15   # samples per whole-block numpy pass; bounds the temporaries
 
-# Pulse output level times 256 at (duty * 16 + volume) * 8 + step: one gather per sample.
-_PULSE_WAVE = np.array([256 * level * volume for duty in DUTY_SEQUENCES
-                        for volume in range(16) for level in duty], np.int16)
-# Triangle level times 16 at gate * 32 + step; the gated row is silent.
-_TRI_WAVE = np.array((0,) * 32 + TRIANGLE_SEQUENCE, np.int16) * 16
+# Each duty sequence as the bits of one mask: bit s is its level at step s.
+_DUTY_MASKS = np.array([sum(v << s for s, v in enumerate(d)) for d in DUTY_SEQUENCES], np.int16)
 
 
 def lfsr_step(register: int, mode: int) -> int:
@@ -217,22 +215,23 @@ class _Voice(NamedTuple):
     block's first sample.  Over a piece it is at step (offset + cycles) //
     period, ``cycles`` being ``_cycle_table`` from the block's first sample
     on; a piece of period 0 is frozen at step 0.  The pieces of block b are
-    ``bounds[b]`` to ``bounds[b + 1] - 1``.  A duty or triangle sequencer
-    sounds ``wave[param + (step & mask)]``, ``mask`` being its steps less 1;
-    the noise LFSR (``mask`` 0) sounds ``wave[base + step % length] *
-    param``, ``param`` being its volume.  ``wave`` is int16, scaled so that
-    the four voices' levels sum to the index of ``_MIX``.
+    ``bounds[b]`` to ``bounds[b + 1] - 1``.  A duty sequencer (``mask`` 7)
+    and the triangle (``mask`` 31) compute their levels from the step's low
+    bits and ``param``, in int16; the noise LFSR (``mask`` 0) gathers its
+    output at slot ``base + step % length`` of the cycle tables, times
+    ``param``, its volume.  Levels are scaled so that the four voices' sum to
+    the index of ``_MIX``.
     """
 
-    wave: np.ndarray
     mask: int
     pieces: list
     bounds: list
 
     def levels(self, b: int, param: np.ndarray, cycles: np.ndarray, step: np.ndarray,
-               out: np.ndarray) -> None:
-        """Write the level at each sample of block b into ``out``, given the
-        voice's ``param`` at each sample; ``step`` (int32, as long) is scratch."""
+               short: np.ndarray, out: np.ndarray) -> None:
+        """Write the int16 level at each sample of block b into ``out``, given
+        the voice's int16 ``param`` at each sample; ``step`` (int32) and
+        ``short`` (int16), as long, are scratch."""
         for first, end, offset, period, length, base in self.pieces[self.bounds[b]:
                                                                     self.bounds[b + 1]]:
             run = step[first:end]
@@ -243,13 +242,26 @@ class _Voice(NamedTuple):
                     run -= run // length * length - base    # a scalar // is faster than %
             else:
                 run.fill(0)
-        if self.mask:
-            step &= self.mask
-            step += param
-            self.wave.take(step, out=out, mode="clip")
-        else:
-            self.wave.take(step, out=out, mode="clip")
+        if not self.mask:
+            _lfsr_cycle_tables()[4].take(step, out=out, mode="clip")
             out *= param
+            return
+        # The rest runs in int16, on the low bits the copy keeps: a ufunc mixing
+        # int16 with int32 operands runs buffered, several times slower.
+        np.copyto(short, step, casting="unsafe")
+        if self.mask == 7:      # bit step & 7 of the duty mask (param bits 0-7), times 256v
+            short &= 7
+            np.right_shift(param, short, out=short)
+            short &= 1
+            np.bitwise_and(param, 0xF00, out=out)
+            out *= short
+        else:                   # step bits 0-3, inverted where bit 4 is clear, times param
+            np.right_shift(short, 4, out=out)
+            out &= 1
+            out -= 1
+            short ^= out
+            short &= 15
+            np.multiply(short, param, out=out)
 
 
 def _voices(starts: np.ndarray, rows: np.ndarray, total: int,
@@ -265,16 +277,17 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int,
         (np.where(volume > 0, rows[:, 7] * 2 + rows[:, 8], -1), 0)))
     gate = rows[:, 6] >= 0  # the triangle's timer is -1 where gated: its phase holds
     lfsr = _lfsr_cycle_tables()
-    # wave, mask, run starts, then period, mode and restart at them, tables, first state,
+    # mask, run starts, then period, mode and restart at them, tables, first state,
     # param.  A duty step takes 2(t + 1) cycles, a triangle step t + 1.
-    spec = [(_PULSE_WAVE, 7, opens, 2 * (rows[opens, col] + 1), 0 * opens, rows[opens, 10] & bit,
-             _ring(8), 0, (rows[:, col + 1] * 16 + rows[:, col + 2]) * 8 * (rows[:, col + 2] > 0))
+    spec = [(7, opens, 2 * (rows[opens, col] + 1), 0 * opens, rows[opens, 10] & bit,
+             _ring(8), 0, (_DUTY_MASKS[rows[:, col + 1]] | rows[:, col + 2] << 8)
+             * (rows[:, col + 2] > 0))
             for opens, col, bit in ((p1, 0, 1), (p2, 3, 2))]
-    spec += [(_TRI_WAVE, 31, tr, rows[tr, 6] + 1, 0 * tr, 0 * tr, _ring(32), 0, 32 * gate),
-             (lfsr[4], 0, no, np.array(NOISE_PERIODS)[rows[no, 7]] * (volume[no] > 0),
+    spec += [(31, tr, rows[tr, 6] + 1, 0 * tr, 0 * tr, _ring(32), 0, 16 * gate),
+             (0, no, np.array(NOISE_PERIODS)[rows[no, 7]] * (volume[no] > 0),
               rows[no, 8], 0 * no, lfsr, 1, volume)]
     voices, params = [], []
-    for wave, mask, opens, periods, modes, restarts, tables, first, param in spec:
+    for mask, opens, periods, modes, restarts, tables, first, param in spec:
         cut, run, block_first_piece = _cut(starts[opens], total)
         carried = _carry(*(a.tolist() for a in (cycles[opens], periods, modes, restarts)),
                          tables, first)
@@ -288,7 +301,7 @@ def _voices(starts: np.ndarray, rows: np.ndarray, total: int,
         pieces = zip(*(c.tolist() for c in (cut - block_first,
                                             np.append(cut[1:], total) - block_first,
                                             offsets, periods, lengths, bases)))
-        voices.append(_Voice(wave, mask, list(pieces), block_first_piece.tolist()))
+        voices.append(_Voice(mask, list(pieces), block_first_piece.tolist()))
         params.append(param)
     return voices, np.array(params, np.int16)[:, seg]
 
@@ -306,12 +319,13 @@ def render_writes(stream: TimedWriteStream) -> np.ndarray:
     del starts, rows, begin, seg
     out = np.empty(total, np.int16)
     cycle_table = _cycle_table(_BLOCK)
-    # scratch reused by every block: oscillator steps, one voice's levels, the mixer index
-    step, level, index = (np.empty(min(_BLOCK, total), t) for t in (np.int32, np.int16, np.int16))
+    # scratch reused by every block: steps, their int16 copy, one voice's levels, the index
+    scratch = [np.empty(min(_BLOCK, total), t) for t in (np.int32, np.int16, np.int16, np.int16)]
     for b, (j0, j1) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         first = b * _BLOCK
-        if total - first < len(index):  # the last block is short
-            step, level, index = step[:total - first], level[:total - first], index[:total - first]
+        if total - first < len(scratch[0]):  # the last block is short
+            scratch = [a[:total - first] for a in scratch]
+        step, short, level, index = scratch
         n = len(index)
         heard = np.flatnonzero(sounding[:, b]).tolist()
         if not heard:
@@ -320,9 +334,9 @@ def render_writes(stream: TimedWriteStream) -> np.ndarray:
         cycles = cycle_table[first % SAMPLE_RATE:][:n]
         param = params[:, j0:j1].repeat(counts[j0:j1], axis=1)
         # the first voice's levels start the mixer index, each later one's add to it
-        voices[heard[0]].levels(b, param[heard[0]], cycles, step, index)
+        voices[heard[0]].levels(b, param[heard[0]], cycles, step, short, index)
         for k in heard[1:]:
-            voices[k].levels(b, param[k], cycles, step, level)
+            voices[k].levels(b, param[k], cycles, step, short, level)
             index += level
         _MIX.take(index, out=out[first:first + n], mode="clip")
     return out

@@ -427,12 +427,65 @@ class TestWav:
         assert write_wav(samples[::3])[44:] == samples[::3].tobytes()    # a strided view
 
 
+# Steps across the whole int32 range, every residue mod 32 among them: the pulse
+# and triangle rules narrow the step to int16 and read only its low bits.
+STEPS = np.concatenate((np.arange(-2**31, -2**31 + 96), np.arange(-96, 96),
+                        np.arange(2**31 - 96, 2**31),
+                        np.random.default_rng(5).integers(-2**31, 2**31, 2048))).astype(np.int32)
+
+
+def voice_levels(mask, param, steps=STEPS):
+    """The levels ``_Voice.levels`` writes for one piece whose steps are
+    ``steps`` (offset 0, period 1), at one ``param`` throughout."""
+    n = len(steps)
+    voice = synth._Voice(mask, [(0, n, 0, 1, 1 << 15, 0)], [0, 1])
+    out = np.empty(n, np.int16)
+    voice.levels(0, np.full(n, param, np.int16), steps, np.empty(n, np.int32),
+                 np.empty(n, np.int16), out)
+    return out
+
+
+def replay_params():
+    """``_voices``'s params over rows with one segment per (duty, volume): P1,
+    P2 and the noise at that volume, the triangle gated in every other one.
+    Returns the params (one row per voice), duty, volume and the triangle's gate."""
+    duty, volume = np.divmod(np.arange(64), 16)
+    gate = np.arange(64) % 2
+    rows = np.zeros((64, 11), np.int32)
+    rows[:, [0, 3]], rows[:, [1, 4]], rows[:, [2, 5]] = 100, duty[:, None], volume[:, None]
+    rows[:, 6], rows[:, 9] = np.where(gate, 50, -1), volume
+    return synth._voices(10 * np.arange(64), rows, 640, np.arange(64))[1], duty, volume, gate
+
+
+class TestLevelRules:
+    def test_params_are_zero_exactly_where_silent(self):
+        params, _duty, volume, gate = replay_params()
+        assert params.dtype == np.int16
+        assert ((params != 0) == [volume > 0, volume > 0, gate > 0, volume > 0]).all()
+
+    def test_pulse_rule_is_the_duty_table(self):
+        params, duty, volume, _gate = replay_params()
+        for p, d, v in zip(params[:2].T.tolist(), duty.tolist(), volume.tolist()):
+            expected = (256 * np.array(synth.DUTY_SEQUENCES[d])[STEPS % 8] * v).tolist()
+            assert voice_levels(7, p[0]).tolist() == voice_levels(7, p[1]).tolist() == expected
+
+    def test_triangle_rule_is_the_sequence(self):
+        params, _duty, _volume, gate = replay_params()
+        for t, g in zip(params[2].tolist(), gate.tolist()):
+            expected = 16 * np.array(synth.TRIANGLE_SEQUENCE)[STEPS % 32] * g
+            assert voice_levels(31, t).tolist() == expected.tolist()
+
+
 class TestWaveTables:
     def test_levels_sum_to_the_last_mixer_index(self):
+        params, _duty, volume, gate = replay_params()
         noise = synth._lfsr_cycle_tables()[4]
-        assert {t.dtype for t in (synth._PULSE_WAVE, synth._TRI_WAVE, noise)} == {np.dtype(np.int16)}
-        # two pulses, the triangle and the noise at volume 15, all at their loudest
-        top = 2 * synth._PULSE_WAVE.max() + synth._TRI_WAVE.max() + 15 * noise.max()
+        assert noise.dtype == params.dtype == np.int16
+        steps = np.arange(32, dtype=np.int32)
+        pulse = max(voice_levels(7, p, steps).max() for p in params[0, volume == 15])
+        tr = max(voice_levels(31, t, steps).max() for t in params[2, gate > 0])
+        # two pulses and the noise at volume 15, plus the triangle, all at their loudest
+        top = 2 * pulse + tr + 15 * noise.max()
         assert top == len(synth._MIX) - 1 == 7935
 
 
