@@ -444,10 +444,9 @@ def write_score_text(score: ExpressiveScore) -> bytes:
 def read_score_text(data: bytes) -> ExpressiveScore:
     """Parse NESSCORE text, raising MalformedHeader or BadFieldValue.
 
-    The body is parsed and bounds-checked in one vectorised pass over its
-    bytes (see ``_read_body``); a body that passes is then checked against
-    the frame schema, and the first frame ``validate`` rejects is a
-    BadFieldValue at its line.
+    ``_read_body`` parses and bounds-checks the body in whole-array passes;
+    a body that passes is then checked against the frame schema, and the
+    first frame ``validate`` rejects is a BadFieldValue at its line.
     """
     if b"\r" in data:      # with no CR, replace's scan costs as much as check_frames
         data = data.replace(b"\r\n", b"\n")
@@ -485,11 +484,10 @@ def _read_body(body: bytes, newline: np.ndarray, n_lines: int) -> np.ndarray:
     """Field values, shape (n_lines, 10), of frame lines that each end in "\\n";
     ``newline`` marks the body's newline bytes.
 
-    Whole-array passes find the separators, build each value from its last
-    three digits and flag every line with a wrong field count, an empty
-    field, a byte that is neither digit nor separator, or a value above its
-    bound.  The first flagged line is then re-read on its own by
-    ``_line_error`` so the error names the line and field.
+    Whole-array passes find the separators, build each value from the run of
+    digits, up to three, that ends at its separator, and flag each line with
+    a wrong field count, an empty field, a stray byte or a value above its
+    bound; ``_line_error`` re-reads the first so the error names the field.
     """
     b = np.frombuffer(body, dtype=np.uint8)
     sep = (b == 32) | newline
@@ -505,25 +503,26 @@ def _read_body(body: bytes, newline: np.ndarray, n_lines: int) -> np.ndarray:
         raise _line_error(body, k)
 
     digit = b - np.uint8(48)            # bytes below "0" wrap above 9
-    width = np.diff(ends, prepend=-1) - 1
+    # An empty field's value is its separator byte, above every bound.  Places
+    # left of the body wrap to its last byte, which read_score_text makes "\n".
     values = digit.take(ends - 1).astype(np.int16)
-    tens = digit.take(ends - 2)
-    tens[width < 2] = 0
-    values += 10 * tens
-    hundreds = digit.take(ends - 3).astype(np.int16)
-    hundreds[width < 3] = 0
-    values += 100 * hundreds
-    bad = (width == 0) | (values.reshape(-1, 10) > _FIELD_MAX).ravel()
-    if (width > 3).any():
-        # Longer fields are in range only if their leading digits are zeros.
+    counted = values <= 9
+    places = np.count_nonzero(counted)
+    for k, scale in (2, 10), (3, 100):
+        place = digit.take(ends - k)
+        counted &= place <= 9
+        places += np.count_nonzero(counted)
+        values += place * counted * np.int16(scale)
+    bad = (values.reshape(-1, 10) > _FIELD_MAX).ravel()
+    digits = np.count_nonzero(digit <= 9)
+    if digits > places:                 # digits left of a field's last three must be 0
+        width = np.diff(ends, prepend=-1) - 1
         nonzero = np.concatenate(([0], np.cumsum(digit != 0)))
         bad |= (width > 3) & (nonzero[ends - 3] > nonzero[ends - width])
-    flagged = bad.reshape(-1, 10).any(axis=1)
-    stray = np.flatnonzero((digit > 9) & ~sep)
-    if len(stray):
-        flagged[np.searchsorted(newlines, stray[0])] = True
-    if flagged.any():
-        raise _line_error(body, int(np.argmax(flagged)))
+    if digits + len(ends) != len(b):    # a byte that is neither digit nor separator
+        bad[10 * np.searchsorted(newlines, np.argmax((digit > 9) & ~sep))] = True
+    if bad.any():
+        raise _line_error(body, int(np.argmax(bad)) // 10)
     return values.reshape(-1, 10)
 
 

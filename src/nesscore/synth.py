@@ -84,8 +84,8 @@ def mix(p1: int, p2: int, t: int, n: int) -> float:
     """Nonlinear four-channel mix, centered so silence is exactly 0.
 
     The sampler term of the triangle/noise group is pinned to zero.  The
-    doubled sum can slightly exceed 1 at pathological all-max levels, so the
-    result is clamped into [-1, 1].
+    doubled sum peaks at 1.26, so it is clamped into [-1, 1]: 718 of the 7,936
+    ``_MIX`` entries are 32767, the first at pulse sum 13 with t = n = 15.
     """
     pulse = 95.88 / (8128.0 / (p1 + p2) + 100.0) if p1 + p2 else 0.0
     tnd = 159.79 / (1.0 / (t / 8227.0 + n / 12241.0) + 100.0) if t or n else 0.0

@@ -547,6 +547,45 @@ class TestReaderAgainstReference:
                 expected = BadFieldValue, validate(expected)[0].frame_index + 2
             assert got == expected
 
+    @pytest.mark.parametrize("body, line", [
+        # the body's first field at widths 0-4: its places left of the body
+        # wrap to the body's final newline
+        (b" 0 0 0 0 0 0 0 0 0\n", 2),
+        (b"0 0 0 0 0 0 0 0 0 0\n", None),
+        (b"5 12 2 0 0 0 0 0 0 0\n", 2),
+        (b"69 12 2 0 0 0 0 0 0 0\n", None),
+        (b"108 15 3 0 0 0 0 0 0 0\n", None),
+        (b"0069 12 2 0 0 0 0 0 0 0\n", None),
+        (b"1069 12 2 0 0 0 0 0 0 0\n", 2),
+        # a longer field is read from its last three digits and its leading zeros
+        (b"0 0 0 0 0 0 0000 0 0 0\n", None),
+        (b"0 0 0 0 0 0 0108 0 0 0\n", None),
+        (b"0 0 0 0 0 0 1000 0 0 0\n", 2),
+        # a stray byte among a field's last three
+        (b"0 0 0 0 0 0 1x2 0 0 0\n", 2),
+        (b"0 0 0 0 0 0 x5 0 0 0\n", 2),
+        (b"0 0 0 0 0 0 5x 0 0 0\n", 2),
+        # an out-of-range field and a stray byte: the earlier line is reported
+        (b"0 0 0 0 0 0 0 0 0 0\n0 0 4 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0 0 1x\n", 3),
+        (b"0 0 0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0 0 1x\n0 0 4 0 0 0 0 0 0 0\n", 3),
+        # no final newline, and no frames
+        (b"69 12 2 0 0 0 57 12 9 1", None),
+        (b"0 0 0 0 0 0 1000 0 0 0", 2),
+        (b"", None),
+    ])
+    def test_byte_cases_of_the_whole_array_pass(self, body, line):
+        data = b"NESSCORE 1 24 %d\n" % len(body.splitlines()) + body
+        got = outcome(read_score_text, data)
+        if line is None:
+            assert isinstance(got, ExpressiveScore) and validate(got) == []
+        else:
+            assert got == (BadFieldValue, line)
+        if plain_decimal(data):
+            expected = outcome(read_score_text_by_line, data)
+            if isinstance(expected, ExpressiveScore) and validate(expected):
+                expected = BadFieldValue, validate(expected)[0].frame_index + 2
+            assert got == expected
+
     @pytest.mark.parametrize("field", [b"+5", b"5\t", b"\t5", b" 5", b"5 ",
                                        "\u0665".encode(), "\uff15".encode()])
     def test_narrowed_fields_rejected_with_line(self, field):
