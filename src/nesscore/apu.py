@@ -166,10 +166,10 @@ class _Program:
     have run.  Clock c runs after the first ``clock_w[c]`` writes, a count
     that never falls from clock to clock, and ``clock_keys`` holds each
     count once, ascending, with ``clock_keys[K[c]] == clock_w[c]``;
-    ``half[c]`` marks a half clock.  At segment start
-    ``starts[p]`` the state is the one after the first ``G[p]`` groups and
-    the first ``C[p]`` clocks.  So a register is looked up once per distinct
-    write count, at ``group_w`` or ``clock_keys``, and gathered to the
+    ``half[c]`` marks a half clock.  At segment start ``starts[p]`` the state
+    is the one after the first ``G[p]`` groups and the first ``C[p]`` clocks.
+    So a register is looked up once per distinct write count, at ``group_w``
+    or ``clock_keys`` (per-clock halt and control bits), and gathered to the
     starts with ``G`` or to the clocks with ``K``.
     """
 
@@ -245,11 +245,12 @@ class _Program:
         j = self._writes[r].searchsorted(w)
         return np.insert(self._writes[r], 0, -1)[j], self._held[r][j]
 
-    def length_on(self, load: int, bit: int, halted: np.ndarray) -> np.ndarray:
+    def length_on(self, load: int, bit: int, control: int, halt: int) -> np.ndarray:
         """Where a length counter is above 0 at each start.  It holds its last
         load (a ``load`` write while enabled, or 0 from a $4015 write that
-        clears ``bit``) less the half clocks since that ``halted`` (per
-        clock) does not halt, floored at 0."""
+        clears ``bit``) less the half clocks since that ran with the ``halt``
+        bit of ``control`` clear, floored at 0."""
+        halted = (self.held(control, self.clock_keys) & halt > 0)[self.K]
         loads = self.writes_to(load)
         loads = loads[self.held(0x4015, loads) >> bit & 1 == 1]
         clears = self.writes_to(0x4015)
@@ -288,8 +289,8 @@ class _Program:
         15 and the divider to the period.  Epochs begin at those clocks and
         wherever the period or loop flag of ``control`` changes; within one,
         the state has a closed form (``_envelope``).  Python carries the
-        state from epoch to epoch only along the start-to-start chains that
-        ``at`` reads.
+        state through the epochs in order, each from where the one before
+        it left off.
         """
         restarts = self.clock_after(self.writes_to(start))
         first = sorted_unique(np.concatenate(
@@ -301,25 +302,18 @@ class _Program:
         keep[:1] = True
         first, restart, setting = first[keep], restart[keep], setting[keep]
         # Epoch 0 stands for the state before the first clock: divider 0, decay 0.
-        is_restart = np.concatenate(([False], restart))
         period, loop = np.concatenate(([0], setting & 15)), np.concatenate(([0], setting >> 5))
         base = np.concatenate(([-1], first - ~restart))     # the clock m counts from
-        divider = np.where(is_restart, period, 0)
-        level = np.where(is_restart, 15, 0)
+        # Epoch e starts where epoch e - 1 leaves off at its last clock, m past its base.
+        divider, level = [0], [0]
+        for r, p, m, p0, l0 in zip(*(a.tolist() for a in (
+                restart, period[1:], first - 1 - base[:-1], period[:-1], loop[:-1]))):
+            d, lv = (p, 15) if r else _envelope(m, divider[-1], level[-1], p0, l0)
+            divider.append(d)
+            level.append(lv)
+        divider, level = np.array(divider), np.array(level)
         last = self.C[at] - 1                               # the last clock before each start
         epoch = first.searchsorted(last, "right")
-        chain = np.cumsum(is_restart)
-        needed = np.zeros(chain[-1] + 1, bool)
-        needed[chain[epoch]] = True
-        carry = ~is_restart & needed[chain]
-        carry[0] = False
-        carry = np.flatnonzero(carry)
-        if len(carry):
-            d, lv, p, lp, b = (a.tolist() for a in (divider, level, period, loop, base))
-            for e, end in zip(carry.tolist(), first[carry - 1].tolist()):
-                d[e], lv[e] = _envelope(end - 1 - b[e - 1], d[e - 1], lv[e - 1],
-                                        p[e - 1], lp[e - 1])
-            divider, level = np.array(d), np.array(lv)
         return _envelope(last - base[epoch], divider[epoch], level[epoch],
                          period[epoch], loop[epoch])[1]
 
@@ -393,8 +387,7 @@ class _Program:
         """The output volume at each start of the pulse or noise at
         ``control``: its constant level or its envelope's, 0 where the length
         counter has run out or not ``audible``."""
-        halted = (self.held(control, self.clock_keys) & 0x20 > 0)[self.K]
-        on = self.length_on(load, bit, halted) & audible
+        on = self.length_on(load, bit, control, 0x20) & audible
         ctl = self.held(control, self.group_w)[self.G]
         volume = ctl & 15
         reads = np.flatnonzero((ctl & 0x10 == 0) & on)
@@ -406,7 +399,7 @@ class _Program:
         """The triangle's timer at each start, -1 where it does not sound."""
         timer = (self.held(0x400A, self.group_w)
                  | (self.held(0x400B, self.group_w) & 7) << 8)[self.G]
-        on = self.length_on(0x400B, 2, (self.held(0x4008, self.clock_keys) >= 0x80)[self.K])
+        on = self.length_on(0x400B, 2, 0x4008, 0x80)
         return np.where(on & self.linear_on() & (timer >= 2), timer, -1)
 
 
@@ -424,8 +417,8 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
     after the next restart never runs.
 
     Every column is a whole-array program over the writes and the clocks
-    (see ``_Program``); Python steps only the envelope epochs a sounding
-    voice reads and the due sweep clocks.
+    (see ``_Program``); Python steps the envelope epochs of a voice that
+    reads its envelope, and the due sweep clocks.
 
     Raises what ``vgm.check_stream`` raises for a stream it rejects, and
     ReplayTooLong past ``MAX_REPLAY_SAMPLES``, before replaying anything.  A

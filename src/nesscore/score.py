@@ -84,6 +84,18 @@ class ExpressiveFrame(NamedTuple):
     no_timbre: int = 0
 
 
+def _int16_frames(frames) -> np.ndarray:
+    """A new C-contiguous (T, 10) int16 array of ``frames``' values, else ValueError."""
+    given = np.asarray(frames if len(frames) else np.empty((0, 10), np.int16))
+    # bounds first: the cast warns on NaN, inf and floats past int16
+    fits = given.dtype.kind != "f" or ((given >= -2 ** 15) & (given < 2 ** 15)).all()
+    values = given.astype(np.int16, order="C") if fits else given
+    if values.dtype != np.int16 or values.shape[1:] != (10,) or (
+            given.dtype != np.int16 and (values != given).any()):
+        raise ValueError(f"frames are not T x 10 int16 values: {given.shape} {given.dtype}")
+    return values
+
+
 class ExpressiveScore:
     """Frames at a fixed rate, stored as one read-only (T, 10) int16 array.
 
@@ -94,16 +106,8 @@ class ExpressiveScore:
     """
 
     def __init__(self, rate_hz: float = DEFAULT_RATE_HZ, frames=()):
-        given = np.asarray(frames if len(frames) else np.empty((0, 10), np.int16))
-        # bounds first: the cast warns on NaN, inf and floats past int16
-        fits = given.dtype.kind != "f" or ((given >= -2 ** 15) & (given < 2 ** 15)).all()
-        values = given.astype(np.int16, order="C") if fits else given
-        if values.dtype != np.int16 or values.shape[1:] != (10,) or (
-                given.dtype != np.int16 and (values != given).any()):
-            raise ValueError(f"frames are not T x 10 int16 values: {given.shape} {given.dtype}")
-        values.flags.writeable = False
-        self.rate_hz = rate_hz
-        self._values = values
+        self.rate_hz, self._values = rate_hz, _int16_frames(frames)
+        self._values.flags.writeable = False
 
     @classmethod
     def _adopt(cls, rate_hz: float, values: np.ndarray, error) -> "ExpressiveScore":
@@ -202,9 +206,9 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
 
     Frame k takes the timeline state at sample floor(k*44100/rate_hz); no
     aggregation or filtering.  Trailing partial frames are kept (ceiling).
-    Raises ValueError for a rate ``check_rate`` rejects, or naming the first
-    frame ``validate`` rejects, so every score made here can be written and
-    read back.
+    Raises ValueError for a rate ``check_rate`` rejects, for frames
+    ``ExpressiveScore`` refuses, or naming the first frame ``validate``
+    rejects, so every score made here can be written and read back.
     """
     rate = check_rate(rate_hz)             # frame_count needs a usable rate
     n = frame_count(timeline.total_samples, rate)
@@ -212,7 +216,7 @@ def downsample(timeline, rate_hz: float = DEFAULT_RATE_HZ) -> ExpressiveScore:
     points = frame_sample_index(np.arange(n), rate)
     # Point k falls in the run of change i - 1, i = searchsorted(...)[k]; i = 0 is
     # the silence (every field 0) before the first change.
-    table = np.concatenate((np.zeros((1, 10), np.int16), timeline.frames))
+    table = np.concatenate((np.zeros((1, 10), np.int16), _int16_frames(timeline.frames)))
     return ExpressiveScore._adopt(rate, table[np.searchsorted(timeline.starts, points, "right")],
                                   _frame_error)
 
@@ -228,10 +232,12 @@ def to_blended(score: SeparatedScore) -> BlendedScore:
 
     The noise voice is discarded; voices playing the same note collapse to a
     single cell, so a column never has more than three ones.  Raises
-    ValueError unless the notes are 4 x T, naming the first frame, by frame
-    then voice, whose melodic note is neither 0 nor on the grid.
+    ValueError unless the notes are a 4 x T integer array, naming the first
+    frame, by frame then voice, whose melodic note is neither 0 nor on the grid.
     """
     notes = score.notes
+    if not isinstance(notes, np.ndarray) or notes.dtype.kind not in "iu":
+        raise ValueError(f"notes are not an integer array: {getattr(notes, 'dtype', type(notes))}")
     if notes.ndim != 2 or len(notes) != len(VOICES):
         raise ValueError(f"notes are not 4 x T: shape {notes.shape}")
     melodic = notes[:3]

@@ -603,7 +603,13 @@ def _random_writes(seed, n):
 # they cover both sequencer modes, $4017 resets with and without bit 7 at
 # offsets off the tick grid, sweep, envelope and length-counter expiry.  The
 # digests were recorded with the replay loop that recomputed each tick time
-# per segment.
+# per segment, except envelope_epochs', recorded with the array replay that
+# carried the envelope only along the restart chains a start read.
+# envelope_epochs changes envelope settings between restarts: P2 and the
+# noise decay in software (constant volume, the period bits rewritten every
+# 735 samples with no length load) before a hardware-envelope note, and P1's
+# envelope note changes its period, then gains the loop flag, then changes
+# its period again, with no restart between.
 PINNED_STREAMS = {
     "four_step_envelopes": _stream(
         60000, (0, 0x4015, 0x0F), (0, 0x4000, 0x42), (0, 0x4002, 0xFD),
@@ -635,9 +641,18 @@ PINNED_STREAMS = {
         (0, 0x400C, 0x1F), (0, 0x400E, 0x0C), (0, 0x400F, 0x48),
         (9000, 0x4003, 0x18), (9000, 0x4015, 0x05), (12000, 0x4007, 0x29)),
     "random_writes": _random_writes(2024, 400),
+    "envelope_epochs": _stream(40000, *sorted([
+        (0, 0x4015, 0x0F), (0, 0x4000, 0x83), (0, 0x4002, 0xFD), (0, 0x4003, 0x08),
+        (0, 0x4004, 0x3F), (0, 0x4006, 0x80), (0, 0x4007, 0x08),
+        (0, 0x400C, 0x3F), (0, 0x400E, 0x04), (0, 0x400F, 0x08),
+        *((735 * k, r, 0x30 | 15 - k) for k in range(1, 13) for r in (0x4004, 0x400C)),
+        (9555, 0x4004, 0x44), (9555, 0x4007, 0x08), (9555, 0x400C, 0x05), (9555, 0x400F, 0x08),
+        (5000, 0x4000, 0x87), (15000, 0x4000, 0xA7), (25000, 0x4000, 0xA2)],
+        key=lambda w: w[0])),       # a stable sort: writes at one sample keep their order
 }
 
 PINNED_DIGESTS = {
+    "envelope_epochs": "2d2e7cc57c8bc96e853b0b01cab42f1fdbf57f4df2d3f252b6ebc77e2ce2e4c4",
     "five_step": "ac74dd4e431fc8eac007a1125fd0d6501e7bcdb546223721b0e58146aadac426",
     "four_step_envelopes": "b8e2011b29247d2f8072e3a51cd3ba601a9511a52e266404843e3034fb285382",
     "length_expiry": "ff462873589e7846d158a8a1c4c27ccb99d3020a317c179730396189208304d5",

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import mutate, random_score, timeline_of
 from nesscore import score as score_module
+from nesscore.apu import Timeline
 from nesscore.midi import _frame_tick, midi_to_score, score_to_midi
 from nesscore.score import (
     MAX_FRAMES,
@@ -84,6 +85,22 @@ class TestDownsample:
         # a timeline holding a frame the schema rejects gives no score
         tl = timeline_of(44100, [(0, ExpressiveFrame(p1_note=5, p1_vel=3))])
         with pytest.raises(ValueError, match=r"^frame 0: P1 note 5 outside \{0\} u \[32,108\]$"):
+            downsample(tl, 24)
+
+    def test_int64_frames_give_the_int16_score(self):
+        # a caller's np.array of Python ints is int64
+        tl = timeline_of(4000, [(0, ExpressiveFrame()), (1000, A_FRAME)])
+        wide = Timeline(tl.total_samples, tl.starts, tl.frames.astype(np.int64))
+        assert downsample(wide, 24) == downsample(tl, 24)
+
+    @pytest.mark.parametrize("frames", [
+        np.array([A_FRAME], np.float64) + 0.5,
+        np.array([A_FRAME], np.int16)[:, :9],
+        np.array([A_FRAME], np.int64) + 2 ** 16,     # a plain cast would wrap these to A_FRAME
+    ], ids=["fraction", "nine-fields", "past-int16"])
+    def test_frames_not_int16_values_rejected(self, frames):
+        tl = Timeline(44100, np.zeros(1, np.int64), frames)
+        with pytest.raises(ValueError, match=r"^frames are not T x 10 int16 values: "):
             downsample(tl, 24)
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
@@ -272,6 +289,14 @@ class TestConversions:
     def test_blended_refuses_notes_not_4_by_t(self, shape):
         with pytest.raises(ValueError, match=r"^notes are not 4 x T: shape "):
             to_blended(SeparatedScore(24.0, np.zeros(shape, np.int16)))
+
+    @pytest.mark.parametrize("notes, named", [
+        (np.full((4, 2), 60.0), "float64"), (np.full((4, 2), 60.5), "float64"),
+        ([[60, 60]] * 4, "<class 'list'>"), (np.full((4, 2), "60"), "<U2"),
+    ], ids=["float-integral", "float-fraction", "list", "str"])
+    def test_blended_refuses_notes_not_an_integer_array(self, notes, named):
+        with pytest.raises(ValueError, match=rf"^notes are not an integer array: {named}$"):
+            to_blended(SeparatedScore(24.0, notes))
 
     def test_separated_and_blended_equality(self):
         notes = np.array([[69], [0], [57], [12]], np.int16)
