@@ -408,9 +408,10 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
 
     The starts are an int64 array; segment i spans [starts[i], starts[i + 1])
     and the last one ends at ``total_samples``.  The rows are an (n, 11)
-    int32 array laid out as ``ROW_FIELDS``: what each segment sounds with,
-    after everything that happens at its start sample, in this order: the
-    writes there, in stream order, each 5-step $4017 write followed at once
+    int32 array, column-major because every consumer reads it by column,
+    laid out as ``ROW_FIELDS``: what each segment sounds with, after
+    everything that happens at its start sample, in this order: the writes
+    there, in stream order, each 5-step $4017 write followed at once
     by its quarter+half clock; then the sequencer tick there, if any.  A
     $4017 write restarts the sequencer; tick k after a restart at sample b
     lands on b + int(k * _TICK_SAMPLES), and a tick that would land on or
@@ -428,7 +429,7 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
     if stream.total_samples > MAX_REPLAY_SAMPLES:
         raise ReplayTooLong(int(stream.total_samples))
     prog = _Program(stream)
-    rows = np.empty((len(prog.starts), len(ROW_FIELDS)), np.int32)
+    rows = np.empty((len(prog.starts), len(ROW_FIELDS)), np.int32, order="F")
     for col, base, bit in ((0, 0x4000, 0), (3, 0x4004, 1)):
         rows[:, col], audible = prog.pulse_timer(base, ones=1 - bit)
         rows[:, col + 1] = (prog.held(base, prog.group_w) >> 6)[prog.G]

@@ -16,9 +16,12 @@ A corpus is a sequence of ``ExpressiveScore``s: the separated and blended
 views are derived from it here, as the NES-MDB baselines derive them from
 the one expressive score.  It is read as one array: its songs placed end to
 end, per category one array over all timesteps (for blended, one 88-row
-grid built once), with a mask of the songs' first timesteps.  Each model is
-fitted, and each metric computed, in one pass per category over those
-arrays.  Anything in a corpus but an ``ExpressiveScore`` raises ValueError.
+grid built once), with a mask of the songs' first timesteps.  A separated
+or expressive category's array holds alphabet indices, one table lookup per
+category built from the schema's alphabets; a value outside raises
+``AlphabetMismatch``.  Each model is fitted, and each metric computed, in
+one pass per category over those arrays.  Anything in a corpus but an
+``ExpressiveScore`` raises ValueError.
 """
 
 import json
@@ -75,14 +78,39 @@ def _poi_mask(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _to_indices(values: np.ndarray, alphabet: np.ndarray, category: str) -> np.ndarray:
-    idx = np.searchsorted(alphabet, values)
-    idx_c = np.clip(idx, 0, len(alphabet) - 1)
-    bad = alphabet[idx_c] != values
+def _index_table(alphabet: np.ndarray) -> np.ndarray:
+    """Each value's index into ``alphabet``, -1 for a value outside it; the
+    last slot, one past the alphabet's largest value, is -1."""
+    table = np.full(alphabet[-1] + 2, -1, np.intp)
+    table[alphabet] = np.arange(len(alphabet))
+    return table
+
+
+# category -> its index table
+_INDEX_TABLES = {cat: _index_table(alphabet) for categories in CATEGORIES.values()
+                 for cat, (alphabet, _col) in categories.items()}
+
+
+def _to_indices(values: np.ndarray, category: str) -> np.ndarray:
+    """The int16 ``values`` as indices into the category's alphabet.  Read as
+    uint16, a negative value lies past the table, and ``mode="clip"`` sends
+    every value past it to the last slot, -1."""
+    idx = _INDEX_TABLES[category].take(values.view(np.uint16), mode="clip")
+    bad = idx < 0
     if bad.any():
         raise AlphabetMismatch(
             f"value {int(values[bad][0])} not in the {category} alphabet")
-    return idx_c
+    return idx
+
+
+def _expressive(corpus) -> list[ExpressiveScore]:
+    """The corpus as a list; a song that is not an ExpressiveScore raises
+    ValueError naming its type."""
+    songs = list(corpus)
+    for s in songs:
+        if not isinstance(s, ExpressiveScore):
+            raise ValueError(f"a corpus holds ExpressiveScores, not {type(s).__name__}")
+    return songs
 
 
 def _category_values(corpus, task: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -94,19 +122,15 @@ def _category_values(corpus, task: str) -> tuple[dict[str, np.ndarray], np.ndarr
     marks the first timestep of each non-empty song.  A song that is not an
     ExpressiveScore raises ValueError naming its type.
     """
-    songs = []
-    for s in corpus:
-        if not isinstance(s, ExpressiveScore):
-            raise ValueError(f"a corpus holds ExpressiveScores, not {type(s).__name__}")
-        songs.append(s.to_array())
+    songs = [s.to_array() for s in _expressive(corpus)]
     lengths = np.array([len(f) for f in songs], np.int64)
     frames = np.concatenate([np.zeros((0, 10), np.int16), *songs])
     if task == "blended":   # the grid is column by column, so the rate is never read
         notes = SeparatedScore(sc.DEFAULT_RATE_HZ, frames[:, sc.NOTE_COLUMNS].T)
         values = {"blended": to_blended(notes).grid}
     else:
-        values = {cat: _to_indices(frames[:, col], alphabet, cat)
-                  for cat, (alphabet, col) in CATEGORIES[task].items()}
+        values = {cat: _to_indices(frames[:, col], cat)
+                  for cat, (_alphabet, col) in CATEGORIES[task].items()}
     first = np.zeros(lengths.sum(), dtype=bool)
     first[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
     return values, first
@@ -233,14 +257,16 @@ class Baseline:
 def fit(kind: str, corpus, task: str) -> Baseline:
     """Fit a baseline of the given kind on a corpus of ExpressiveScores.
 
-    The random baseline reads no data; learned kinds raise EmptyCorpus when
-    the corpus holds no timesteps.
+    The random baseline reads no data, though it checks the songs' types as
+    the learned kinds do; learned kinds raise EmptyCorpus when the corpus
+    holds no timesteps.
     """
     if task not in MODELS:
         raise ValueError(f"unknown task {task!r}")
     if kind not in MODELS[task]:
         raise ValueError(f"model kind {kind!r} is not defined for the {task} task")
-    values, first = _category_values(() if kind == "random" else corpus, task)
+    songs = _expressive(corpus)
+    values, first = _category_values(() if kind == "random" else songs, task)
     if kind != "random" and not len(first):
         raise EmptyCorpus(f"cannot fit {kind} on an empty corpus")
     model = MODELS[task][kind]

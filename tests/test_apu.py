@@ -28,8 +28,8 @@ from nesscore.apu import (
     midi_to_timer,
     replay,
 )
-from nesscore.score import ExpressiveFrame, validate
-from nesscore.synth import render_writes
+from nesscore.score import ExpressiveFrame, downsample, validate
+from nesscore.synth import render_writes, score_to_writes
 from nesscore.vgm import (
     BadWriteOffset,
     BadWriteValue,
@@ -951,3 +951,29 @@ class TestWriteVgmAgainstReplay:
     def test_byte_mutations(self, stream, edits):
         mutated = _unpacked(mutate(_packed(stream), edits), stream.total_samples)
         assert outcome(vgm_changes, mutated) == outcome(table_changes, mutated)
+
+
+def assert_fixed_point(stream):
+    """At 24 and 60 Hz, the score extracted from a stream is the score
+    extracted again from the writes that realize it."""
+    for rate in (24.0, 60.0):
+        score = downsample(extract_timeline(stream), rate)
+        assert downsample(extract_timeline(score_to_writes(score)), rate) == score, rate
+
+
+class TestVgmBornScoreIsAFixedPoint:
+    """A score born from a stream survives score_to_writes and extraction unchanged."""
+
+    @given(write_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_write_streams(self, stream):
+        assert_fixed_point(stream)
+
+    @given(dense_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_streams(self, stream):
+        assert_fixed_point(stream)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_writes(self, seed):
+        assert_fixed_point(_random_writes(seed, 200))

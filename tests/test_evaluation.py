@@ -247,6 +247,16 @@ class TestBlendedModels:
     def test_separated_score_rejected_for_expressive(self):
         assert_refused("expressive")
 
+    @pytest.mark.parametrize("task", ev.TASKS)
+    def test_random_refuses_other_forms(self, task):
+        # random reads no timesteps, but a corpus is still ExpressiveScores only
+        score = random_score(random.Random(19), 5)
+        others = {t.__name__: other for t, other in other_forms(score).items()}
+        for name, other in {**others, "str": "junk"}.items():
+            with pytest.raises(ValueError,
+                               match=f"^a corpus holds ExpressiveScores, not {name}$"):
+                ev.fit("random", [score, other], task)
+
 
 class TestCorpusBoundaries:
     """Songs placed end to end stay separate songs."""
@@ -338,12 +348,51 @@ class TestReferenceDifferential:
         assert ev.corpus_stats(corpus) == ref.corpus_stats(corpus)
 
 
+CATEGORY_CASES = [(task, category) for task, categories in ev.CATEGORIES.items()
+                  for category in categories]
+
+
+def column_score(task: str, category: str, values) -> ExpressiveScore:
+    """One song whose category column holds ``values`` and every other field
+    0; the array constructor does not validate, so values may lie outside."""
+    frames = np.zeros((len(values), 10), np.int16)
+    frames[:, ev.CATEGORIES[task][category][1]] = values
+    return ExpressiveScore(24.0, frames)
+
+
 class TestAlphabets:
     def test_out_of_alphabet_value_raises(self):
         bad = ExpressiveScore(24.0, [ExpressiveFrame(p1_note=31, p1_vel=1)])
         model = ev.fit("random", [], "separated")
         with pytest.raises(ev.AlphabetMismatch):
             ev.evaluate(model, [bad], "separated")
+
+    @pytest.mark.parametrize("task, category", CATEGORY_CASES)
+    def test_every_alphabet_value_maps_to_its_index(self, task, category):
+        alphabet, _col = ev.CATEGORIES[task][category]
+        values, _first = ev._category_values([column_score(task, category, alphabet)], task)
+        assert values[category].tolist() == ref._to_indices(
+            alphabet, alphabet, category).tolist()
+
+    @pytest.mark.parametrize("task, category", CATEGORY_CASES)
+    def test_values_past_the_table_edges_raise(self, task, category):
+        alphabet, _col = ev.CATEGORIES[task][category]
+        top = int(alphabet[-1])
+        gaps = sorted(set(range(top)) - set(alphabet.tolist()))[:1]   # 1 for pitched notes
+        for value in (-32768, -1, *gaps, top + 1, top + 2, 32767):
+            song = column_score(task, category, [0, value, 0])
+            with pytest.raises(ev.AlphabetMismatch,
+                               match=f"^value {value} not in the {category} alphabet$"):
+                ev._category_values([song], task)
+
+    @pytest.mark.parametrize("task, category", CATEGORY_CASES)
+    def test_first_bad_value_in_corpus_order_is_named(self, task, category):
+        # -5 comes before 900 as int16 and after it as uint16: no value order names both
+        early = column_score(task, category, [0, 0, 900])
+        late = column_score(task, category, [-5, 0])
+        for corpus, named in (([early, late], 900), ([late, early], -5)):
+            with pytest.raises(ev.AlphabetMismatch, match=f"^value {named} not in"):
+                ev._category_values(corpus, task)
 
     def test_task_mismatch_raises(self):
         model = ev.fit("random", [], "separated")
