@@ -26,6 +26,7 @@ allocates.  No audio is produced here; waveform generation lives in
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -100,31 +101,26 @@ def _pitch_tables(divisor: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
 # platform's log2 or pow error, so the tables do not depend on the platform.
 PULSE_NOTES, PULSE_TIMERS = _pitch_tables(16, PULSE_NOTE_MIN, PULSE_NOTE_MAX)
 TRIANGLE_NOTES, TRIANGLE_TIMERS = _pitch_tables(32, TRIANGLE_NOTE_MIN, TRIANGLE_NOTE_MAX)
-# kind -> (lowest note, timer period of each note)
-_TIMERS = {"pulse": (PULSE_NOTE_MIN, PULSE_TIMERS),
-           "triangle": (TRIANGLE_NOTE_MIN, TRIANGLE_TIMERS)}
 
 
 def midi_to_timer(note: int, kind: str) -> int:
     """Timer period whose pitch maps back to exactly this note.
 
-    Raises NoteOutOfRange when the note is outside the voice's range or has
-    no timer value that round-trips.  Pulse MIDI 32 is the one such note: it
-    is in the score alphabet (the paper's 4621 pulse states count it), but
-    its ideal period exceeds 11 bits and the nearest timer, 0x7FF, sounds as
-    note 33, which would break the exact round trip, so ``score_to_writes``
-    refuses it, naming the frame.
+    Raises NoteOutOfRange wherever ``PULSE_TIMERS`` or ``TRIANGLE_TIMERS``
+    holds no period for it: a note that is not an integer, is outside the
+    table or has no timer that round-trips.  Pulse MIDI 32 is the one such
+    note in range: the score alphabet holds it (the paper's 4621 pulse states
+    count it), but its ideal period exceeds 11 bits and the nearest timer,
+    0x7FF, sounds as note 33, so ``score_to_writes`` refuses it, naming the frame.
     """
-    try:
-        lo, timers = _TIMERS[kind]
-    except KeyError:
-        raise ValueError(f"kind must be 'pulse' or 'triangle', got {kind!r}") from None
-    hi = len(timers) - 1
-    if not lo <= note <= hi:
-        raise NoteOutOfRange(f"note {note} outside [{lo},{hi}] for {kind}")
-    if timers[note] < 0:
+    if kind not in ("pulse", "triangle"):
+        raise ValueError(f"kind must be 'pulse' or 'triangle', got {kind!r}")
+    timers = PULSE_TIMERS if kind == "pulse" else TRIANGLE_TIMERS
+    in_table = isinstance(note, Integral) and 0 <= note < len(timers)
+    timer = int(timers[int(note)]) if in_table else -1
+    if timer < 0:
         raise NoteOutOfRange(f"note {note} not representable by an 11-bit {kind} timer")
-    return int(timers[note])
+    return timer
 
 # ---------------------------------------------------------------------------
 # stream replay
@@ -429,19 +425,17 @@ def replay(stream: TimedWriteStream) -> tuple[np.ndarray, np.ndarray]:
     if stream.total_samples > MAX_REPLAY_SAMPLES:
         raise ReplayTooLong(int(stream.total_samples))
     prog = _Program(stream)
-    rows = np.empty((len(prog.starts), len(ROW_FIELDS)), np.int32, order="F")
+    rows = np.zeros((len(prog.starts), len(ROW_FIELDS)), np.int32, order="F")
     for col, base, bit in ((0, 0x4000, 0), (3, 0x4004, 1)):
         rows[:, col], audible = prog.pulse_timer(base, ones=1 - bit)
         rows[:, col + 1] = (prog.held(base, prog.group_w) >> 6)[prog.G]
         rows[:, col + 2] = prog.volume(base, base + 3, bit, audible)
+        rows[prog.starts.searchsorted(prog.offsets[prog.writes_to(base + 3)]), 10] |= 1 << bit
     rows[:, 6] = prog.triangle_timer()
     noise = prog.held(0x400E, prog.group_w)
     rows[:, 7] = (noise & 15)[prog.G]
     rows[:, 8] = (noise >> 7)[prog.G]
     rows[:, 9] = prog.volume(0x400C, 0x400F, 3)
-    rows[:, 10] = 0
-    for bit, register in ((1, 0x4003), (2, 0x4007)):
-        rows[prog.starts.searchsorted(prog.offsets[prog.writes_to(register)]), 10] |= bit
     return prog.starts, rows
 
 
@@ -503,7 +497,7 @@ def extract_timeline(stream: TimedWriteStream) -> Timeline:
     """Replay writes against a fresh APU and keep the segments that change the frame."""
     starts, rows = replay(stream)
     if not len(starts):             # an empty stream is silent from sample 0
-        starts, rows = np.zeros(1, np.int64), np.zeros((1, len(ROW_FIELDS)), np.int32)
+        return Timeline(0, np.zeros(1, np.int64), np.zeros((1, 10), np.int16))
     frames = frame_table(rows)
     # One comparison per column: numpy's any() over rows of 10 is slow.
     keep = np.concatenate(([True], np.any([c[1:] != c[:-1] for c in frames.T], axis=0)))

@@ -375,11 +375,12 @@ def corpus_stats(corpus) -> CorpusStats:
     construction (both divide the same on-counts by the same frame total).
     Notes are counted at onsets: timesteps that open a song or whose note
     differs from the previous one, and whose note is sounding.  A note
-    outside its voice's alphabet raises AlphabetMismatch.
+    outside its voice's alphabet raises AlphabetMismatch, and a rate
+    ``check_rate`` refuses ValueError.
     """
     corpus = list(corpus)
     notes, first = _category_values(corpus, "separated")   # index 0 is note 0
-    duration = sum(len(s) / s.rate_hz for s in corpus)
+    duration = sum(len(s) / sc.check_rate(s.rate_hz, len(s)) for s in corpus)
     frames = max(len(first), 1)      # an empty corpus has on-rates and polyphony 0
     on_counts = {v: int(np.count_nonzero(notes[v])) for v in sc.VOICES}
     note_count = sum(int(np.count_nonzero(_poi_mask(notes[v], first) & (notes[v] > 0)))

@@ -87,8 +87,9 @@ class ExpressiveFrame(NamedTuple):
 def _int16_frames(frames) -> np.ndarray:
     """A new C-contiguous (T, 10) int16 array of ``frames``' values, else ValueError."""
     given = np.asarray(frames if len(frames) else np.empty((0, 10), np.int16))
-    # bounds first: the cast warns on NaN, inf and floats past int16
-    fits = given.dtype.kind != "f" or ((given >= -2 ** 15) & (given < 2 ** 15)).all()
+    # real numbers only, and bounds first: the cast warns on NaN, inf and floats past int16
+    kind = given.dtype.kind
+    fits = kind in "biu" or kind == "f" and ((given >= -2 ** 15) & (given < 2 ** 15)).all()
     values = given.astype(np.int16, order="C") if fits else given
     if values.dtype != np.int16 or values.shape[1:] != (10,) or (
             given.dtype != np.int16 and (values != given).any()):

@@ -143,11 +143,10 @@ def _column(items) -> np.ndarray:
     if not column.size or column.dtype.kind in "biu" and column.max() <= _INT64_MAX:
         column = column.astype(np.int64, copy=False)
     else:   # numpy found no integer type: floats, huge ints, or ints of mixed types
-        items = items.tolist() if isinstance(items, np.ndarray) else list(items)
-        if all(isinstance(x, Integral) and -_INT64_MAX - 1 <= x <= _INT64_MAX for x in items):
-            column = np.array([int(x) for x in items], np.int64)
-        else:       # kept exactly, for check_stream to name
-            column = np.array(items, object)
+        column = np.array(items, object)    # as given, for check_stream to name
+        if all(isinstance(x, Integral) and -_INT64_MAX - 1 <= x <= _INT64_MAX
+               for x in column.flat):
+            column = column.astype(np.int64)
     column.flags.writeable = False
     return column
 
@@ -172,11 +171,11 @@ class TimedWriteStream:
 
     @classmethod
     def from_columns(cls, offsets, registers, values, total_samples: int) -> "TimedWriteStream":
-        if not len(offsets) == len(registers) == len(values):
-            raise ValueError("the offset, register and value columns differ in length")
         columns = [_column(c) for c in (offsets, registers, values)]
         if any(c.ndim != 1 for c in columns):
             raise ValueError(f"the columns are not all 1-D: shapes {[c.shape for c in columns]}")
+        if not len(columns[0]) == len(columns[1]) == len(columns[2]):
+            raise ValueError("the offset, register and value columns differ in length")
         stream = cls.__new__(cls)
         stream.offsets, stream.registers, stream.values = columns
         stream.total_samples = total_samples

@@ -391,6 +391,15 @@ class TestPitchMaps:
         with pytest.raises(NoteOutOfRange):
             midi_to_timer(20, "triangle")
 
+    @pytest.mark.parametrize("note, kind", [
+        (69.5, "pulse"), ("69", "pulse"), (-1, "pulse"), (-1, "triangle"),
+        (109, "pulse"), (20, "triangle"), (32, "pulse")])
+    def test_notes_without_a_period_refused(self, note, kind):
+        # not an integer, outside the table, or a -1 entry: one typed refusal
+        message = f"note {note} not representable by an 11-bit {kind} timer"
+        with pytest.raises(NoteOutOfRange, match=f"^{message}$"):
+            midi_to_timer(note, kind)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be 'pulse' or 'triangle', got 'noise'"):
             midi_to_timer(69, "noise")
@@ -418,6 +427,12 @@ class TestExtractTimeline:
         tl = extract_timeline(TimedWriteStream(total_samples=100))
         assert tl.total_samples == 100
         assert all(f == ExpressiveFrame() for _s, f in tl.changes)
+
+    def test_stream_of_no_samples_is_one_silent_change(self):
+        tl = extract_timeline(TimedWriteStream())
+        assert tl.total_samples == 0
+        assert tl.starts.dtype == np.int64 and tl.starts.tolist() == [0]
+        assert tl.frames.dtype == np.int16 and tl.frames.tolist() == [[0] * 10]
 
     def test_note_from_offset_zero(self):
         tl = extract_timeline(p1_note_stream())

@@ -431,6 +431,13 @@ class TestCorpusStats:
         stats = ev.corpus_stats([ExpressiveScore(24.0, frames)])
         assert stats.note_count == 8  # 4 voices x 2 onsets
 
+    @pytest.mark.parametrize("rate", [0, -24])
+    def test_rate_the_writers_refuse_raises(self, rate):
+        # no ZeroDivisionError, and no negative duration
+        corpus = [ExpressiveScore(24.0, [NOTE] * 4), ExpressiveScore(rate, [NOTE] * 4)]
+        with pytest.raises(ValueError, match=rf"^rate {rate} Hz is not a number in \(0, 44100\]$"):
+            ev.corpus_stats(corpus)
+
     def test_separated_scores_refused(self):
         score = random_score(random.Random(19), 5)
         for t, other in other_forms(score).items():

@@ -49,6 +49,11 @@ from reference_validate import validate_by_frame
 
 A_FRAME = ExpressiveFrame(p1_note=69, p1_vel=12, p1_timbre=2, tr_note=57,
                           no_note=12, no_vel=9, no_timbre=1)
+# (1, 10) frames that are not real numbers: numpy's int16 cast raises TypeError
+# on objects, parses text, and warns on complex values, dropping their imaginary part
+NOT_REAL_FRAMES = [np.full((1, 10), None), np.array([A_FRAME]).astype(str),
+                   np.array([A_FRAME], complex), np.array([A_FRAME], complex) + 1j]
+NOT_REAL_IDS = ["object", "str", "complex", "complex-imaginary"]
 
 
 def constant_timeline(total, frame=A_FRAME):
@@ -97,7 +102,8 @@ class TestDownsample:
         np.array([A_FRAME], np.float64) + 0.5,
         np.array([A_FRAME], np.int16)[:, :9],
         np.array([A_FRAME], np.int64) + 2 ** 16,     # a plain cast would wrap these to A_FRAME
-    ], ids=["fraction", "nine-fields", "past-int16"])
+        *NOT_REAL_FRAMES,
+    ], ids=["fraction", "nine-fields", "past-int16", *NOT_REAL_IDS])
     def test_frames_not_int16_values_rejected(self, frames):
         tl = Timeline(44100, np.zeros(1, np.int64), frames)
         with pytest.raises(ValueError, match=r"^frames are not T x 10 int16 values: "):
@@ -219,6 +225,13 @@ class TestArrayStore:
     ])
     def test_bad_frames_rejected(self, frames):
         with pytest.raises(ValueError):
+            ExpressiveScore(24.0, frames)
+
+    @pytest.mark.parametrize("frames", [[[None] * 10], "abc", *NOT_REAL_FRAMES],
+                             ids=["nones", "text", *NOT_REAL_IDS])
+    def test_frames_not_real_numbers_rejected(self, frames):
+        # refused before any cast: numpy would raise untyped or warn on these
+        with pytest.raises(ValueError, match=r"^frames are not T x 10 int16 values: "):
             ExpressiveScore(24.0, frames)
 
     def test_floats_int16_holds_accepted(self):

@@ -396,6 +396,14 @@ class TestStreamColumns:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TimedWriteStream.from_columns(offsets, registers, values, 10)
 
+    @pytest.mark.parametrize("columns, shapes", [
+        ((1, 2, 3), [(), (), ()]), ((1.5, [0x4015], [1]), [(), (1,), (1,)]),
+        (([0], [0x4015], 7), [(1,), (1,), ()])])
+    def test_scalar_columns_rejected(self, columns, shapes):
+        message = f"the columns are not all 1-D: shapes {shapes}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TimedWriteStream.from_columns(*columns, 5)
+
     def test_writes_gives_back_the_tuples(self):
         stream = TimedWriteStream(self.WRITES, total_samples=800)
         assert stream.writes == self.WRITES
